@@ -19,7 +19,7 @@ from .weighting import (
     estimate_ipw,
     estimate_ow,
 )
-from .outcome_methods import estimate_crude, estimate_stan, estimate_tmle
+from .outcome_methods import estimate_crude, estimate_tmle, stan_estimates
 from .matching import MatchSets, build_matches, estimate_bcm, estimate_match
 from .simengine import (
     PlasmodeConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "estimate_ipw",
     "estimate_match",
     "estimate_ow",
-    "estimate_stan",
     "estimate_tmle",
     "expand_design",
     "fit_logistic",
@@ -76,5 +75,6 @@ __all__ = [
     "run_plasmode",
     "run_scenario",
     "simulate_dataset",
+    "stan_estimates",
     "true_effects",
 ]

@@ -26,6 +26,7 @@ from ._version import __version__
 from .learners import fit_propensity
 from .reporting import render_contrasts, render_report, render_table, all_pairs_table
 from .simengine import (
+    METHOD_TABLE,
     METHODS,
     PlasmodeConfig,
     SCENARIO_NAMES,
@@ -110,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
             elif name == "covariates":
                 p.add_argument("--covariates", help="comma-separated covariate columns (csv input)")
             elif name == "methods":
-                p.add_argument("--methods", help=f"comma-separated subset of {','.join(METHODS)}")
+                p.add_argument("--methods", help="comma-separated subset of " + ", ".join(
+                    f"{meth} ({row.estimand})" for meth, row in METHOD_TABLE.items()))
             elif name == "regime":
                 p.add_argument("--regime", choices=("correct", "mainterms", "ml"))
             elif name == "scenario":
@@ -172,7 +174,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         values.setdefault("reps", 100)
     cfg = RunConfig(**values)
     if cfg.methods is not None:
-        unknown = [m for m in cfg.methods if m not in METHODS]
+        unknown = [m for m in cfg.methods if m not in METHOD_TABLE]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
     return cfg
@@ -360,6 +362,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
             "config": cfg.provenance(),
             "seed": cfg.seed,
             "model": prop.description,
+            "converged": prop.converged,
             "rows": rows,
         }
         content = json.dumps(payload, indent=2) + "\n"

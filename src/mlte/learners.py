@@ -10,31 +10,37 @@ three regimes:
 * ``ml``         a cross-validation-weighted ensemble for the outcome and an
                  adaptively selected spline multinomial for the treatment.
 
+Both fits are plain data: bound designs and GLM coefficients, no closures,
+so they pickle and can be shipped to worker processes.
+
 The ml outcome ensemble stacks three candidates (main terms; mains plus all
 pairwise interactions and squares; additive natural cubic splines) with
 non-negative-least-squares weights on 10-fold cross-validated predictions.
 The ml treatment model searches a natural-spline basis (spline mains for
 continuous covariates, mains for binary ones, and spline-by-binary
 interactions) by forward stepwise group selection under BIC, in the spirit
-of adaptive polychotomous spline regression.
+of adaptive polychotomous spline regression.  Every group is a design term,
+so the chosen model is an ordinary bound design.  A covariate with too few
+distinct values for the spline's knots enters as a main term only, in both
+models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .glm import fit_logistic, fit_multinomial, fit_ols, predict_probs
+from .glm import MultinomialFit, fit_logistic, fit_multinomial, fit_ols, predict_probs
 from .tabular import (
     BoundDesign,
     Dataset,
     DesignSpec,
-    _natural_cubic_basis,
-    _spline_knots,
+    _spline_eligible,
     bind_design,
+    curvature,
     intercept,
     interaction,
     main,
@@ -58,26 +64,54 @@ _SL_FOLDS = 10
 
 
 @dataclass(frozen=True)
+class SuperLearnerSpec:
+    """Result of cross-validated stacking.
+
+    `weights` lie on the simplex and align with `candidates`; `components`
+    holds one (weight, bound design, full-data fit) triple per candidate,
+    and `cv_risks` the per-candidate cross-validated mean squared errors.
+    """
+
+    candidates: tuple
+    folds: int
+    weights: np.ndarray
+    components: tuple
+    cv_risks: np.ndarray
+
+
+@dataclass(frozen=True)
 class OutcomeFit:
     """Counterfactual outcome predictor Ê(Y | T=t, X).
 
-    ``predict(level, X)`` returns one prediction per row of X, on the
-    probability scale for binary outcomes.  ``refit(data, seed)`` rebuilds
-    the whole fit (including any cross-validation) on new data, which is how
-    the standardization bootstrap resamples it.
+    `components` is a tuple of (weight, BoundDesign, LinearFit or
+    LogisticFit) triples whose weighted sum is the prediction: one triple
+    of weight 1 for the parametric regimes, the stacked candidates for
+    `ml` (whose stacking record is `super_learner`).  ``predict(level, X)``
+    returns one prediction per row of X, on the probability scale for binary
+    outcomes.  ``refit(data, seed)`` rebuilds the whole fit (including any
+    cross-validation) on new data, which is how the standardization
+    bootstrap resamples it.
     """
 
     regime: str
     outcome_kind: str
     k: int
     description: str
-    _predict: Callable = field(repr=False)
-    _refit: Callable = field(repr=False)
+    components: tuple
+    truth_spec: Optional[DesignSpec] = None
+    super_learner: Optional[SuperLearnerSpec] = None
 
     def predict(self, level, X):
         if not (1 <= level <= self.k):
             raise ValueError(f"treatment level {level} outside 1..{self.k}")
-        pred = np.asarray(self._predict(level, np.atleast_2d(np.asarray(X, dtype=float))))
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        t = np.full(X.shape[0], level, dtype=int)
+        pred = np.zeros(X.shape[0])
+        for weight, bound, fit in self.components:
+            if weight == 0.0:
+                continue
+            D = bound.matrix(X, t)
+            pred += weight * (fit.predict_prob(D) if self.outcome_kind == "binary" else fit.predict(D))
         if not np.all(np.isfinite(pred)):
             raise ValueError("non-finite outcome prediction")
         return pred
@@ -87,47 +121,31 @@ class OutcomeFit:
         return np.column_stack([self.predict(level, X) for level in range(1, self.k + 1)])
 
     def refit(self, data: Dataset, seed=0):
-        return self._refit(data, seed)
+        return fit_outcome(data, self.regime, self.truth_spec, seed=seed)
 
 
 @dataclass(frozen=True)
 class PropensityFit:
-    """Fitted treatment probabilities P̂(T = t | X)."""
+    """Fitted treatment probabilities P̂(T = t | X): a multinomial GLM on a
+    bound design, with its probabilities on the training rows."""
 
     regime: str
     k: int
     probs: np.ndarray
     description: str
-    converged: bool
-    _predict: Callable = field(repr=False)
+    bound: BoundDesign
+    fit: MultinomialFit
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         self.probs.setflags(write=False)
 
+    @property
+    def converged(self):
+        return self.fit.converged
+
     def predict_matrix(self, X):
-        return self._predict(np.atleast_2d(np.asarray(X, dtype=float)))
-
-    def predict_row(self, x_row):
-        return self.predict_matrix(np.asarray(x_row, dtype=float)[None, :])[0]
-
-
-@dataclass
-class SuperLearnerSpec:
-    """Result of cross-validated stacking.
-
-    `weights` lie on the simplex and align with `candidates`; `fits` holds
-    the full-data refit of each candidate, `binds` the bound designs used to
-    evaluate them on new rows, and `cv_risks` the per-candidate
-    cross-validated mean squared errors.
-    """
-
-    candidates: tuple
-    folds: int
-    weights: np.ndarray
-    fits: list = field(default_factory=list)
-    binds: list = field(default_factory=list)
-    cv_risks: np.ndarray = None
+        return predict_probs(self.fit, self.bound.matrix(X))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +178,7 @@ def _rich_parametric_spec(data: Dataset, with_dummies):
 def _additive_spline_spec(data: Dataset, with_dummies):
     terms = [intercept()]
     for j, c in enumerate(data.columns):
-        if _is_binary_column(data.X[:, j]):
-            terms.append(main(c))
-        else:
-            terms.append(spline(c))
+        terms.append(spline(c) if _spline_eligible(data.X[:, j]) else main(c))
     return DesignSpec(tuple(terms), includes_treatment_dummies=with_dummies)
 
 
@@ -172,13 +187,6 @@ def _fit_glm(bound: BoundDesign, data: Dataset):
     if data.outcome_kind == "binary":
         return fit_logistic(D, data.y)
     return fit_ols(D, data.y)
-
-
-def _glm_predict(bound: BoundDesign, fit, binary, level, X):
-    D = bound.matrix(X, np.full(X.shape[0], level, dtype=int))
-    if binary:
-        return fit.predict_prob(D)
-    return fit.predict(D)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +236,15 @@ def fit_super_learner(data: Dataset, candidates, folds=_SL_FOLDS, seed=0):
         weights[int(np.argmin(cv_risks))] = 1.0
     weights = weights / weights.sum()
 
-    fits, binds = [], []
-    for spec in candidates:
+    components = []
+    for w, spec in zip(weights, candidates):
         bound = bind_design(data, spec)
-        binds.append(bound)
-        fits.append(_fit_glm(bound, data))
+        components.append((float(w), bound, _fit_glm(bound, data)))
     return SuperLearnerSpec(
         candidates=tuple(candidates),
         folds=folds,
         weights=weights,
-        fits=fits,
-        binds=binds,
+        components=tuple(components),
         cv_risks=cv_risks,
     )
 
@@ -258,55 +264,28 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    binary = data.outcome_kind == "binary"
+    if regime == "ml":
+        candidates = (
+            _mainterms_spec(data, with_dummies=True),
+            _rich_parametric_spec(data, with_dummies=True),
+            _additive_spline_spec(data, with_dummies=True),
+        )
+        sl = fit_super_learner(data, candidates, folds=_SL_FOLDS, seed=seed)
+        wtxt = "/".join(f"{w:.2f}" for w in sl.weights)
+        desc = f"super learner ({len(candidates)} candidates, {sl.folds}-fold cv, weights {wtxt})"
+        return OutcomeFit("ml", data.outcome_kind, data.k, desc, sl.components, super_learner=sl)
 
     if regime == "correct":
         if truth_spec is None:
             raise ValueError("correct regime requires truth_spec")
-        spec = truth_spec
-        if not spec.includes_treatment_dummies:
-            spec = DesignSpec(spec.terms, includes_treatment_dummies=True)
-    elif regime == "mainterms":
-        spec = _mainterms_spec(data, with_dummies=True)
+        spec = DesignSpec(truth_spec.terms, includes_treatment_dummies=True)
     else:
-        spec = None  # super learner path below
-
-    if spec is not None:
-        bound = bind_design(data, spec)
-        fit = _fit_glm(bound, data)
-
-        def predict(level, X, bound=bound, fit=fit):
-            return _glm_predict(bound, fit, binary, level, X)
-
-        def refit(new_data, new_seed, regime=regime, truth_spec=truth_spec):
-            return fit_outcome(new_data, regime, truth_spec, seed=new_seed)
-
-        desc = f"{'logistic' if binary else 'ols'} regression, {regime} design ({bound.n_columns} columns)"
-        return OutcomeFit(regime, data.outcome_kind, data.k, desc, predict, refit)
-
-    candidates = (
-        _mainterms_spec(data, with_dummies=True),
-        _rich_parametric_spec(data, with_dummies=True),
-        _additive_spline_spec(data, with_dummies=True),
-    )
-    sl = fit_super_learner(data, candidates, folds=_SL_FOLDS, seed=seed)
-
-    def predict(level, X, sl=sl, binary=binary):
-        out = np.zeros(X.shape[0])
-        for w, bound, fit in zip(sl.weights, sl.binds, sl.fits):
-            if w == 0.0:
-                continue
-            out += w * _glm_predict(bound, fit, binary, level, X)
-        return out
-
-    def refit(new_data, new_seed):
-        return fit_outcome(new_data, "ml", seed=new_seed)
-
-    wtxt = "/".join(f"{w:.2f}" for w in sl.weights)
-    desc = f"super learner ({len(candidates)} candidates, {sl.folds}-fold cv, weights {wtxt})"
-    fit_obj = OutcomeFit("ml", data.outcome_kind, data.k, desc, predict, refit)
-    object.__setattr__(fit_obj, "super_learner", sl)
-    return fit_obj
+        spec = _mainterms_spec(data, with_dummies=True)
+    bound = bind_design(data, spec)
+    glm = "logistic" if data.outcome_kind == "binary" else "ols"
+    desc = f"{glm} regression, {regime} design ({bound.n_columns} columns)"
+    components = ((1.0, bound, _fit_glm(bound, data)),)
+    return OutcomeFit(regime, data.outcome_kind, data.k, desc, components, truth_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -316,45 +295,36 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
 def _propensity_from_design(data: Dataset, bound: BoundDesign, regime, desc):
     D = bound.matrix(data.X)
     mfit = fit_multinomial(D, data.t, data.k)
-    probs = predict_probs(mfit, D)
-
-    def predict(Xnew, bound=bound, mfit=mfit):
-        return predict_probs(mfit, bound.matrix(Xnew))
-
-    return PropensityFit(regime, data.k, probs, desc, mfit.converged, predict)
+    return PropensityFit(regime, data.k, predict_probs(mfit, D), desc, bound, mfit)
 
 
-def _spline_groups(data: Dataset):
-    """Candidate column groups for the stepwise treatment model.
+def _stepwise_groups(data: Dataset):
+    """Candidate groups for the stepwise treatment model, as design terms.
 
-    Continuous covariates contribute a linear group and a curvature group
-    (the nonlinear natural-spline columns); binary covariates contribute a
-    main group; each continuous covariate also pairs with each binary one
+    Returns {name: (term, names of the groups it needs)}.  Spline-eligible
+    covariates contribute a linear group and a curvature group (the
+    nonlinear natural-spline columns); binary covariates contribute a main
+    group; each spline-eligible covariate also pairs with each binary one
     through linear-by-binary and curvature-by-binary interaction groups.
-    Hierarchy: curvature needs its linear term, interactions need both
-    parents.
+    Any other covariate (too few distinct values for the knots) is a main
+    group only.  Hierarchy: curvature needs its linear term, interactions
+    need both parents.
     """
     groups = {}
-    continuous, binaries = [], []
+    splined, binaries = [], []
     for j, name in enumerate(data.columns):
         x = data.X[:, j]
-        if _is_binary_column(x):
-            binaries.append((j, name))
-            groups[name] = (x[:, None], frozenset())
-        else:
-            continuous.append((j, name))
-            knots = _spline_knots(x, 3)
-            basis = _natural_cubic_basis(x, knots)
-            groups[name] = (basis[:, :1], frozenset())
-            groups[f"{name}.curv"] = (basis[:, 1:], frozenset({name}))
-    for j, cname in continuous:
-        for jj, bname in binaries:
-            b = data.X[:, jj][:, None]
-            lin = groups[cname][0] * b
-            curv = groups[f"{cname}.curv"][0] * b
-            groups[f"{cname}:{bname}"] = (lin, frozenset({cname, bname}))
+        groups[name] = (main(name), frozenset())
+        if _spline_eligible(x):
+            splined.append(name)
+            groups[f"{name}.curv"] = (curvature(name), frozenset({name}))
+        elif _is_binary_column(x):
+            binaries.append(name)
+    for cname in splined:
+        for bname in binaries:
+            groups[f"{cname}:{bname}"] = (interaction(cname, bname), frozenset({cname, bname}))
             groups[f"{cname}.curv:{bname}"] = (
-                curv,
+                curvature(cname, by=bname),
                 frozenset({f"{cname}.curv", f"{cname}:{bname}"}),
             )
     return groups
@@ -367,38 +337,38 @@ def _stepwise_multinomial(data: Dataset):
     group with the best BIC until no addition improves it.  Parameter count
     is (k-1) per design column.  Weak treatment-covariate signal therefore
     yields a deliberately sparse model, mirroring how adaptive spline
-    classifiers behave under light confounding.
+    classifiers behave under light confounding.  Each group's columns are
+    expanded once.  Returns the candidate groups (see _stepwise_groups) and
+    the chosen group names in selection order.
     """
     n, k = data.n, data.k
-    groups = _spline_groups(data)
+    groups = _stepwise_groups(data)
+    all_terms = DesignSpec(tuple(term for term, _ in groups.values()))
+    columns = dict(zip(groups, bind_design(data, all_terms).blocks(data.X)))
     logn = np.log(n)
 
-    def fit_cols(D):
-        mfit = fit_multinomial(D, data.t, k)
-        P = predict_probs(mfit, D)
+    def bic_of(D):
+        P = predict_probs(fit_multinomial(D, data.t, k), D)
         ll = float(np.log(P[np.arange(n), data.t - 1]).sum())
-        return mfit, ll
+        return -2.0 * ll + (k - 1) * D.shape[1] * logn
 
     D = np.ones((n, 1))
     chosen = []
-    _, ll = fit_cols(D)
-    bic = -2.0 * ll + (k - 1) * D.shape[1] * logn
+    bic = bic_of(D)
     while True:
         best = None
-        for name, (cols, needs) in groups.items():
+        for name, (_, needs) in groups.items():
             if name in chosen or not needs.issubset(chosen):
                 continue
-            D_try = np.column_stack([D, cols])
-            _, ll_try = fit_cols(D_try)
-            bic_try = -2.0 * ll_try + (k - 1) * D_try.shape[1] * logn
+            D_try = np.column_stack([D, columns[name]])
+            bic_try = bic_of(D_try)
             if bic_try < bic - 1e-9 and (best is None or bic_try < best[0]):
                 best = (bic_try, name, D_try)
         if best is None:
             break
         bic, picked, D = best
         chosen.append(picked)
-    mfit, _ = fit_cols(D)
-    return mfit, tuple(chosen)
+    return groups, tuple(chosen)
 
 
 def fit_propensity(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None):
@@ -425,40 +395,7 @@ def fit_propensity(data: Dataset, regime, truth_spec: Optional[DesignSpec] = Non
             data, bound, regime, f"multinomial GLM, main terms ({bound.n_columns} columns)"
         )
 
-    mfit, chosen = _stepwise_multinomial(data)
-
-    # rebuild the selected design on new rows by re-deriving each group's
-    # columns from frozen per-column knots
-    frozen = {}
-    for j, name in enumerate(data.columns):
-        x = data.X[:, j]
-        if not _is_binary_column(x):
-            frozen[name] = _spline_knots(x, 3)
-
-    def group_columns(Xnew, name):
-        parent, _, bname = name.partition(":")
-        if ":" in name:
-            cont = parent.replace(".curv", "")
-            basis = _natural_cubic_basis(Xnew[:, data.column_index(cont)], frozen[cont])
-            part = basis[:, 1:] if ".curv" in parent else basis[:, :1]
-            jb = data.column_index(bname)
-            return part * Xnew[:, jb][:, None]
-        if name.endswith(".curv"):
-            cont = name[: -len(".curv")]
-            basis = _natural_cubic_basis(Xnew[:, data.column_index(cont)], frozen[cont])
-            return basis[:, 1:]
-        j = data.column_index(name)
-        if name in frozen:
-            basis = _natural_cubic_basis(Xnew[:, j], frozen[name])
-            return basis[:, :1]
-        return Xnew[:, j][:, None]
-
-    def predict(Xnew, chosen=chosen, mfit=mfit):
-        cols = [np.ones((Xnew.shape[0], 1))]
-        for name in chosen:
-            cols.append(group_columns(Xnew, name))
-        return predict_probs(mfit, np.column_stack(cols))
-
-    probs = predict(data.X)
+    groups, chosen = _stepwise_multinomial(data)
+    bound = bind_design(data, DesignSpec((intercept(),) + tuple(groups[name][0] for name in chosen)))
     desc = f"stepwise spline multinomial (BIC, {len(chosen)} groups: {', '.join(chosen) or 'intercept only'})"
-    return PropensityFit("ml", data.k, probs, desc, mfit.converged, predict)
+    return _propensity_from_design(data, bound, "ml", desc)

@@ -24,7 +24,6 @@ from .weighting import EffectEstimate, make_estimate
 
 __all__ = [
     "TmleFluctuation",
-    "estimate_stan",
     "stan_estimates",
     "estimate_tmle",
     "estimate_crude",
@@ -99,7 +98,13 @@ def stan_bootstrap(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
 
 
 def stan_estimates(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, seed=0):
-    """Standardization estimates for several pairs sharing bootstrap resamples."""
+    """Standardization (g-computation) estimates for several pairs, with
+    nonparametric bootstrap inference from resamples shared across pairs.
+
+    Each point estimate averages predicted outcome contrasts over all n
+    rows.  Pass bootstrap_reps=0 to skip inference; the variances are then
+    NaN and the confidence intervals absent.  Returns {pair: EffectEstimate}.
+    """
     pairs = [(int(p[0]), int(p[1])) for p in pairs]
     variances = stan_bootstrap(data, out, pairs, bootstrap_reps, seed)
     return {
@@ -108,19 +113,6 @@ def stan_estimates(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
         )
         for p in pairs
     }
-
-
-def estimate_stan(
-    data: Dataset, out: OutcomeFit, pair, bootstrap_reps=200, seed=0
-) -> EffectEstimate:
-    """Standardization (g-computation) with nonparametric bootstrap inference.
-
-    The point estimate averages predicted outcome contrasts over all n rows.
-    Pass bootstrap_reps=0 to skip inference; the variance is then NaN and
-    the confidence interval absent.
-    """
-    t1, t0 = int(pair[0]), int(pair[1])
-    return stan_estimates(data, out, [(t1, t0)], bootstrap_reps, seed)[(t1, t0)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,17 @@ generator fits.
 
 Replications draw from per-replication RNG substreams spawned off the
 master seed with a purpose tag, so results are bit-identical regardless
-of worker count.
+of worker count.  Scenario and plasmode studies share one replication
+runner, serial or on a process pool.
+
+`METHOD_TABLE` lists every estimator once: its estimand, the fitted inputs
+it takes, and its entry point.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -42,7 +47,9 @@ from .tabular import (
 from .weighting import compute_overlap_weights, estimate_aow, estimate_ipw, estimate_ow
 
 __all__ = [
+    "METHOD_TABLE",
     "METHODS",
+    "MethodSpec",
     "SCENARIO_NAMES",
     "ScenarioConfig",
     "PlasmodeConfig",
@@ -62,11 +69,42 @@ __all__ = [
     "compute_metrics",
 ]
 
-METHODS = ("crude", "stan", "ipw", "match", "bcm", "tmle", "ow", "aow")
-_ESTIMAND = {m: ("overlap" if m in ("ow", "aow") else "population") for m in METHODS}
-_NEEDS_OUTCOME = frozenset(("stan", "bcm", "tmle", "aow"))
-_NEEDS_PROPENSITY = frozenset(("ipw", "tmle", "ow", "aow"))
-_NEEDS_MATCHES = frozenset(("match", "bcm"))
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One row of the method table.
+
+    `inputs` names what the entry point takes after the dataset, in its
+    argument order: "outcome" and "propensity" fits, "matches", or
+    "overlap" weights (derived from the propensity fit).  `entry` names a
+    function of this module, looked up when called so that a wrapper bound
+    to that name (a profiler, say) sees the call.  A per-pair entry takes
+    one contrast pair; a batched entry takes the pair list, the bootstrap
+    size and the bootstrap seed, and returns {pair: estimate}.
+    """
+
+    estimand: str
+    inputs: tuple
+    entry: str
+    batched: bool = False
+
+    @property
+    def models(self):
+        """The fitted models this method depends on."""
+        return {"propensity" if name == "overlap" else name for name in self.inputs}
+
+
+METHOD_TABLE = {
+    "crude": MethodSpec("population", (), "estimate_crude"),
+    "stan": MethodSpec("population", ("outcome",), "stan_estimates", batched=True),
+    "ipw": MethodSpec("population", ("propensity",), "estimate_ipw"),
+    "match": MethodSpec("population", ("matches",), "estimate_match"),
+    "bcm": MethodSpec("population", ("matches", "outcome"), "estimate_bcm"),
+    "tmle": MethodSpec("population", ("outcome", "propensity"), "estimate_tmle"),
+    "ow": MethodSpec("overlap", ("overlap",), "estimate_ow"),
+    "aow": MethodSpec("overlap", ("overlap", "outcome", "propensity"), "estimate_aow"),
+}
+METHODS = tuple(METHOD_TABLE)
 
 SCENARIO_NAMES = ("t-y-", "t+y-", "t-y+", "t+y+")
 
@@ -307,77 +345,54 @@ def _apply_methods(
 
     Returns ({(method, pair): EffectEstimate}, {method: error message}).
     A model-fit failure fails all methods depending on that model; an
-    estimator failure fails only its own (method, pair) cells.
+    estimator failure fails only its own method.  Only the numeric and data
+    errors the fits and estimators raise (ValueError, which includes
+    LinAlgError, and RuntimeError) count as failures; anything else
+    propagates.
     """
-    methods = list(methods)
-    results, failures = {}, {}
-
-    out = prop = msets = oweights = None
-    if any(meth in _NEEDS_OUTCOME for meth in methods):
-        try:
-            out = fit_outcome(data, regime, truth_spec=truth_out, seed=learner_seed)
-        except Exception as err:  # pragma: no cover - defensive
-            for meth in methods:
-                if meth in _NEEDS_OUTCOME:
-                    failures[meth] = f"outcome fit: {err}"
-    if any(meth in _NEEDS_PROPENSITY for meth in methods):
-        try:
-            prop = fit_propensity(data, regime, truth_spec=truth_prop)
-        except Exception as err:
-            for meth in methods:
-                if meth in _NEEDS_PROPENSITY:
-                    failures.setdefault(meth, f"propensity fit: {err}")
-    if any(meth in _NEEDS_MATCHES for meth in methods):
-        try:
-            msets = build_matches(data, m=m, metric=metric)
-        except Exception as err:
-            for meth in methods:
-                if meth in _NEEDS_MATCHES:
-                    failures.setdefault(meth, f"matching: {err}")
-    if prop is not None and any(meth in ("ow", "aow") for meth in methods):
-        oweights = compute_overlap_weights(prop, data.t)
-
-    def ready(meth):
-        if meth in failures:
-            return False
-        if meth in _NEEDS_OUTCOME and out is None:
-            return False
-        if meth in _NEEDS_PROPENSITY and prop is None:
-            return False
-        if meth in _NEEDS_MATCHES and msets is None:
-            return False
-        return True
-
-    for meth in methods:
-        if not ready(meth):
+    rows = {meth: METHOD_TABLE[meth] for meth in methods}
+    pairs = [(int(a), int(b)) for a, b in pairs]
+    needed = set().union(*(row.models for row in rows.values()))
+    # fitted in this order; a failure message names the first failed fit
+    fitters = {
+        "outcome": (
+            "outcome fit",
+            lambda: fit_outcome(data, regime, truth_spec=truth_out, seed=learner_seed),
+        ),
+        "propensity": (
+            "propensity fit",
+            lambda: fit_propensity(data, regime, truth_spec=truth_prop),
+        ),
+        "matches": ("matching", lambda: build_matches(data, m=m, metric=metric)),
+    }
+    inputs, failures = {}, {}
+    for name, (label, fit) in fitters.items():
+        if name not in needed:
             continue
         try:
-            if meth == "stan":
-                ests = stan_estimates(data, out, pairs, bootstrap_reps, bootstrap_seed)
-                for pair, est in ests.items():
+            inputs[name] = fit()
+        except (ValueError, RuntimeError) as err:
+            for meth, row in rows.items():
+                if name in row.models:
+                    failures.setdefault(meth, f"{label}: {err}")
+    if "propensity" in inputs and any("overlap" in row.inputs for row in rows.values()):
+        inputs["overlap"] = compute_overlap_weights(inputs["propensity"], data.t)
+
+    results = {}
+    for meth, row in rows.items():
+        if meth in failures:
+            continue
+        entry = globals()[row.entry]
+        args = [inputs[name] for name in row.inputs]
+        try:
+            if row.batched:
+                for pair, est in entry(data, *args, pairs, bootstrap_reps, bootstrap_seed).items():
                     results[(meth, pair)] = est
-                continue
-            for pair in pairs:
-                pair = (int(pair[0]), int(pair[1]))
-                if meth == "crude":
-                    est = estimate_crude(data, pair)
-                elif meth == "ipw":
-                    est = estimate_ipw(data, prop, pair)
-                elif meth == "match":
-                    est = estimate_match(data, msets, pair)
-                elif meth == "bcm":
-                    est = estimate_bcm(data, msets, out, pair)
-                elif meth == "tmle":
-                    est = estimate_tmle(data, out, prop, pair)
-                elif meth == "ow":
-                    est = estimate_ow(data, oweights, pair)
-                elif meth == "aow":
-                    est = estimate_aow(data, oweights, out, prop, pair)
-                else:
-                    raise ValueError(f"unknown method {meth!r}")
-                results[(meth, pair)] = est
-        except Exception as err:
-            failures.setdefault(meth, str(err))
+            else:
+                for pair in pairs:
+                    results[(meth, pair)] = entry(data, *args, pair)
+        except (ValueError, RuntimeError) as err:
+            failures[meth] = str(err)
     return results, failures
 
 
@@ -385,7 +400,7 @@ def _normalize_methods(methods):
     if methods is None:
         return list(METHODS)
     methods = list(dict.fromkeys(methods))
-    unknown = [m for m in methods if m not in METHODS]
+    unknown = [m for m in methods if m not in METHOD_TABLE]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
     if "crude" not in methods:
@@ -482,14 +497,15 @@ def _collect_report(kind, cfg_echo, seed, reps, regime, methods, pairs, per_rep,
             method_failures[meth] = {"count": failed_reps, "example": example}
         for pair in pairs:
             ests = [res[(meth, pair)] for _, res, _ in per_rep if (meth, pair) in res]
-            truth = truth_of(pair, _ESTIMAND[meth])
+            estimand = METHOD_TABLE[meth].estimand
+            truth = truth_of(pair, estimand)
             mt = compute_metrics(ests, truth)
             rows.append(
                 {
                     "method": meth,
                     "regime": regime,
                     "parameter": _pair_label(pair),
-                    "estimand": _ESTIMAND[meth],
+                    "estimand": estimand,
                     "truth": truth,
                     "bias": mt.bias,
                     "std": mt.std,
@@ -511,6 +527,18 @@ def _collect_report(kind, cfg_echo, seed, reps, regime, methods, pairs, per_rep,
     )
 
 
+def _run_replications(rep_fn, jobs, workers):
+    """Run `rep_fn` on every job, serially or on a pool of `workers`
+    processes (0 means one per core), and return the (rep, results,
+    failures) outputs in job order."""
+    if workers == 0:
+        workers = os.cpu_count() or 1
+    if workers > 1 and len(jobs) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(rep_fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+    return [rep_fn(job) for job in jobs]
+
+
 def run_scenario(
     cfg: ScenarioConfig, methods=None, contrasts: ContrastSet = None, workers: int = 1
 ) -> ScenarioReport:
@@ -526,17 +554,7 @@ def run_scenario(
         contrasts = ContrastSet(pairs=((2, 1), (3, 1)))
     contrasts.validate(3)
     pairs = [tuple(p) for p in contrasts.pairs]
-    jobs = [(cfg, methods, pairs, rep) for rep in range(cfg.reps)]
-    if workers == 0:
-        import os
-
-        workers = os.cpu_count() or 1
-    if workers > 1 and cfg.reps > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_scenario_rep, jobs, chunksize=max(1, cfg.reps // (4 * workers))))
-    else:
-        per_rep = [_scenario_rep(job) for job in jobs]
-    per_rep.sort(key=lambda item: item[0])
+    per_rep = _run_replications(_scenario_rep, [(cfg, methods, pairs, rep) for rep in range(cfg.reps)], workers)
     te = true_effects(cfg)
     cfg_echo = asdict(cfg)
     return _collect_report(
@@ -609,7 +627,8 @@ def _plasmode_truths(cfg: PlasmodeConfig, pairs):
     return truths
 
 
-def _plasmode_rep(cfg: PlasmodeConfig, pairs, methods, rep):
+def _plasmode_rep(args):
+    cfg, methods, pairs, rep = args
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_PLASMODE, rep))
     )
@@ -624,9 +643,7 @@ def _plasmode_rep(cfg: PlasmodeConfig, pairs, methods, rep):
         t = 1 + (u[:, None] > cum[:, :-1]).sum(axis=1)
         if len(np.unique(t)) != cfg.source.k:
             continue
-        mu_all = np.column_stack(
-            [cfg.generator_outcome.predict(lev, X) for lev in range(1, cfg.source.k + 1)]
-        )
+        mu_all = cfg.generator_outcome.predict_matrix(X)
         p_y = mu_all[np.arange(size), t - 1]
         y = (rng.random(size) < p_y).astype(float)
         if y.min() == y.max():
@@ -658,10 +675,10 @@ def run_plasmode(
 ) -> ScenarioReport:
     """Plasmode replication loop.
 
-    Replications execute in-process regardless of `workers`: the generator
-    fits close over learned state that is not shared across processes, and
-    the per-replication substream contract already makes the output
-    independent of scheduling.
+    Replications run like those of `run_scenario`: serially, or with
+    workers > 1 on a process pool that receives the generator fits as
+    plain data (workers=0 means one per core).  Every replication owns its
+    seed-derived RNG substreams, so the report does not depend on `workers`.
     """
     methods = _normalize_methods(methods)
     if contrasts is None:
@@ -669,7 +686,7 @@ def run_plasmode(
     contrasts.validate(cfg.source.k)
     pairs = [tuple(p) for p in contrasts.pairs]
     truths = _plasmode_truths(cfg, pairs)
-    per_rep = [_plasmode_rep(cfg, pairs, methods, rep) for rep in range(cfg.reps)]
+    per_rep = _run_replications(_plasmode_rep, [(cfg, methods, pairs, rep) for rep in range(cfg.reps)], workers)
     cfg_echo = {
         "kind": "plasmode",
         "source_n": cfg.source.n,

@@ -4,8 +4,9 @@ Everything downstream (model fitters, estimators, the simulation engine)
 consumes the small immutable containers defined here: ``Dataset`` for the
 observed table, ``DesignSpec`` for a symbolic regression design, and
 ``ContrastSet`` for the treatment pairs under comparison.  Design expansion
-supports intercept, main effects, two-way interactions, squares, and natural
-cubic spline bases with quantile knots.
+supports intercept, main effects, two-way interactions, squares, natural
+cubic spline bases with quantile knots, and the nonlinear (curvature) part
+of such a basis, optionally multiplied by a binary column.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "interaction",
     "square",
     "spline",
+    "curvature",
 ]
 
 
@@ -54,13 +56,22 @@ def square(column):
     return ("square", column)
 
 
-def spline(column, degree=3, knots=3):
+_SPLINE_KNOTS = 3
+
+
+def spline(column, degree=3, knots=_SPLINE_KNOTS):
     """Natural cubic spline term with `knots` interior knots at equally
     spaced quantiles.  Only degree 3 is implemented."""
     return ("spline", column, degree, knots)
 
 
-_TERM_KINDS = {"intercept", "main", "interaction", "square", "spline"}
+def curvature(column, by=None):
+    """The nonlinear columns of `spline(column)`, i.e. the basis without
+    its linear column, multiplied by column `by` if given."""
+    return ("curvature", column, by, _SPLINE_KNOTS)
+
+
+_TERM_KINDS = {"intercept", "main", "interaction", "square", "spline", "curvature"}
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +228,21 @@ class DesignSpec:
         for term in terms:
             if not term or term[0] not in _TERM_KINDS:
                 raise ValueError(f"unknown design term {term!r}")
-            if term[0] == "spline":
-                _, _col, degree, knots = term
-                if degree != 3:
-                    raise ValueError("only cubic (degree 3) splines are implemented")
-                if knots < 1:
-                    raise ValueError("spline needs at least one interior knot")
+            if term[0] == "spline" and term[2] != 3:
+                raise ValueError("only cubic (degree 3) splines are implemented")
+            if term[0] in ("spline", "curvature") and term[3] < 1:
+                raise ValueError("spline needs at least one interior knot")
         object.__setattr__(self, "terms", terms)
 
     def referenced_columns(self):
         cols = []
         for term in self.terms:
-            cols.extend(term[1:2] if term[0] in ("main", "square", "spline") else ())
-            if term[0] == "interaction":
+            if term[0] in ("main", "square", "spline"):
+                cols.append(term[1])
+            elif term[0] == "interaction":
                 cols.extend(term[1:3])
+            elif term[0] == "curvature":
+                cols.extend(c for c in term[1:3] if c is not None)
         return cols
 
     def validate(self, data: Dataset):
@@ -392,12 +404,17 @@ def _natural_cubic_basis(x, knots):
     return np.column_stack(cols)
 
 
+def _spline_eligible(x, n_interior=_SPLINE_KNOTS):
+    """Whether column `x` has at least as many distinct values as a spline
+    with `n_interior` interior knots has knots."""
+    return len(np.unique(x)) >= n_interior + 2
+
+
 def _spline_knots(x, n_interior):
     """Boundary knots at the data range, interior at equally spaced quantiles."""
-    distinct = np.unique(x)
-    if len(distinct) < n_interior + 2:
+    if not _spline_eligible(x, n_interior):
         raise ValueError(
-            f"spline needs more distinct values ({len(distinct)}) than knots ({n_interior + 2})"
+            f"spline needs more distinct values ({len(np.unique(x))}) than knots ({n_interior + 2})"
         )
     qs = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
     interior = np.quantile(x, qs)
@@ -415,39 +432,50 @@ class BoundDesign:
     knots: dict = field(default_factory=dict)
     k: int = 2
 
-    def matrix(self, X, t=None):
+    def blocks(self, X):
+        """The columns of each term, one 2-d block per term, in term order
+        (treatment dummies excluded)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cols = []
+        out = []
         for pos, term in enumerate(self.spec.terms):
             kind = term[0]
             if kind == "intercept":
-                cols.append(np.ones(X.shape[0]))
+                block = np.ones(X.shape[0])
             elif kind == "main":
-                cols.append(X[:, self.column_index[term[1]]])
+                block = X[:, self.column_index[term[1]]]
             elif kind == "interaction":
-                cols.append(
-                    X[:, self.column_index[term[1]]] * X[:, self.column_index[term[2]]]
-                )
+                block = X[:, self.column_index[term[1]]] * X[:, self.column_index[term[2]]]
             elif kind == "square":
-                cols.append(X[:, self.column_index[term[1]]] ** 2)
-            elif kind == "spline":
-                basis = _natural_cubic_basis(
-                    X[:, self.column_index[term[1]]], self.knots[pos]
-                )
-                cols.append(basis)
+                block = X[:, self.column_index[term[1]]] ** 2
+            else:
+                block = _natural_cubic_basis(X[:, self.column_index[term[1]]], self.knots[pos])
+                if kind == "curvature":
+                    block = block[:, 1:]
+                    if term[2] is not None:
+                        block = block * X[:, self.column_index[term[2]]][:, None]
+            out.append(block[:, None] if block.ndim == 1 else block)
+        return out
+
+    def matrix(self, X, t=None):
+        cols = self.blocks(X)
         if self.spec.includes_treatment_dummies:
             if t is None:
                 raise ValueError("design includes treatment dummies but no t given")
             t = np.asarray(t, dtype=int)
             for level in range(2, self.k + 1):
-                cols.append((t == level).astype(float))
-        return np.column_stack([np.atleast_2d(c.T).T if c.ndim == 1 else c for c in cols])
+                cols.append((t == level).astype(float)[:, None])
+        return np.column_stack(cols)
 
     @property
     def n_columns(self):
         count = 0
         for pos, term in enumerate(self.spec.terms):
-            count += len(self.knots[pos]) - 1 if term[0] == "spline" else 1
+            if term[0] == "spline":
+                count += len(self.knots[pos]) - 1
+            elif term[0] == "curvature":
+                count += len(self.knots[pos]) - 2
+            else:
+                count += 1
         if self.spec.includes_treatment_dummies:
             count += self.k - 1
         return count
@@ -458,7 +486,7 @@ def bind_design(data: Dataset, spec: DesignSpec) -> BoundDesign:
     spec.validate(data)
     knots = {}
     for pos, term in enumerate(spec.terms):
-        if term[0] == "spline":
+        if term[0] in ("spline", "curvature"):
             x = data.X[:, data.column_index(term[1])]
             knots[pos] = _spline_knots(x, term[3])
     index = {name: j for j, name in enumerate(data.columns)}

@@ -11,7 +11,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from mlte.cli import main as cli_main
-from mlte.learners import OutcomeFit, PropensityFit, fit_outcome, fit_propensity
+from fitstubs import StubOutcomeFit, StubPropensityFit
+from mlte.learners import fit_outcome, fit_propensity
 from mlte.matching import build_matches, estimate_bcm, estimate_match
 from mlte.outcome_methods import tmle_fluctuations
 from mlte.simengine import (
@@ -61,7 +62,7 @@ def arm_mean_outcome(data):
     def predict(level, X):
         return np.full(len(X), means[level])
 
-    return OutcomeFit(
+    return StubOutcomeFit(
         regime="mainterms",
         outcome_kind=data.outcome_kind,
         k=data.k,
@@ -235,12 +236,12 @@ def test_criterion_7_exact_identities(capsys):
     data = Dataset.from_arrays(X, t, y)
     raw = rng.uniform(0.1, 1.0, (n, 3))
     probs = raw / raw.sum(axis=1, keepdims=True)
-    prop = PropensityFit("correct", 3, probs, "fixed", True, lambda Z: probs)
+    prop = StubPropensityFit("correct", 3, probs, "fixed", True, lambda Z: probs)
     ow = compute_overlap_weights(prop, data.t)
 
     def const_fit(values):
         vals = np.asarray(values, dtype=float)
-        return OutcomeFit(
+        return StubOutcomeFit(
             "mainterms", "continuous", 3, "const",
             lambda level, Z: np.full(Z.shape[0], vals[level - 1]),
             lambda d, s: None,
@@ -267,7 +268,7 @@ def test_criterion_7_exact_identities(capsys):
     t2[:2] = [1, 2]
     data2 = Dataset.from_arrays(X, t2, y)
     p1 = rng.uniform(0.05, 0.95, n)
-    prop2 = PropensityFit(
+    prop2 = StubPropensityFit(
         "correct", 2, np.column_stack([p1, 1 - p1]), "fixed", True, lambda Z: None
     )
     ow2 = compute_overlap_weights(prop2, data2.t)
@@ -293,7 +294,7 @@ def test_criterion_7_exact_identities(capsys):
     tb = np.repeat([1, 2, 3], 100)
     bdata = Dataset.from_arrays(rng.normal(size=(300, 2)), tb, rng.normal(size=300))
     uprobs = np.full((300, 3), 1.0 / 3.0)
-    uprop = PropensityFit("correct", 3, uprobs, "uniform", True, lambda Z: uprobs)
+    uprop = StubPropensityFit("correct", 3, uprobs, "uniform", True, lambda Z: uprobs)
     uow = compute_overlap_weights(uprop, bdata.t)
     uout = arm_mean_outcome(bdata)
     for pair in ((2, 1), (3, 1)):

@@ -239,6 +239,55 @@ def test_diagnose_text_has_provenance_header(demo_csv, capsys):
     assert "below_1pct" in out
 
 
+def test_diagnose_json_reports_convergence(demo_csv, capsys):
+    rc = run_cli(["diagnose", "--data", demo_csv, *DEMO_ARGS, "--format", "json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
+# ---------------------------------------------------------------------------
+# ml regime on an ordinal covariate
+
+
+@pytest.fixture(scope="module")
+def ordinal_csv(tmp_path_factory):
+    """x3 is replaced by a 3-valued ordinal column, too few values for a spline."""
+    rng = np.random.default_rng(21)
+    n = 240
+    x1 = rng.normal(size=n)
+    grade = rng.integers(1, 4, n)
+    t = 1 + (rng.random(n) < 0.3 + 0.1 * grade) + (rng.random(n) < 0.4)
+    y = x1 + 0.5 * grade + t + rng.normal(size=n)
+    path = tmp_path_factory.mktemp("ordinal") / "ordinal.csv"
+    with open(path, "w") as fh:
+        fh.write("trt,resp,x1,x2,x3\n")
+        for i in range(n):
+            cells = [int(t[i]), float(y[i]), float(x1[i]), float(rng.normal()), int(grade[i])]
+            fh.write(",".join(repr(c) for c in cells) + "\n")
+    return str(path)
+
+
+def test_estimate_ml_regime_with_ordinal_covariate(ordinal_csv, capsys):
+    rc = run_cli(["estimate", "--data", ordinal_csv, *DEMO_ARGS, "--regime", "ml",
+                  "--bootstrap", "5", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == {}
+    assert len(payload["tables"]) == 8
+    for table in payload["tables"]:
+        for row in table["rows"]:
+            assert np.isfinite(row["estimate"]) and np.isfinite(row["se"])
+
+
+def test_diagnose_ml_regime_with_ordinal_covariate(ordinal_csv, capsys):
+    rc = run_cli(["diagnose", "--data", ordinal_csv, *DEMO_ARGS, "--regime", "ml", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "stepwise" in payload["model"]
+    for row in payload["rows"]:
+        assert all(np.isfinite(row[key]) for key in ("min", "median", "max"))
+
+
 # ---------------------------------------------------------------------------
 # global flags
 

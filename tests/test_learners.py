@@ -1,9 +1,13 @@
 """Outcome and propensity model regimes, including the stacked learner."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from mlte.learners import (
+    _stepwise_groups,
     fit_outcome,
     fit_propensity,
     fit_super_learner,
@@ -181,3 +185,54 @@ def test_ml_propensity_deterministic():
     f2 = fit_propensity(data, "ml")
     np.testing.assert_array_equal(f1.probs, f2.probs)
     assert f1.description == f2.description
+
+
+# ---------------------------------------------------------------------------
+# fits as plain data
+
+
+@pytest.mark.parametrize("regime", ("correct", "mainterms", "ml"))
+def test_fits_pickle_and_predict_identically(regime):
+    _, data = scenario_data("t+y+", n=400, seed=15)
+    _, new = scenario_data("t+y+", n=50, seed=16)
+    out = fit_outcome(data, regime, truth_spec=truth_outcome_spec(), seed=4)
+    prop = fit_propensity(data, regime, truth_spec=truth_propensity_spec())
+    for fit in (out, prop):
+        assert not any(callable(getattr(fit, f.name)) for f in dataclasses.fields(fit))
+        copy = pickle.loads(pickle.dumps(fit))
+        np.testing.assert_array_equal(copy.predict_matrix(new.X), fit.predict_matrix(new.X))
+    np.testing.assert_array_equal(pickle.loads(pickle.dumps(prop)).probs, prop.probs)
+
+
+# ---------------------------------------------------------------------------
+# low-cardinality covariates
+
+
+def ordinal_data(n=600, seed=17, levels=3):
+    """A spline-eligible covariate, a binary one and an ordinal one with
+    `levels` distinct values, all entering the treatment and the outcome."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    b = (rng.random(n) < 0.4).astype(float)
+    o = rng.integers(0, levels, n).astype(float)
+    eta = np.column_stack([np.zeros(n), 0.6 * x + 0.5 * o, -0.4 * x + 0.8 * b - 0.3 * o])
+    p = np.exp(eta) / np.exp(eta).sum(axis=1, keepdims=True)
+    t = 1 + (rng.random(n)[:, None] > p.cumsum(axis=1)[:, :-1]).sum(axis=1)
+    y = x + 0.5 * o + b + 0.7 * t + rng.normal(size=n)
+    return Dataset.from_arrays(np.column_stack([x, b, o]), t, y, columns=("x", "b", "o"))
+
+
+@pytest.mark.parametrize("levels", (3, 4))
+def test_ml_regime_enters_low_cardinality_columns_as_main_terms(levels):
+    data = ordinal_data(levels=levels)
+    out = fit_outcome(data, "ml", seed=2)
+    assert np.all(np.isfinite(out.predict_matrix(data.X)))
+    spline_spec = out.super_learner.candidates[2]
+    assert ("main", "o") in spline_spec.terms and ("spline", "x", 3, 3) in spline_spec.terms
+    prop = fit_propensity(data, "ml")
+    np.testing.assert_allclose(prop.probs.sum(axis=1), 1.0, atol=1e-10)
+    chosen = prop.description.split("groups: ")[1].rstrip(")").split(", ")
+    assert "o" in chosen  # the ordinal main group is selected
+    groups = _stepwise_groups(data)
+    assert [name for name in groups if "o" in name.replace(".curv", "")] == ["o"]
+    assert {"x", "x.curv", "b", "x:b", "x.curv:b"} <= set(groups)

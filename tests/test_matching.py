@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from mlte.learners import OutcomeFit
+from fitstubs import StubOutcomeFit
 from mlte.matching import METRICS, build_matches, estimate_bcm, estimate_match
 from mlte.tabular import Dataset
 
 
 def outcome_stub(data, fn):
-    return OutcomeFit("correct", data.outcome_kind, data.k, "stub", fn, lambda d, s: None)
+    return StubOutcomeFit("correct", data.outcome_kind, data.k, "stub", fn, lambda d, s: None)
 
 
 def random_k3(n=60, p=3, seed=0):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from mlte.learners import OutcomeFit, fit_outcome, fit_propensity
+from fitstubs import StubOutcomeFit
+from mlte.learners import fit_outcome, fit_propensity
 from mlte.outcome_methods import (
     _bootstrap_resample,
     estimate_crude,
-    estimate_stan,
     estimate_tmle,
     stan_bootstrap,
+    stan_estimates,
     tmle_fluctuations,
 )
 from mlte.simengine import ScenarioConfig, simulate_dataset
@@ -22,7 +23,7 @@ def linear_outcome_fit(data):
     def predict(level, X):
         return level * X[:, 0]
 
-    return OutcomeFit("correct", data.outcome_kind, data.k, "stub", predict, lambda d, s: None)
+    return StubOutcomeFit("correct", data.outcome_kind, data.k, "stub", predict, lambda d, s: None)
 
 
 def scenario_data(n=300, seed=0):
@@ -73,16 +74,16 @@ def test_crude_single_row_arm_drops_its_variance_term():
 def test_stan_point_estimate_averages_predicted_contrast():
     data = scenario_data()
     out = linear_outcome_fit(data)
-    est = estimate_stan(data, out, (2, 1), bootstrap_reps=0)
+    est = stan_estimates(data, out, [(2, 1)], bootstrap_reps=0)[(2, 1)]
     assert est.tau_hat == pytest.approx(data.X[:, 0].mean())
-    est31 = estimate_stan(data, out, (3, 1), bootstrap_reps=0)
+    est31 = stan_estimates(data, out, [(3, 1)], bootstrap_reps=0)[(3, 1)]
     assert est31.tau_hat == pytest.approx(2 * data.X[:, 0].mean())
 
 
 def test_stan_without_bootstrap_has_nan_inference():
     data = scenario_data()
     out = linear_outcome_fit(data)
-    est = estimate_stan(data, out, (2, 1), bootstrap_reps=0)
+    est = stan_estimates(data, out, [(2, 1)], bootstrap_reps=0)[(2, 1)]
     assert np.isnan(est.variance)
     assert np.isnan(est.ci95[0])
 

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mlte.learners import OutcomeFit, PropensityFit
+from fitstubs import StubOutcomeFit, StubPropensityFit
+import mlte.simengine
+from mlte.reporting import render_report
 from mlte.simengine import (
+    METHOD_TABLE,
     METHODS,
     SCENARIO_NAMES,
     Metrics,
     PlasmodeConfig,
     ScenarioConfig,
+    _apply_methods,
     _plasmode_truths,
     compute_metrics,
+    make_plasmode_generators,
     oracle_truth_mc,
     outcome_mean,
     run_plasmode,
@@ -260,6 +265,48 @@ def test_run_scenario_rejects_unknown_method_and_pair():
         run_scenario(cfg, contrasts=ContrastSet(pairs=((4, 1),)))
 
 
+def tiny_k3(n=9, seed=3):
+    rng = np.random.default_rng(seed)
+    return Dataset.from_arrays(rng.normal(size=(n, 2)), np.repeat([1, 2, 3], n // 3), rng.normal(size=n))
+
+
+def apply_all(data, regime="ml", methods=METHODS):
+    return _apply_methods(
+        data, regime, methods, [(2, 1), (3, 1), (3, 2)], None, None,
+        learner_seed=0, bootstrap_seed=(1, 2, 0), bootstrap_reps=5, m=1,
+        metric="euclidean-standardized",
+    )
+
+
+def test_outcome_fit_failure_fails_only_outcome_methods():
+    # the ml super learner needs 10 rows for 10-fold stacking; 9 is too few
+    results, failures = apply_all(tiny_k3())
+    outcome_methods = {meth for meth, row in METHOD_TABLE.items() if "outcome" in row.models}
+    assert outcome_methods == {"stan", "bcm", "tmle", "aow"}
+    assert set(failures) == outcome_methods
+    assert all(msg.startswith("outcome fit: ") for msg in failures.values())
+    for meth in ("crude", "ipw", "match", "ow"):
+        for pair in ((2, 1), (3, 1), (3, 2)):
+            assert np.isfinite(results[(meth, pair)].tau_hat)
+
+
+def test_programming_errors_in_estimators_propagate(monkeypatch):
+    def broken(data, prop, pair):
+        raise TypeError("a bug, not a method failure")
+
+    monkeypatch.setattr(mlte.simengine, "estimate_ipw", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        apply_all(tiny_k3(n=30), regime="mainterms", methods=["crude", "ipw"])
+
+
+def test_method_table_rows_resolve():
+    assert METHODS == tuple(METHOD_TABLE)
+    for row in METHOD_TABLE.values():
+        assert callable(getattr(mlte.simengine, row.entry))
+        assert row.estimand in ("population", "overlap")
+        assert row.models <= {"outcome", "propensity", "matches"}
+
+
 def test_worker_count_does_not_change_results():
     cfg = ScenarioConfig.named("t+y-", n=150, reps=4, seed=13, regime="mainterms", bootstrap_reps=5)
     serial = run_scenario(cfg, methods=["crude", "stan", "ow"], workers=1)
@@ -285,7 +332,7 @@ def stub_generators(source, level_shift):
     def predict(level, X):
         return expit(level_shift[level - 1] + 0.5 * X[:, 0])
 
-    gen_out = OutcomeFit("mainterms", "binary", source.k, "stub", predict, lambda d, s: None)
+    gen_out = StubOutcomeFit("mainterms", "binary", source.k, "stub", predict, lambda d, s: None)
     raw = np.random.default_rng(1).uniform(0.2, 1.0, (source.n, source.k))
     probs = raw / raw.sum(axis=1, keepdims=True)
 
@@ -293,7 +340,7 @@ def stub_generators(source, level_shift):
         m = np.full((X.shape[0], source.k), 1.0 / source.k)
         return m
 
-    gen_trt = PropensityFit("mainterms", source.k, probs, "stub", True, predict_probs)
+    gen_trt = StubPropensityFit("mainterms", source.k, probs, "stub", True, predict_probs)
     return gen_out, gen_trt
 
 
@@ -351,7 +398,7 @@ def test_plasmode_config_validation():
         seed=0,
     )
     PlasmodeConfig(**ok)
-    continuous = OutcomeFit("mainterms", "continuous", 3, "stub", gen_out._predict, lambda d, s: None)
+    continuous = StubOutcomeFit("mainterms", "continuous", 3, "stub", gen_out._predict, lambda d, s: None)
     with pytest.raises(ValueError):
         PlasmodeConfig(**{**ok, "generator_outcome": continuous})
     with pytest.raises(ValueError):
@@ -360,6 +407,19 @@ def test_plasmode_config_validation():
         PlasmodeConfig(**{**ok, "regime": "correct"})
     with pytest.raises(ValueError):
         PlasmodeConfig(**{**ok, "reps": 0})
+
+
+def test_plasmode_worker_count_does_not_change_report():
+    source = binary_source(n=300, seed=4)
+    gen_out, gen_trt = make_plasmode_generators(source, seed=2)
+    cfg = PlasmodeConfig(
+        source=source, generator_outcome=gen_out, generator_treatment=gen_trt,
+        resample_size=150, reps=4, seed=6, regime="mainterms", bootstrap_reps=3,
+    )
+    serial = run_plasmode(cfg, workers=1)
+    parallel = run_plasmode(cfg, workers=2)
+    assert all(row["reps_used"] == 4 for row in serial.rows)
+    assert render_report(serial, fmt="json") == render_report(parallel, fmt="json")
 
 
 def test_method_catalog_is_stable():

@@ -13,6 +13,7 @@ from mlte.tabular import (
     Dataset,
     DesignSpec,
     bind_design,
+    curvature,
     detect_outcome_kind,
     expand_design,
     intercept,
@@ -190,6 +191,21 @@ def test_bound_design_freezes_spline_knots():
         Dataset.from_arrays(shifted, d.t, d.y), DesignSpec(terms=(intercept(), spline("X1")))
     ).matrix(shifted)
     assert not np.allclose(D_new, D_refit)
+
+
+def test_curvature_term_is_spline_without_its_linear_column():
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.normal(size=60), (rng.random(60) < 0.5).astype(float)])
+    d = Dataset.from_arrays(X, np.tile([1, 2, 3], 20), rng.normal(size=60), columns=("c", "b"))
+    bound = bind_design(
+        d, DesignSpec(terms=(spline("c"), curvature("c"), curvature("c", by="b")))
+    )
+    D = bound.matrix(d.X)
+    assert D.shape[1] == bound.n_columns == 4 + 3 + 3
+    np.testing.assert_array_equal(D[:, 4:7], D[:, 1:4])
+    np.testing.assert_array_equal(D[:, 7:], D[:, 1:4] * X[:, 1:])
+    assert [b.shape[1] for b in bound.blocks(d.X)] == [4, 3, 3]
+    assert DesignSpec(terms=(curvature("c", by="b"),)).referenced_columns() == ["c", "b"]
 
 
 def test_spline_needs_enough_distinct_values():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlte.learners import OutcomeFit, PropensityFit
+from fitstubs import StubOutcomeFit, StubPropensityFit
 from mlte.tabular import Dataset
 from mlte.weighting import (
     EffectEstimate,
@@ -19,7 +19,7 @@ from mlte.weighting import (
 
 def propensity_from_probs(probs, regime="correct"):
     probs = np.asarray(probs, dtype=float)
-    return PropensityFit(regime, probs.shape[1], probs, "fixed probs", True, lambda X: probs)
+    return StubPropensityFit(regime, probs.shape[1], probs, "fixed probs", True, lambda X: probs)
 
 
 def constant_outcome_fit(data, per_level):
@@ -29,7 +29,7 @@ def constant_outcome_fit(data, per_level):
     def predict(level, X):
         return np.full(X.shape[0], per_level[level - 1])
 
-    return OutcomeFit("correct", data.outcome_kind, data.k, "constant", predict, lambda d, s: None)
+    return StubOutcomeFit("correct", data.outcome_kind, data.k, "constant", predict, lambda d, s: None)
 
 
 def tiny_k2():
