@@ -6,10 +6,15 @@ scenario; `plasmode` resamples a source dataset with regenerated
 treatment/outcome; `diagnose` summarizes fitted treatment probabilities
 as a numeric overlap check.
 
-Every flag can also be supplied through an environment variable with the
-MLTE_ prefix (explicit flags win).  Output files embed the tool version,
-the resolved configuration, and the seed; they never embed timing or
-worker count, so a run is byte-reproducible from (seed, config) alone.
+`_FLAGS` defines every flag once (its argparse type, choices and help) and
+`_COMMANDS` gives each command's function, help line and flags; the
+parser, the conversion of values and the provenance keys are built from
+these two tables.  Every
+flag can also be supplied through an environment variable with the MLTE_
+prefix (MLTE_SEED for --seed); such values are parsed and checked by
+argparse like flags, and explicit flags win.  Output files embed the tool
+version, the resolved configuration, and the seed; they never embed timing
+or worker count, so a run is byte-reproducible from (seed, config) alone.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._version import __version__
-from .learners import fit_propensity
+from .learners import REGIMES, fit_propensity
 from .reporting import render_contrasts, render_report, render_table, all_pairs_table
 from .simengine import (
     METHOD_TABLE,
@@ -66,30 +72,46 @@ class RunConfig:
         """The configuration worth embedding in output files: everything
         that determines the result, nothing that doesn't (worker count,
         output destination)."""
-        keep = _PROVENANCE_KEYS[self.command]
         return {
             k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in ((k, getattr(self, k)) for k in keep)
+            for k, v in ((k, getattr(self, k)) for k in _provenance_keys(self.command))
             if v is not None
         }
 
 
-_PROVENANCE_KEYS = {
-    "estimate": (
-        "command", "data", "treatment", "outcome", "covariates", "methods",
-        "regime", "m", "bootstrap", "seed",
-    ),
-    "simulate": ("command", "scenario", "methods", "regime", "n", "reps", "m", "bootstrap", "seed"),
-    "plasmode": (
-        "command", "data", "treatment", "outcome", "covariates", "methods",
-        "regime", "n", "reps", "m", "bootstrap", "seed",
-    ),
-    "diagnose": ("command", "data", "treatment", "outcome", "covariates", "regime", "seed"),
+def _comma_list(text):
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# every flag once, as argparse keyword arguments; a flag's value is the
+# RunConfig field of the same name
+_FLAGS = {
+    "data": dict(help="input dataset (.csv or .json)"),
+    "treatment": dict(help="treatment column name (csv input)"),
+    "outcome": dict(help="outcome column name (csv input)"),
+    "covariates": dict(type=_comma_list, help="comma-separated covariate columns (csv input)"),
+    "methods": dict(type=_comma_list, help="comma-separated subset of " + ", ".join(
+        f"{meth} ({row.estimand})" for meth, row in METHOD_TABLE.items())),
+    "regime": dict(choices=REGIMES),
+    "scenario": dict(choices=SCENARIO_NAMES),
+    "n": dict(type=int, help="sample size (simulate) / resample size (plasmode)"),
+    "reps": dict(type=int, help="number of replications"),
+    "m": dict(type=int, help="matches per unit"),
+    "bootstrap": dict(type=int, help="bootstrap resamples for stan (default 200)"),
+    "seed": dict(type=int),
+    "workers": dict(type=int, help="parallel workers (0 = one per core)"),
+    "out": dict(help="output file (default: stdout)"),
+    "format": dict(choices=("csv", "json", "text")),
 }
 
 
-_COMMA_OPTS = {"covariates", "methods"}
-_INT_OPTS = {"n", "reps", "m", "bootstrap", "seed", "workers"}
+def _provenance_keys(command):
+    """The RunConfig keys embedded in output files, in order: `command`, the
+    command's flags other than the seed and the execution and output
+    settings (workers, out, format), then `seed`, which every command
+    records (the default where the command has no --seed)."""
+    skip = ("seed", "workers", "out", "format")
+    return ("command",) + tuple(f for f in _COMMANDS[command].flags if f not in skip) + ("seed",)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,73 +121,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mlte {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(p, *names):
-        for name in names:
-            if name == "data":
-                p.add_argument("--data", help="input dataset (.csv or .json)")
-            elif name == "treatment":
-                p.add_argument("--treatment", help="treatment column name (csv input)")
-            elif name == "outcome":
-                p.add_argument("--outcome", help="outcome column name (csv input)")
-            elif name == "covariates":
-                p.add_argument("--covariates", help="comma-separated covariate columns (csv input)")
-            elif name == "methods":
-                p.add_argument("--methods", help="comma-separated subset of " + ", ".join(
-                    f"{meth} ({row.estimand})" for meth, row in METHOD_TABLE.items()))
-            elif name == "regime":
-                p.add_argument("--regime", choices=("correct", "mainterms", "ml"))
-            elif name == "scenario":
-                p.add_argument("--scenario", choices=SCENARIO_NAMES)
-            elif name == "n":
-                p.add_argument("--n", type=int, help="sample size (simulate) / resample size (plasmode)")
-            elif name == "reps":
-                p.add_argument("--reps", type=int, help="number of replications")
-            elif name == "m":
-                p.add_argument("--m", type=int, help="matches per unit")
-            elif name == "bootstrap":
-                p.add_argument("--bootstrap", type=int, help="bootstrap resamples for stan (default 200)")
-            elif name == "seed":
-                p.add_argument("--seed", type=int)
-            elif name == "workers":
-                p.add_argument("--workers", type=int, help="parallel workers (0 = one per core)")
-            elif name == "out":
-                p.add_argument("--out", help="output file (default: stdout)")
-            elif name == "format":
-                p.add_argument("--format", choices=("csv", "json", "text"))
-
-    est = sub.add_parser("estimate", help="estimate all pairwise contrasts on a dataset")
-    add(est, "data", "treatment", "outcome", "covariates", "methods", "regime", "m",
-        "bootstrap", "seed", "workers", "out", "format")
-    sim = sub.add_parser("simulate", help="run a synthetic replication study")
-    add(sim, "scenario", "methods", "regime", "n", "reps", "m", "bootstrap", "seed",
-        "workers", "out", "format")
-    pla = sub.add_parser("plasmode", help="run a plasmode replication study from a source dataset")
-    add(pla, "data", "treatment", "outcome", "covariates", "methods", "regime", "n",
-        "reps", "m", "bootstrap", "seed", "workers", "out", "format")
-    dia = sub.add_parser("diagnose", help="summarize fitted treatment-probability overlap")
-    add(dia, "data", "treatment", "outcome", "covariates", "regime", "out", "format")
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name in spec.flags:
+            p.add_argument("--" + name, **_FLAGS[name])
     return parser
 
 
+def _with_environment(argv):
+    """`argv` with `--flag=value` inserted right after the command for each
+    of its flags whose MLTE_<FLAG> variable is set and non-empty, so that
+    argparse converts and checks these values like flags and the explicit
+    flags, parsed later, win.  The top-level options take no values, so
+    the command is the first argument not starting with a dash."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    pos = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), None)
+    if pos is None or argv[pos] not in _COMMANDS:
+        return argv
+    env = [
+        f"--{name}={os.environ['MLTE_' + name.upper()]}"
+        for name in _COMMANDS[argv[pos]].flags
+        if os.environ.get("MLTE_" + name.upper())
+    ]
+    return argv[: pos + 1] + env + argv[pos + 1 :]
+
+
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    values = {"command": args.command}
-    for name in (
-        "data", "treatment", "outcome", "covariates", "methods", "regime", "scenario",
-        "n", "reps", "m", "bootstrap", "seed", "workers", "out", "format",
-    ):
-        if not hasattr(args, name):
-            continue
-        value = getattr(args, name)
-        if value is None:
-            env = os.environ.get("MLTE_" + name.upper())
-            if env is not None and env != "":
-                value = int(env) if name in _INT_OPTS else env
-        if value is None:
-            continue
-        if name in _COMMA_OPTS and isinstance(value, str):
-            value = tuple(part.strip() for part in value.split(",") if part.strip())
-        values[name] = value
+    values = {name: value for name, value in vars(args).items() if value is not None}
     if args.command == "simulate":
         values.setdefault("n", 1000)
         values.setdefault("reps", 500)
@@ -173,10 +155,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         values.setdefault("n", 2000)
         values.setdefault("reps", 100)
     cfg = RunConfig(**values)
-    if cfg.methods is not None:
-        unknown = [m for m in cfg.methods if m not in METHOD_TABLE]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
+    if not cfg.methods:
+        raise ValueError(f"--methods names no method; expected a subset of {METHODS}")
+    unknown = [m for m in cfg.methods if m not in METHOD_TABLE]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
     return cfg
 
 
@@ -213,20 +196,11 @@ def cmd_estimate(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
     if cfg.regime == "correct":
         raise ValueError("the 'correct' regime only exists inside the simulation engine")
-    methods = [m for m in METHODS if m in (cfg.methods or METHODS)]
+    methods = [m for m in METHODS if m in cfg.methods]
     pairs = [tuple(p) for p in ContrastSet.all_pairs(data.k).pairs]
+    # one dataset is replication 0 of its seed's substreams
     results, failures = _apply_methods(
-        data,
-        cfg.regime,
-        methods,
-        pairs,
-        truth_out=None,
-        truth_prop=None,
-        learner_seed=np.random.SeedSequence(cfg.seed, spawn_key=(1, 0)),
-        bootstrap_seed=(cfg.seed, 2, 0),
-        bootstrap_reps=cfg.bootstrap,
-        m=cfg.m,
-        metric="euclidean-standardized",
+        data, cfg.regime, methods, pairs, cfg.seed, 0, cfg.bootstrap, cfg.m
     )
     labels = {code + 1: lab for code, lab in enumerate(data.treatment_labels)}
     tables = []
@@ -373,19 +347,39 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "estimate": cmd_estimate,
-    "simulate": cmd_simulate,
-    "plasmode": cmd_plasmode,
-    "diagnose": cmd_diagnose,
+class _Command(NamedTuple):
+    """One subcommand: its function, its --help line and its flags in
+    --help order."""
+
+    run: Callable
+    help: str
+    flags: tuple
+
+
+_COMMANDS = {
+    "estimate": _Command(cmd_estimate, "estimate all pairwise contrasts on a dataset", (
+        "data", "treatment", "outcome", "covariates", "methods", "regime", "m", "bootstrap",
+        "seed", "workers", "out", "format",
+    )),
+    "simulate": _Command(cmd_simulate, "run a synthetic replication study", (
+        "scenario", "methods", "regime", "n", "reps", "m", "bootstrap", "seed", "workers",
+        "out", "format",
+    )),
+    "plasmode": _Command(cmd_plasmode, "run a plasmode replication study from a source dataset", (
+        "data", "treatment", "outcome", "covariates", "methods", "regime", "n", "reps", "m",
+        "bootstrap", "seed", "workers", "out", "format",
+    )),
+    "diagnose": _Command(cmd_diagnose, "summarize fitted treatment-probability overlap", (
+        "data", "treatment", "outcome", "covariates", "regime", "out", "format",
+    )),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_with_environment(argv))
     try:
         cfg = _resolve(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _COMMANDS[cfg.command].run(cfg)
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -16,8 +16,12 @@ generator fits.
 
 Replications draw from per-replication RNG substreams spawned off the
 master seed with a purpose tag, so results are bit-identical regardless
-of worker count.  Scenario and plasmode studies share one replication
-runner, serial or on a process pool.
+of worker count.  `_apply_methods` derives the learner and bootstrap
+substreams from (seed, replication) and, under the `correct` regime, the
+true designs; the scenario and plasmode replications and the `estimate`
+command (replication 0 of its seed) call it with only their data and
+settings.  Scenario and plasmode studies share one replication runner,
+serial or on a process pool.
 
 `METHOD_TABLE` lists every estimator once: its estimand, the fitted inputs
 it takes, and its entry point.
@@ -333,15 +337,17 @@ def _apply_methods(
     regime: str,
     methods,
     pairs,
-    truth_out: DesignSpec,
-    truth_prop: DesignSpec,
-    learner_seed,
-    bootstrap_seed,
+    seed: int,
+    rep: int,
     bootstrap_reps: int,
     m: int,
-    metric: str,
+    metric: str = "euclidean-standardized",
 ):
     """Fit the regime's models once, run every requested method on every pair.
+
+    The outcome learner and the standardization bootstrap draw from
+    replication `rep`'s substreams of `seed`; under the `correct` regime
+    the models use the scenario's true designs.
 
     Returns ({(method, pair): EffectEstimate}, {method: error message}).
     A model-fit failure fails all methods depending on that model; an
@@ -350,6 +356,10 @@ def _apply_methods(
     LinAlgError, and RuntimeError) count as failures; anything else
     propagates.
     """
+    learner_seed = np.random.SeedSequence(seed, spawn_key=(_TAG_LEARNER, rep))
+    bootstrap_seed = (seed, _TAG_BOOTSTRAP, rep)
+    truth_out = truth_outcome_spec() if regime == "correct" else None
+    truth_prop = truth_propensity_spec() if regime == "correct" else None
     rows = {meth: METHOD_TABLE[meth] for meth in methods}
     pairs = [(int(a), int(b)) for a, b in pairs]
     needed = set().union(*(row.models for row in rows.values()))
@@ -411,20 +421,8 @@ def _normalize_methods(methods):
 def _scenario_rep(args):
     cfg, methods, pairs, rep = args
     data = simulate_dataset(cfg, rep)
-    truth_out = truth_outcome_spec() if cfg.regime == "correct" else None
-    truth_prop = truth_propensity_spec() if cfg.regime == "correct" else None
     results, failures = _apply_methods(
-        data,
-        cfg.regime,
-        methods,
-        pairs,
-        truth_out,
-        truth_prop,
-        learner_seed=np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_LEARNER, rep)),
-        bootstrap_seed=(cfg.seed, _TAG_BOOTSTRAP, rep),
-        bootstrap_reps=cfg.bootstrap_reps,
-        m=cfg.m,
-        metric=cfg.metric,
+        data, cfg.regime, methods, pairs, cfg.seed, rep, cfg.bootstrap_reps, cfg.m, cfg.metric
     )
     return rep, results, failures
 
@@ -476,8 +474,9 @@ def _pair_label(pair) -> str:
     return f"tau{pair[0]}{pair[1]}"
 
 
-def _collect_report(kind, cfg_echo, seed, reps, regime, methods, pairs, per_rep, truth_of):
-    """Reduce per-replication outputs to metric rows.
+def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truth_of):
+    """Reduce per-replication outputs to metric rows; seed, replication
+    count and regime come from the study's config `cfg`.
 
     per_rep: list of (rep, results, failures) sorted by rep.
     truth_of: callable (pair, estimand) -> float.
@@ -503,7 +502,7 @@ def _collect_report(kind, cfg_echo, seed, reps, regime, methods, pairs, per_rep,
             rows.append(
                 {
                     "method": meth,
-                    "regime": regime,
+                    "regime": cfg.regime,
                     "parameter": _pair_label(pair),
                     "estimand": estimand,
                     "truth": truth,
@@ -512,14 +511,14 @@ def _collect_report(kind, cfg_echo, seed, reps, regime, methods, pairs, per_rep,
                     "rmse": mt.rmse,
                     "coverage": mt.coverage,
                     "reps_used": mt.n_used,
-                    "failures": reps - mt.n_used,
+                    "failures": cfg.reps - mt.n_used,
                 }
             )
     return ScenarioReport(
         kind=kind,
         version=__version__,
-        seed=seed,
-        reps=reps,
+        seed=cfg.seed,
+        reps=cfg.reps,
         config=cfg_echo,
         truths=truths,
         rows=tuple(rows),
@@ -555,19 +554,8 @@ def run_scenario(
     contrasts.validate(3)
     pairs = [tuple(p) for p in contrasts.pairs]
     per_rep = _run_replications(_scenario_rep, [(cfg, methods, pairs, rep) for rep in range(cfg.reps)], workers)
-    te = true_effects(cfg)
-    cfg_echo = asdict(cfg)
-    return _collect_report(
-        kind="scenario",
-        cfg_echo=cfg_echo,
-        seed=cfg.seed,
-        reps=cfg.reps,
-        regime=cfg.regime,
-        methods=methods,
-        pairs=pairs,
-        per_rep=per_rep,
-        truth_of=te.contrast,
-    )
+    truth_of = true_effects(cfg).contrast
+    return _collect_report("scenario", cfg, asdict(cfg), methods, pairs, per_rep, truth_of)
 
 
 # ---------------------------------------------------------------------------
@@ -655,17 +643,7 @@ def _plasmode_rep(args):
     if data is None:
         return rep, {}, {meth: "resample kept losing a treatment level or outcome class" for meth in methods}
     results, failures = _apply_methods(
-        data,
-        cfg.regime,
-        methods,
-        pairs,
-        truth_out=None,
-        truth_prop=None,
-        learner_seed=np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_LEARNER, rep)),
-        bootstrap_seed=(cfg.seed, _TAG_BOOTSTRAP, rep),
-        bootstrap_reps=cfg.bootstrap_reps,
-        m=cfg.m,
-        metric=cfg.metric,
+        data, cfg.regime, methods, pairs, cfg.seed, rep, cfg.bootstrap_reps, cfg.m, cfg.metric
     )
     return rep, results, failures
 
@@ -702,13 +680,6 @@ def run_plasmode(
         "generator_treatment": cfg.generator_treatment.description,
     }
     return _collect_report(
-        kind="plasmode",
-        cfg_echo=cfg_echo,
-        seed=cfg.seed,
-        reps=cfg.reps,
-        regime=cfg.regime,
-        methods=methods,
-        pairs=pairs,
-        per_rep=per_rep,
-        truth_of=lambda pair, estimand: truths[(tuple(pair), estimand)],
+        "plasmode", cfg, cfg_echo, methods, pairs, per_rep,
+        lambda pair, estimand: truths[(tuple(pair), estimand)],
     )

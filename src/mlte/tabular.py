@@ -482,13 +482,23 @@ class BoundDesign:
 
 
 def bind_design(data: Dataset, spec: DesignSpec) -> BoundDesign:
-    """Resolve columns and compute spline knots on `data`."""
+    """Resolve columns and compute spline knots on `data`.
+
+    A spline term on a column with too few distinct values in `data` for
+    its knots binds as that column's main term, so a design chosen on the
+    full data still binds on a cross-validation fold or bootstrap resample
+    that lacks a rare value."""
     spec.validate(data)
-    knots = {}
+    terms, knots = list(spec.terms), {}
     for pos, term in enumerate(spec.terms):
         if term[0] in ("spline", "curvature"):
             x = data.X[:, data.column_index(term[1])]
-            knots[pos] = _spline_knots(x, term[3])
+            if term[0] == "spline" and not _spline_eligible(x, term[3]):
+                terms[pos] = main(term[1])
+            else:
+                knots[pos] = _spline_knots(x, term[3])
+    if tuple(terms) != spec.terms:
+        spec = DesignSpec(tuple(terms), spec.includes_treatment_dummies)
     index = {name: j for j, name in enumerate(data.columns)}
     return BoundDesign(spec=spec, column_index=index, knots=knots, k=data.k)
 

@@ -1,11 +1,12 @@
 """Command-line interface: argument resolution, output shapes, provenance."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mlte.cli import main
+from mlte.cli import _COMMANDS, _FLAGS, RunConfig, _provenance_keys, main
 from mlte.outcome_methods import estimate_crude
 from mlte.simengine import ScenarioConfig, simulate_dataset
 from mlte.tabular import load_csv
@@ -286,6 +287,112 @@ def test_diagnose_ml_regime_with_ordinal_covariate(ordinal_csv, capsys):
     assert "stepwise" in payload["model"]
     for row in payload["rows"]:
         assert all(np.isfinite(row[key]) for key in ("min", "median", "max"))
+
+
+@pytest.fixture(scope="module")
+def rare_value_csv(tmp_path_factory):
+    """x3 holds 1/2/3 about 100 times each plus one row each of 4 and 5:
+    spline-eligible on the full data but not on most cross-validation folds."""
+    rng = np.random.default_rng(5)
+    n = 300
+    grade = np.concatenate([np.repeat([1, 2, 3], [100, 99, n - 201]), [4, 5]])
+    rng.shuffle(grade)
+    x1 = rng.normal(size=n)
+    t = rng.integers(1, 4, n)
+    y = x1 + 0.3 * grade + t + rng.normal(size=n)
+    path = tmp_path_factory.mktemp("rare") / "rare.csv"
+    with open(path, "w") as fh:
+        fh.write("trt,resp,x1,x2,x3\n")
+        for i in range(n):
+            cells = [int(t[i]), float(y[i]), float(x1[i]), float(rng.normal()), int(grade[i])]
+            fh.write(",".join(repr(c) for c in cells) + "\n")
+    return str(path)
+
+
+def test_estimate_ml_regime_with_rare_covariate_values(rare_value_csv, capsys):
+    rc = run_cli(["estimate", "--data", rare_value_csv, *DEMO_ARGS, "--regime", "ml",
+                  "--bootstrap", "5", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == {}
+    assert len(payload["tables"]) == 8
+
+
+# ---------------------------------------------------------------------------
+# flag table and environment fallback
+
+
+def test_flag_table_matches_run_config():
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+    assert set(_FLAGS) == fields
+    for spec in _COMMANDS.values():
+        assert set(spec.flags) <= fields
+
+
+def test_provenance_keys_derived_from_command_flags():
+    assert _provenance_keys("estimate") == (
+        "command", "data", "treatment", "outcome", "covariates", "methods",
+        "regime", "m", "bootstrap", "seed",
+    )
+    assert _provenance_keys("simulate") == (
+        "command", "scenario", "methods", "regime", "n", "reps", "m", "bootstrap", "seed",
+    )
+    assert _provenance_keys("plasmode") == (
+        "command", "data", "treatment", "outcome", "covariates", "methods",
+        "regime", "n", "reps", "m", "bootstrap", "seed",
+    )
+    assert _provenance_keys("diagnose") == (
+        "command", "data", "treatment", "outcome", "covariates", "regime", "seed",
+    )
+
+
+@pytest.mark.parametrize("flag,value", [("regime", "bogus"), ("format", "xml"), ("m", "two")])
+def test_environment_values_are_validated_like_flags(demo_csv, capsys, monkeypatch, flag, value):
+    argv = ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude"]
+    with pytest.raises(SystemExit) as by_flag:
+        main(argv + [f"--{flag}", value])
+    flag_err = capsys.readouterr()
+    monkeypatch.setenv("MLTE_" + flag.upper(), value)
+    with pytest.raises(SystemExit) as by_env:
+        main(argv)
+    env_err = capsys.readouterr()
+    assert by_env.value.code == by_flag.value.code != 0
+    assert env_err.out == "" and env_err.err == flag_err.err
+    assert f"argument --{flag}" in env_err.err
+
+
+def test_environment_ignores_flags_the_command_does_not_take(demo_csv, capsys, monkeypatch):
+    monkeypatch.setenv("MLTE_SCENARIO", "bogus")
+    monkeypatch.setenv("MLTE_REPS", "not a number")
+    rc = run_cli(["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude",
+                  "--format", "json"])
+    assert rc == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert "scenario" not in config and "reps" not in config
+
+
+def test_environment_value_starting_with_dash_reaches_flag(capsys, monkeypatch):
+    monkeypatch.setenv("MLTE_SEED", "-3")
+    rc = run_cli(["simulate", "--scenario", "t-y-", "--n", "50", "--reps", "1",
+                  "--methods", "crude"])
+    assert rc == 1
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("estimate", "simulate", "plasmode"))
+@pytest.mark.parametrize("source", ("flag", "env"))
+def test_empty_method_list_is_an_error(demo_csv, capsys, monkeypatch, command, source):
+    argv = [command, "--reps", "1"] if command != "estimate" else [command]
+    argv += ["--scenario", "t-y-"] if command == "simulate" else ["--data", demo_csv, *DEMO_ARGS]
+    if source == "flag":
+        argv += ["--methods", ""]
+    else:
+        monkeypatch.setenv("MLTE_METHODS", ",")
+    rc = run_cli(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "names no method" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -236,3 +236,24 @@ def test_ml_regime_enters_low_cardinality_columns_as_main_terms(levels):
     groups = _stepwise_groups(data)
     assert [name for name in groups if "o" in name.replace(".curv", "")] == ["o"]
     assert {"x", "x.curv", "b", "x:b", "x.curv:b"} <= set(groups)
+
+
+def rare_value_data(n=300, seed=0):
+    """An ordinal column with values 1/2/3 about 100 times each plus one
+    row each of 4 and 5: five distinct values on the full data, fewer on
+    most cross-validation folds."""
+    rng = np.random.default_rng(seed)
+    g = np.concatenate([np.repeat([1.0, 2.0, 3.0], [100, 99, n - 201]), [4.0, 5.0]])
+    rng.shuffle(g)
+    x = rng.normal(size=n)
+    t = rng.integers(1, 4, n)
+    y = x + 0.3 * g + t + rng.normal(size=n)
+    return Dataset.from_arrays(np.column_stack([x, g]), t, y, columns=("x", "g"))
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_ml_outcome_fits_column_with_rare_values(seed):
+    data = rare_value_data()
+    out = fit_outcome(data, "ml", seed=seed)
+    assert ("spline", "g", 3, 3) in out.super_learner.candidates[2].terms
+    assert np.all(np.isfinite(out.predict_matrix(data.X)))

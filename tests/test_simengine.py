@@ -272,9 +272,7 @@ def tiny_k3(n=9, seed=3):
 
 def apply_all(data, regime="ml", methods=METHODS):
     return _apply_methods(
-        data, regime, methods, [(2, 1), (3, 1), (3, 2)], None, None,
-        learner_seed=0, bootstrap_seed=(1, 2, 0), bootstrap_reps=5, m=1,
-        metric="euclidean-standardized",
+        data, regime, methods, [(2, 1), (3, 1), (3, 2)], seed=1, rep=0, bootstrap_reps=5, m=1,
     )
 
 

@@ -208,6 +208,21 @@ def test_curvature_term_is_spline_without_its_linear_column():
     assert DesignSpec(terms=(curvature("c", by="b"),)).referenced_columns() == ["c", "b"]
 
 
+def test_spline_on_too_few_values_binds_as_main_term():
+    rng = np.random.default_rng(4)
+    d = Dataset.from_arrays(
+        np.column_stack([rng.normal(size=40), rng.integers(0, 4, 40)]), rng.integers(1, 3, 40),
+        rng.normal(size=40), columns=("c", "o"),
+    )
+    spec = DesignSpec(terms=(intercept(), spline("c"), spline("o")))
+    bound = bind_design(d, spec)
+    assert bound.spec.terms == (intercept(), spline("c"), main("o"))
+    assert set(bound.knots) == {1}
+    np.testing.assert_array_equal(bound.matrix(d.X)[:, -1], d.X[:, 1])
+    eligible = DesignSpec(terms=(intercept(), spline("c")))
+    assert bind_design(d, eligible).spec is eligible
+
+
 def test_spline_needs_enough_distinct_values():
     x = np.array([1.0, 1.0, 2.0, 2.0])
     with pytest.raises(ValueError):
