@@ -8,7 +8,7 @@ for benchmarking their bias, variance and confidence-interval coverage.
 """
 
 from ._version import __version__
-from .tabular import ContrastSet, Dataset, DesignSpec, expand_design, load_csv, load_json
+from .tabular import ContrastSet, Dataset, DesignSpec, load_csv, load_json
 from .glm import fit_logistic, fit_multinomial, fit_ols, predict_probs
 from .learners import fit_outcome, fit_propensity, fit_super_learner
 from .weighting import (
@@ -57,7 +57,6 @@ __all__ = [
     "estimate_match",
     "estimate_ow",
     "estimate_tmle",
-    "expand_design",
     "fit_logistic",
     "fit_multinomial",
     "fit_ols",

@@ -69,9 +69,6 @@ class MultinomialFit:
     iterations: int
     k: int
 
-    def predict(self, design):
-        return predict_probs(self, design)
-
 
 def _solve_psd(H, g, scale):
     """Solve H x = g for a symmetric PSD Hessian, adding a whisper of ridge

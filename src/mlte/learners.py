@@ -16,6 +16,11 @@ so they pickle and can be shipped to worker processes.
 The ml outcome ensemble stacks three candidates (main terms; mains plus all
 pairwise interactions and squares; additive natural cubic splines) with
 non-negative-least-squares weights on 10-fold cross-validated predictions.
+A candidate without spline knots is expanded once on the full data and its
+fold designs are row slices of that expansion, bit for bit what expanding
+each fold gives; the spline candidate is bound on each training fold,
+because its quantile knots depend on the fold.  Folds keep every treatment
+level in every training fold.
 The ml treatment model searches a natural-spline basis (spline mains for
 continuous covariates, mains for binary ones, and spline-by-binary
 interactions) by forward stepwise group selection under BIC, in the spirit
@@ -182,8 +187,8 @@ def _additive_spline_spec(data: Dataset, with_dummies):
     return DesignSpec(tuple(terms), includes_treatment_dummies=with_dummies)
 
 
-def _fit_glm(bound: BoundDesign, data: Dataset):
-    D = bound.matrix(data.X, data.t)
+def _fit_glm(D, data: Dataset):
+    """GLM of `data`'s outcome on design D (rows aligned with `data`)."""
     if data.outcome_kind == "binary":
         return fit_logistic(D, data.y)
     return fit_ols(D, data.y)
@@ -193,41 +198,70 @@ def _fit_glm(bound: BoundDesign, data: Dataset):
 # super learner
 
 
+def _cv_folds(data: Dataset, folds, seed):
+    """Fold of each row for V-fold cross-validation.
+
+    Rows are dealt round-robin in a seeded permutation (row perm[i] lands in
+    fold i mod `folds`).  A treatment level whose rows all land in one fold
+    would be missing from that fold's training rows; its last row then moves
+    to the next fold, so every training fold holds every level.  A level
+    with a single row cannot be split and raises ValueError.
+    """
+    n, k = data.n, data.k
+    perm = np.random.default_rng(seed).permutation(n)
+    fold_of = np.empty(n, dtype=int)
+    fold_of[perm] = np.arange(n) % folds
+    counts = np.bincount(fold_of * k + (data.t - 1), minlength=folds * k).reshape(folds, k)
+    for level in np.flatnonzero(counts.max(axis=0) == counts.sum(axis=0)) + 1:
+        rows = np.flatnonzero(data.t == level)
+        if len(rows) < 2:
+            raise ValueError(
+                f"treatment level {level} has {len(rows)} row; {folds}-fold cross-validation "
+                "needs at least 2 rows in every level"
+            )
+        fold_of[rows[-1]] = (fold_of[rows[-1]] + 1) % folds
+    return fold_of
+
+
 def fit_super_learner(data: Dataset, candidates, folds=_SL_FOLDS, seed=0):
     """Stack candidate outcome designs by V-fold cross-validation.
 
     Each candidate is a DesignSpec; fold membership comes from a seeded
-    permutation (row i of the permutation lands in fold i mod `folds`).
-    Candidate predictions on held-out folds are combined by non-negative
-    least squares against the observed outcome and the solution is
-    normalized to the simplex.  An all-zero NNLS solution falls back to the
-    single candidate with the smallest cross-validated risk.  Squared-error
-    loss is used for both outcome kinds (binary outcomes are stacked on the
-    probability scale).
+    permutation (see _cv_folds).  Candidate predictions on held-out folds
+    are combined by non-negative least squares against the observed outcome
+    and the solution is normalized to the simplex.  An all-zero NNLS
+    solution falls back to the single candidate with the smallest
+    cross-validated risk.  Squared-error loss is used for both outcome kinds
+    (binary outcomes are stacked on the probability scale).
+
+    A candidate whose design binds without spline knots is expanded once on
+    the full data and sliced by fold rows; expansion is row by row, so this
+    is exactly the per-fold expansion.  A candidate with knots is bound on
+    each training fold.
     """
     n = data.n
     if n < folds:
         raise ValueError(f"need at least {folds} rows for {folds}-fold stacking")
     if not candidates:
         raise ValueError("need at least one candidate")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    for i in range(folds):
-        fold_of[perm[i::folds]] = i
+    fold_of = _cv_folds(data, folds, seed)
+    splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
 
     binary = data.outcome_kind == "binary"
+    bounds = [bind_design(data, spec) for spec in candidates]
+    designs = [bound.matrix(data.X, data.t) for bound in bounds]
     cv_pred = np.zeros((n, len(candidates)))
-    for c, spec in enumerate(candidates):
-        for f in range(folds):
-            train = np.where(fold_of != f)[0]
-            test = np.where(fold_of == f)[0]
+    for c, (spec, bound, D) in enumerate(zip(candidates, bounds, designs)):
+        for train, test in splits:
             sub = data.take(train)
-            bound = bind_design(sub, spec)
-            fit = _fit_glm(bound, sub)
-            D_test = bound.matrix(data.X[test], data.t[test])
-            pred = fit.predict_prob(D_test) if binary else fit.predict(D_test)
-            cv_pred[test, c] = pred
+            if bound.knots:
+                fold_bound = bind_design(sub, spec)
+                D_train = fold_bound.matrix(sub.X, sub.t)
+                D_test = fold_bound.matrix(data.X[test], data.t[test])
+            else:
+                D_train, D_test = D[train], D[test]
+            fit = _fit_glm(D_train, sub)
+            cv_pred[test, c] = fit.predict_prob(D_test) if binary else fit.predict(D_test)
 
     weights, _ = nnls(cv_pred, data.y)
     cv_risks = ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
@@ -236,15 +270,14 @@ def fit_super_learner(data: Dataset, candidates, folds=_SL_FOLDS, seed=0):
         weights[int(np.argmin(cv_risks))] = 1.0
     weights = weights / weights.sum()
 
-    components = []
-    for w, spec in zip(weights, candidates):
-        bound = bind_design(data, spec)
-        components.append((float(w), bound, _fit_glm(bound, data)))
+    components = tuple(
+        (float(w), bound, _fit_glm(D, data)) for w, bound, D in zip(weights, bounds, designs)
+    )
     return SuperLearnerSpec(
         candidates=tuple(candidates),
         folds=folds,
         weights=weights,
-        components=tuple(components),
+        components=components,
         cv_risks=cv_risks,
     )
 
@@ -284,7 +317,7 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
     bound = bind_design(data, spec)
     glm = "logistic" if data.outcome_kind == "binary" else "ols"
     desc = f"{glm} regression, {regime} design ({bound.n_columns} columns)"
-    components = ((1.0, bound, _fit_glm(bound, data)),)
+    components = ((1.0, bound, _fit_glm(bound.matrix(data.X, data.t), data)),)
     return OutcomeFit(regime, data.outcome_kind, data.k, desc, components, truth_spec)
 
 

@@ -67,7 +67,7 @@ def _bootstrap_resample(data: Dataset, rng):
     """
     for _ in range(_BOOTSTRAP_REDRAW_LIMIT):
         rows = rng.integers(0, data.n, data.n)
-        if len(np.unique(data.t[rows])) == data.k:
+        if np.bincount(data.t[rows], minlength=data.k + 1)[1:].all():
             return data.take(rows)
     raise RuntimeError(
         f"bootstrap resample kept missing a treatment level after {_BOOTSTRAP_REDRAW_LIMIT} redraws"

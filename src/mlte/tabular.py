@@ -7,6 +7,12 @@ observed table, ``DesignSpec`` for a symbolic regression design, and
 supports intercept, main effects, two-way interactions, squares, natural
 cubic spline bases with quantile knots, and the nonlinear (curvature) part
 of such a basis, optionally multiplied by a binary column.
+
+Expansion is row by row: every term and treatment dummy of row i depends on
+row i alone (and on knots frozen at binding), so expanding rows and then
+selecting some gives exactly the same bits as selecting and then expanding.
+Spline cubes are computed by multiplication (``u * u * u``), not ``** 3``;
+the two differ in the last bit for some entries.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ __all__ = [
     "ContrastSet",
     "load_csv",
     "load_json",
-    "expand_design",
     "bind_design",
     "intercept",
     "main",
@@ -119,9 +124,9 @@ class Dataset:
             raise ValueError("non-finite outcome")
         if t.min() < 1 or t.max() > self.k:
             raise ValueError("treatment codes must lie in 1..k")
-        present = np.unique(t)
-        if len(present) != self.k:
-            missing = sorted(set(range(1, self.k + 1)) - set(present.tolist()))
+        counts = np.bincount(t, minlength=self.k + 1)[1:]
+        if not counts.all():
+            missing = (np.flatnonzero(counts == 0) + 1).tolist()
             raise ValueError(f"treatment level(s) {missing} have zero rows")
         if self.outcome_kind not in ("continuous", "binary"):
             raise ValueError("outcome_kind must be 'continuous' or 'binary'")
@@ -155,20 +160,6 @@ class Dataset:
     def label_of(self, code):
         """Original treatment label for internal code `code` (1-based)."""
         return self.treatment_labels[code - 1]
-
-    def replace(self, **changes):
-        """Functional update returning a new validated Dataset."""
-        fields = dict(
-            X=self.X,
-            columns=self.columns,
-            t=self.t,
-            y=self.y,
-            outcome_kind=self.outcome_kind,
-            k=self.k,
-            treatment_labels=self.treatment_labels,
-        )
-        fields.update(changes)
-        return Dataset(**fields)
 
     def take(self, rows):
         """Row subset / resample (used by the bootstrap and plasmode loops).
@@ -388,37 +379,49 @@ def _natural_cubic_basis(x, knots):
     """Natural cubic spline basis (linear tails) for one column.
 
     `knots` are the full knot vector, boundaries included.  Returns K-1
-    columns for K knots: the identity column plus K-2 curvature columns.
+    columns for K knots: the identity column plus K-2 curvature columns
+    d_k - d_{K-2}, where d_k = ((x - knots[k])_+^3 - (x - knots[-1])_+^3) /
+    (knots[-1] - knots[k]).  All K truncated powers are evaluated in one
+    broadcast, one row per knot so that inner loops run over the n rows,
+    and cubed as u * u * u.
     """
+    x = np.ascontiguousarray(x, dtype=float)
     knots = np.asarray(knots, dtype=float)
-    K = len(knots)
+    u = np.maximum(x - knots[:, None], 0.0)
+    cubes = u * u * u
+    d = (cubes[:-1] - cubes[-1]) / (knots[-1] - knots[:-1])[:, None]
+    out = np.empty((len(knots) - 1, x.shape[0]))
+    out[0] = x
+    np.subtract(d[:-1], d[-1], out=out[1:])
+    return out.T
 
-    def d(k):
-        num = np.maximum(x - knots[k], 0.0) ** 3 - np.maximum(x - knots[-1], 0.0) ** 3
-        return num / (knots[-1] - knots[k])
 
-    cols = [x]
-    last = d(K - 2)
-    for k in range(K - 2):
-        cols.append(d(k) - last)
-    return np.column_stack(cols)
+def _spline_knots(x, n_interior=_SPLINE_KNOTS):
+    """Knots of a spline with `n_interior` interior knots on column `x`:
+    boundary knots at the data range, interior ones at equally spaced
+    quantiles.  None when the column cannot carry the spline because its
+    basis would be rank-deficient: two knots coincide (a column dominated by
+    a few values), or the column has fewer distinct values than knots
+    (interpolated quantiles can separate the knots of a 3-valued column).
+
+    One sort gives the range, the distinct-value count and the quantiles,
+    which follow np.quantile's default (linear) rule bit for bit.
+    """
+    s = np.sort(x)
+    at = (len(s) - 1) * (np.arange(1, n_interior + 1) * (1.0 / (n_interior + 1)))
+    lo = at.astype(np.intp)
+    a, b, g = s[lo], s[np.minimum(lo + 1, len(s) - 1)], at - lo
+    interior = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
+    knots = np.concatenate([s[:1], interior, s[-1:]])
+    distinct = 1 + np.count_nonzero(s[1:] != s[:-1])
+    if np.all(knots[1:] > knots[:-1]) and distinct >= len(knots):
+        return knots
+    return None
 
 
 def _spline_eligible(x, n_interior=_SPLINE_KNOTS):
-    """Whether column `x` has at least as many distinct values as a spline
-    with `n_interior` interior knots has knots."""
-    return len(np.unique(x)) >= n_interior + 2
-
-
-def _spline_knots(x, n_interior):
-    """Boundary knots at the data range, interior at equally spaced quantiles."""
-    if not _spline_eligible(x, n_interior):
-        raise ValueError(
-            f"spline needs more distinct values ({len(np.unique(x))}) than knots ({n_interior + 2})"
-        )
-    qs = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
-    interior = np.quantile(x, qs)
-    return np.concatenate([[x.min()], interior, [x.max()]])
+    """Whether column `x` can carry a spline with `n_interior` interior knots."""
+    return _spline_knots(x, n_interior) is not None
 
 
 @dataclass(frozen=True)
@@ -432,50 +435,70 @@ class BoundDesign:
     knots: dict = field(default_factory=dict)
     k: int = 2
 
+    def _widths(self):
+        """Column count of each term, in term order."""
+        widths = []
+        for pos, term in enumerate(self.spec.terms):
+            if term[0] == "spline":
+                widths.append(len(self.knots[pos]) - 1)
+            elif term[0] == "curvature":
+                widths.append(len(self.knots[pos]) - 2)
+            else:
+                widths.append(1)
+        return widths
+
+    def _expand(self, X, out, widths):
+        """Write every term's columns into the leading columns of `out`."""
+        j = 0
+        for pos, (term, width) in enumerate(zip(self.spec.terms, widths)):
+            kind, cols = term[0], out[:, j:j + width]
+            if kind == "intercept":
+                cols[:, 0] = 1.0
+            elif kind == "main":
+                cols[:, 0] = X[:, self.column_index[term[1]]]
+            elif kind == "interaction":
+                cols[:, 0] = X[:, self.column_index[term[1]]] * X[:, self.column_index[term[2]]]
+            elif kind == "square":
+                cols[:, 0] = X[:, self.column_index[term[1]]] ** 2
+            else:
+                basis = _natural_cubic_basis(X[:, self.column_index[term[1]]], self.knots[pos])
+                if kind == "spline":
+                    cols[...] = basis
+                elif term[2] is None:
+                    cols[...] = basis[:, 1:]
+                else:
+                    np.multiply(basis[:, 1:], X[:, self.column_index[term[2]]][:, None], out=cols)
+            j += width
+
     def blocks(self, X):
         """The columns of each term, one 2-d block per term, in term order
         (treatment dummies excluded)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = []
-        for pos, term in enumerate(self.spec.terms):
-            kind = term[0]
-            if kind == "intercept":
-                block = np.ones(X.shape[0])
-            elif kind == "main":
-                block = X[:, self.column_index[term[1]]]
-            elif kind == "interaction":
-                block = X[:, self.column_index[term[1]]] * X[:, self.column_index[term[2]]]
-            elif kind == "square":
-                block = X[:, self.column_index[term[1]]] ** 2
-            else:
-                block = _natural_cubic_basis(X[:, self.column_index[term[1]]], self.knots[pos])
-                if kind == "curvature":
-                    block = block[:, 1:]
-                    if term[2] is not None:
-                        block = block * X[:, self.column_index[term[2]]][:, None]
-            out.append(block[:, None] if block.ndim == 1 else block)
-        return out
+        widths = self._widths()
+        out = np.empty((X.shape[0], sum(widths)))
+        self._expand(X, out, widths)
+        return np.split(out, np.cumsum(widths)[:-1], axis=1)
 
     def matrix(self, X, t=None):
-        cols = self.blocks(X)
-        if self.spec.includes_treatment_dummies:
-            if t is None:
-                raise ValueError("design includes treatment dummies but no t given")
+        """The design matrix of rows X: the term columns, then the
+        treatment dummies of levels 2..k when the spec includes them."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        widths = self._widths()
+        dummies = self.spec.includes_treatment_dummies
+        if dummies and t is None:
+            raise ValueError("design includes treatment dummies but no t given")
+        q = sum(widths)
+        out = np.empty((X.shape[0], q + (self.k - 1 if dummies else 0)))
+        self._expand(X, out, widths)
+        if dummies:
             t = np.asarray(t, dtype=int)
-            for level in range(2, self.k + 1):
-                cols.append((t == level).astype(float)[:, None])
-        return np.column_stack(cols)
+            for j, level in enumerate(range(2, self.k + 1), start=q):
+                out[:, j] = t == level
+        return out
 
     @property
     def n_columns(self):
-        count = 0
-        for pos, term in enumerate(self.spec.terms):
-            if term[0] == "spline":
-                count += len(self.knots[pos]) - 1
-            elif term[0] == "curvature":
-                count += len(self.knots[pos]) - 2
-            else:
-                count += 1
+        count = sum(self._widths())
         if self.spec.includes_treatment_dummies:
             count += self.k - 1
         return count
@@ -484,30 +507,26 @@ class BoundDesign:
 def bind_design(data: Dataset, spec: DesignSpec) -> BoundDesign:
     """Resolve columns and compute spline knots on `data`.
 
-    A spline term on a column with too few distinct values in `data` for
-    its knots binds as that column's main term, so a design chosen on the
-    full data still binds on a cross-validation fold or bootstrap resample
-    that lacks a rare value."""
+    A spline term on a column that cannot carry it in `data` (coinciding
+    knots, or fewer distinct values than knots) binds as that column's main
+    term, so a design chosen on the full data still binds on a
+    cross-validation fold or bootstrap resample that lacks a rare value.
+    A curvature term on such a column is an error."""
     spec.validate(data)
     terms, knots = list(spec.terms), {}
     for pos, term in enumerate(spec.terms):
         if term[0] in ("spline", "curvature"):
-            x = data.X[:, data.column_index(term[1])]
-            if term[0] == "spline" and not _spline_eligible(x, term[3]):
+            found = _spline_knots(data.X[:, data.column_index(term[1])], term[3])
+            if found is not None:
+                knots[pos] = found
+            elif term[0] == "spline":
                 terms[pos] = main(term[1])
             else:
-                knots[pos] = _spline_knots(x, term[3])
+                raise ValueError(
+                    f"column {term[1]!r} cannot carry a spline: its {term[3] + 2} knots "
+                    "coincide or it has fewer distinct values than knots"
+                )
     if tuple(terms) != spec.terms:
         spec = DesignSpec(tuple(terms), spec.includes_treatment_dummies)
     index = {name: j for j, name in enumerate(data.columns)}
     return BoundDesign(spec=spec, column_index=index, knots=knots, k=data.k)
-
-
-def expand_design(data: Dataset, spec: DesignSpec) -> np.ndarray:
-    """Expand `spec` against `data` into a dense design matrix.
-
-    Splines use the natural cubic basis with knots at equally spaced
-    quantiles of the column; treatment dummies are appended when flagged.
-    The expansion is a pure function of (data, spec).
-    """
-    return bind_design(data, spec).matrix(data.X, data.t)

@@ -291,8 +291,8 @@ def test_diagnose_ml_regime_with_ordinal_covariate(ordinal_csv, capsys):
 
 @pytest.fixture(scope="module")
 def rare_value_csv(tmp_path_factory):
-    """x3 holds 1/2/3 about 100 times each plus one row each of 4 and 5:
-    spline-eligible on the full data but not on most cross-validation folds."""
+    """x3 holds 1/2/3 about 100 times each plus one row each of 4 and 5: five
+    distinct values, but its quantile knots coincide, so it is a main term."""
     rng = np.random.default_rng(5)
     n = 300
     grade = np.concatenate([np.repeat([1, 2, 3], [100, 99, n - 201]), [4, 5]])

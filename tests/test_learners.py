@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlte.learners import (
+    _cv_folds,
     _stepwise_groups,
     fit_outcome,
     fit_propensity,
@@ -22,7 +23,8 @@ from mlte.simengine import (
     truth_outcome_spec,
     truth_propensity_spec,
 )
-from mlte.tabular import Dataset
+from mlte.glm import fit_ols
+from mlte.tabular import Dataset, bind_design, main, spline
 
 
 def scenario_data(scenario="t-y-", n=800, seed=0, rep=0, regime="correct"):
@@ -240,8 +242,8 @@ def test_ml_regime_enters_low_cardinality_columns_as_main_terms(levels):
 
 def rare_value_data(n=300, seed=0):
     """An ordinal column with values 1/2/3 about 100 times each plus one
-    row each of 4 and 5: five distinct values on the full data, fewer on
-    most cross-validation folds."""
+    row each of 4 and 5: five distinct values, but its quantile knots
+    coincide (1, 1, 2, 3, 5)."""
     rng = np.random.default_rng(seed)
     g = np.concatenate([np.repeat([1.0, 2.0, 3.0], [100, 99, n - 201]), [4.0, 5.0]])
     rng.shuffle(g)
@@ -255,5 +257,119 @@ def rare_value_data(n=300, seed=0):
 def test_ml_outcome_fits_column_with_rare_values(seed):
     data = rare_value_data()
     out = fit_outcome(data, "ml", seed=seed)
-    assert ("spline", "g", 3, 3) in out.super_learner.candidates[2].terms
+    assert main("g") in out.super_learner.candidates[2].terms
     assert np.all(np.isfinite(out.predict_matrix(data.X)))
+    assert "g.curv" not in _stepwise_groups(data)
+
+
+def rare_top_value_data(n=300, seed=0):
+    """An ordinal column with values 1..4 (60/60/60/119 rows) plus one row
+    of 5: distinct knots 1, 2, 3, 4, 5 on the full data, coinciding knots
+    on every cross-validation fold without the 5."""
+    rng = np.random.default_rng(seed)
+    g = rng.permutation(np.concatenate([np.repeat([1.0, 2.0, 3.0, 4.0], [60, 60, 60, n - 181]), [5.0]]))
+    x = rng.normal(size=n)
+    t = rng.integers(1, 4, n)
+    y = x + 0.3 * g + t + rng.normal(size=n)
+    return Dataset.from_arrays(np.column_stack([x, g]), t, y, columns=("x", "g"))
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_ml_outcome_fits_spline_column_whose_folds_cannot_carry_it(seed):
+    data = rare_top_value_data()
+    out = fit_outcome(data, "ml", seed=seed)
+    assert spline("g") in out.super_learner.candidates[2].terms
+    assert np.all(np.isfinite(out.predict_matrix(data.X)))
+
+
+# ---------------------------------------------------------------------------
+# cross-validation folds and their designs
+
+
+def reference_folds(n, folds, seed):
+    """Round-robin fold assignment over a seeded permutation, as a loop."""
+    perm = np.random.default_rng(seed).permutation(n)
+    fold_of = np.empty(n, dtype=int)
+    for i in range(folds):
+        fold_of[perm[i::folds]] = i
+    return fold_of
+
+
+def test_cv_folds_keep_the_permutation_when_every_training_fold_has_every_level():
+    _, data = scenario_data(n=300, seed=3)
+    for seed in range(5):
+        np.testing.assert_array_equal(_cv_folds(data, 10, seed), reference_folds(data.n, 10, seed))
+
+
+def small_arm_data(arm_rows, n=200, seed=0):
+    """Three arms; arm 3 has `arm_rows` rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    t = np.concatenate([np.tile([1, 2], (n - arm_rows) // 2 + 1)[: n - arm_rows], np.full(arm_rows, 3)])
+    y = X[:, 0] + t + rng.normal(size=n)
+    return Dataset.from_arrays(X, t, y)
+
+
+@pytest.mark.parametrize("arm_rows", (2, 3))
+def test_cv_folds_put_every_level_in_every_training_fold(arm_rows):
+    data = small_arm_data(arm_rows)
+    repaired = 0
+    for seed in range(60):
+        fold_of, reference = _cv_folds(data, 10, seed), reference_folds(data.n, 10, seed)
+        # the permutation is kept unless it leaves the small arm in one fold
+        in_one_fold = len(set(reference[data.t == 3])) == 1
+        assert np.any(fold_of != reference) == in_one_fold
+        repaired += in_one_fold
+        for f in range(10):
+            assert set(data.t[fold_of != f]) == {1, 2, 3}
+    assert repaired > 0 or arm_rows > 2
+
+
+def test_cv_folds_reject_a_single_row_level():
+    with pytest.raises(ValueError, match="treatment level 3 has 1 row"):
+        _cv_folds(small_arm_data(1), 10, 0)
+
+
+def test_sliced_fold_designs_equal_per_fold_expansion():
+    data = ordinal_data(n=300)
+    for spec in (_mainterms_spec(data, True), _rich_parametric_spec(data, True)):
+        D = bind_design(data, spec).matrix(data.X, data.t)
+        fold_of = _cv_folds(data, 10, 1)
+        for f in range(10):
+            train, test = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+            sub = data.take(train)
+            bound = bind_design(sub, spec)
+            assert not bound.knots
+            np.testing.assert_array_equal(D[train], bound.matrix(sub.X, sub.t))
+            np.testing.assert_array_equal(D[test], bound.matrix(data.X[test], data.t[test]))
+
+
+def reference_super_learner(data, candidates, folds, seed):
+    """Cross-validated predictions by binding and expanding every candidate
+    on every training fold, then the same stacking."""
+    from scipy.optimize import nnls
+
+    fold_of = reference_folds(data.n, folds, seed)
+    cv_pred = np.zeros((data.n, len(candidates)))
+    for c, spec in enumerate(candidates):
+        for f in range(folds):
+            train, test = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+            sub = data.take(train)
+            bound = bind_design(sub, spec)
+            fit = fit_ols(bound.matrix(sub.X, sub.t), sub.y)
+            cv_pred[test, c] = fit.predict(bound.matrix(data.X[test], data.t[test]))
+    weights, _ = nnls(cv_pred, data.y)
+    return weights / weights.sum(), ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
+
+
+def test_super_learner_equals_reference_fold_loop():
+    data = ordinal_data(n=400, seed=21)
+    candidates = (
+        _mainterms_spec(data, with_dummies=True),
+        _rich_parametric_spec(data, with_dummies=True),
+        _additive_spline_spec(data, with_dummies=True),
+    )
+    sl = fit_super_learner(data, candidates, seed=5)
+    weights, cv_risks = reference_super_learner(data, candidates, 10, 5)
+    np.testing.assert_array_equal(sl.weights, weights)
+    np.testing.assert_array_equal(sl.cv_risks, cv_risks)

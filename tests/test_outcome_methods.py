@@ -126,6 +126,27 @@ def test_bootstrap_resample_keeps_every_level():
         assert set(np.unique(boot.t)) == {1, 2, 3}
 
 
+def test_ml_stan_with_a_three_row_arm_gives_estimates_or_names_the_arm():
+    # cross-validation folds of a bootstrap resample used to lose the arm
+    rng = np.random.default_rng(4)
+    n = 200
+    X = rng.normal(size=(n, 2))
+    t = np.concatenate([np.tile([1, 2], (n - 3) // 2 + 1)[: n - 3], [3, 3, 3]])
+    data = Dataset.from_arrays(X, t, X[:, 0] + t + rng.normal(size=n))
+    out = fit_outcome(data, "ml", seed=1)
+    outcomes = set()
+    for seed in range(8):
+        try:
+            est = stan_estimates(data, out, [(3, 1), (2, 1)], bootstrap_reps=3, seed=seed)
+        except ValueError as err:
+            assert str(err).startswith("treatment level 3 has 1 row;"), str(err)
+            outcomes.add("named")
+        else:
+            assert all(np.isfinite([e.tau_hat, e.variance]).all() for e in est.values())
+            outcomes.add("finite")
+    assert outcomes == {"named", "finite"}
+
+
 def test_bootstrap_resample_gives_up_eventually():
     data = scenario_data(n=60)
 

@@ -15,7 +15,6 @@ from mlte.tabular import (
     bind_design,
     curvature,
     detect_outcome_kind,
-    expand_design,
     intercept,
     interaction,
     load_csv,
@@ -25,6 +24,7 @@ from mlte.tabular import (
     spline,
     square,
     _natural_cubic_basis,
+    _spline_eligible,
     _spline_knots,
 )
 
@@ -155,18 +155,18 @@ def test_contrast_set_validate_range():
 # design expansion
 
 
-def test_expand_design_hand_checked():
+def test_design_matrix_hand_checked():
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     d = Dataset.from_arrays(X, [1, 2], [0.0, 1.0], columns=("a", "b"))
     spec = DesignSpec(terms=(intercept(), main("a"), interaction("a", "b"), square("b")))
-    D = expand_design(d, spec)
+    D = bind_design(d, spec).matrix(d.X, d.t)
     np.testing.assert_allclose(D, [[1, 1, 2, 4], [1, 3, 12, 16]])
 
 
-def test_expand_design_appends_treatment_dummies_last():
+def test_design_matrix_appends_treatment_dummies_last():
     d = toy_dataset(n=9, k=3)
     spec = DesignSpec(terms=(intercept(),), includes_treatment_dummies=True)
-    D = expand_design(d, spec)
+    D = bind_design(d, spec).matrix(d.X, d.t)
     assert D.shape[1] == 3  # intercept + two dummies
     np.testing.assert_array_equal(D[:, 1], (d.t == 2).astype(float))
     np.testing.assert_array_equal(D[:, 2], (d.t == 3).astype(float))
@@ -225,8 +225,71 @@ def test_spline_on_too_few_values_binds_as_main_term():
 
 def test_spline_needs_enough_distinct_values():
     x = np.array([1.0, 1.0, 2.0, 2.0])
-    with pytest.raises(ValueError):
-        _spline_knots(x, 3)
+    assert _spline_knots(x, 3) is None
+    d = Dataset.from_arrays(x[:, None], [1, 2, 1, 2], np.zeros(4), columns=("c",))
+    with pytest.raises(ValueError, match="cannot carry a spline"):
+        bind_design(d, DesignSpec(terms=(curvature("c"),)))
+
+
+def coincident_knot_column():
+    """Values 1/2/3 about 100 times each plus one 4 and one 5: five distinct
+    values, but the quantile knots are 1, 1, 2, 3, 5."""
+    x = np.concatenate([np.repeat([1.0, 2.0, 3.0], [100, 99, 99]), [4.0, 5.0]])
+    return np.random.default_rng(0).permutation(x)
+
+
+def test_coincident_knots_make_a_column_spline_ineligible():
+    x = coincident_knot_column()
+    assert len(np.unique(x)) == 5
+    assert _spline_knots(x) is None and not _spline_eligible(x)
+    d = Dataset.from_arrays(x[:, None], np.tile([1, 2], 150), np.zeros(300), columns=("g",))
+    bound = bind_design(d, DesignSpec(terms=(intercept(), spline("g"))))
+    assert bound.spec.terms == (intercept(), main("g")) and bound.knots == {}
+
+
+def test_no_bound_spline_basis_is_rank_deficient_on_coincident_knot_column():
+    # the column and resamples of it, as folds and bootstrap draws see it
+    x = coincident_knot_column()
+    rng = np.random.default_rng(1)
+    spec = DesignSpec(terms=(intercept(), spline("g")))
+    for rows in [np.arange(300)] + [rng.integers(0, 300, 300) for _ in range(20)]:
+        d = Dataset.from_arrays(x[rows, None], np.tile([1, 2], 150), np.zeros(300), columns=("g",))
+        D = bind_design(d, spec).matrix(d.X)
+        assert np.linalg.matrix_rank(D) == D.shape[1]
+
+
+def reference_spline_knots(x, n_interior):
+    """Range and np.quantile knots, and the distinct-value count."""
+    qs = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
+    return np.concatenate([[x.min()], np.quantile(x, qs), [x.max()]]), len(np.unique(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=1e-3, max_value=1e6),
+    st.booleans(),
+)
+def test_spline_knots_equal_numpy_quantiles(values, n_interior, scale, jitter):
+    # tied columns, and untied ones when jittered, of every small length
+    x = np.asarray(values, dtype=float) * scale
+    if jitter:
+        x = x + np.random.default_rng(len(values)).normal(size=len(values))
+    knots, distinct = reference_spline_knots(x, n_interior)
+    got = _spline_knots(x, n_interior)
+    if np.all(np.diff(knots) > 0) and distinct >= n_interior + 2:
+        np.testing.assert_array_equal(got, knots)
+    else:
+        assert got is None
+
+
+def test_distinct_knots_need_as_many_distinct_values():
+    # interpolated quantiles separate the knots of this 3-valued column
+    x = np.repeat([0.0, 1.0, 2.0], [3, 4, 3])
+    qs = np.quantile(x, [0.25, 0.5, 0.75])
+    assert np.all(np.diff(np.concatenate([[0.0], qs, [2.0]])) > 0)
+    assert _spline_knots(x) is None
 
 
 def test_natural_cubic_basis_is_linear_beyond_boundaries():
@@ -238,6 +301,56 @@ def test_natural_cubic_basis_is_linear_beyond_boundaries():
     # second differences of each column vanish on an equally spaced grid
     second = np.diff(basis, n=2, axis=0)
     assert np.abs(second).max() < 1e-8
+
+
+def reference_natural_cubic_basis(x, knots):
+    """The basis written term by term with `** 3`."""
+    K = len(knots)
+
+    def d(k):
+        num = np.maximum(x - knots[k], 0.0) ** 3 - np.maximum(x - knots[-1], 0.0) ** 3
+        return num / (knots[-1] - knots[k])
+
+    return np.column_stack([x] + [d(k) - d(K - 2) for k in range(K - 2)])
+
+
+@pytest.mark.parametrize("n_interior", (1, 3, 5))
+def test_natural_cubic_basis_matches_power_formula(n_interior):
+    rng = np.random.default_rng(n_interior)
+    x = rng.gamma(2.0, size=400)
+    knots = _spline_knots(x, n_interior)
+    # evaluation points inside the range and beyond both boundary knots
+    at = np.concatenate([x, np.linspace(x.min() - 5, x.max() + 5, 101)])
+    np.testing.assert_allclose(
+        _natural_cubic_basis(at, knots), reference_natural_cubic_basis(at, knots), rtol=1e-12, atol=0
+    )
+
+
+def test_design_matrix_equals_stacked_blocks_and_dummies():
+    rng = np.random.default_rng(8)
+    X = np.column_stack([rng.normal(size=90), rng.gamma(2.0, size=90), (rng.random(90) < 0.5) * 1.0])
+    d = Dataset.from_arrays(X, np.tile([1, 2, 3], 30), rng.normal(size=90), columns=("a", "c", "b"))
+    spec = DesignSpec(
+        terms=(intercept(), main("a"), interaction("a", "c"), square("c"), spline("a"),
+               curvature("c"), curvature("c", by="b")),
+        includes_treatment_dummies=True,
+    )
+    bound = bind_design(d, spec)
+    new = rng.normal(size=(25, 3))
+    t = rng.integers(1, 4, 25)
+    dummies = [(t == level).astype(float)[:, None] for level in (2, 3)]
+    reference = np.column_stack(bound.blocks(new) + dummies)
+    np.testing.assert_array_equal(bound.matrix(new, t), reference)
+    assert reference.shape[1] == bound.n_columns
+    np.testing.assert_array_equal(bound.matrix(new, t)[:, :-2], bind_design(d, DesignSpec(spec.terms)).matrix(new))
+
+
+def test_take_missing_level_error_text():
+    d = toy_dataset(n=12, k=3)
+    with pytest.raises(ValueError, match=r"^treatment level\(s\) \[2\] have zero rows$"):
+        d.take(np.flatnonzero(d.t != 2))
+    with pytest.raises(ValueError, match=r"^treatment level\(s\) \[2, 3\] have zero rows$"):
+        d.take(np.flatnonzero(d.t == 1))
 
 
 def test_natural_cubic_basis_column_count():
@@ -256,10 +369,10 @@ def test_design_rows_independent(row):
         terms=(intercept(), main("X1"), square("X2"), interaction("X1", "X3")),
         includes_treatment_dummies=True,
     )
-    full = expand_design(d, spec)
+    full = bind_design(d, spec).matrix(d.X, d.t)
     keep = np.array([row])
     sub = d.take(np.concatenate([keep, np.flatnonzero(np.isin(d.t, [1, 2, 3]))]))
-    np.testing.assert_allclose(expand_design(sub, spec)[0], full[row])
+    np.testing.assert_allclose(bind_design(sub, spec).matrix(sub.X, sub.t)[0], full[row])
 
 
 # ---------------------------------------------------------------------------
