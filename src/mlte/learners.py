@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .glm import MultinomialFit, fit_logistic, fit_multinomial, fit_ols, predict_probs
 from .tabular import (
@@ -238,6 +237,9 @@ def fit_super_learner(data: Dataset, candidates, folds=_SL_FOLDS, seed=0):
     the full data and sliced by fold rows; expansion is row by row, so this
     is exactly the per-fold expansion.  A candidate with knots is bound on
     each training fold.
+
+    ``nnls`` is imported here, not at module level, so that only ml outcome
+    fits pay for loading ``scipy.optimize``.
     """
     n = data.n
     if n < folds:
@@ -262,6 +264,8 @@ def fit_super_learner(data: Dataset, candidates, folds=_SL_FOLDS, seed=0):
                 D_train, D_test = D[train], D[test]
             fit = _fit_glm(D_train, sub)
             cv_pred[test, c] = fit.predict_prob(D_test) if binary else fit.predict(D_test)
+
+    from scipy.optimize import nnls  # deferred: scipy.optimize costs ~0.25 s to import
 
     weights, _ = nnls(cv_pred, data.y)
     cv_risks = ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)

@@ -60,17 +60,21 @@ def _plugin_contrast(out: OutcomeFit, X, pair):
 
 
 def _bootstrap_resample(data: Dataset, rng):
-    """One with-replacement resample keeping every treatment level present.
+    """One with-replacement resample keeping at least 2 rows of every level.
 
-    Redraws (consuming fresh randomness from `rng`) when a level drops out;
-    gives up after a fixed number of attempts.
+    Two rows is the fewest that cross-validation folds (``_cv_folds``) and
+    the match search accept; a level with a single row in the data needs
+    only to stay present.  Redraws (consuming fresh randomness from `rng`)
+    while a level has fewer; gives up after a fixed number of attempts.
     """
+    need = np.minimum(np.bincount(data.t, minlength=data.k + 1)[1:], 2)
     for _ in range(_BOOTSTRAP_REDRAW_LIMIT):
         rows = rng.integers(0, data.n, data.n)
-        if np.bincount(data.t[rows], minlength=data.k + 1)[1:].all():
+        if (np.bincount(data.t[rows], minlength=data.k + 1)[1:] >= need).all():
             return data.take(rows)
     raise RuntimeError(
-        f"bootstrap resample kept missing a treatment level after {_BOOTSTRAP_REDRAW_LIMIT} redraws"
+        f"bootstrap resample kept fewer than 2 rows (1 for a 1-row level) of some "
+        f"treatment level after {_BOOTSTRAP_REDRAW_LIMIT} redraws"
     )
 
 

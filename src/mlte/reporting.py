@@ -4,6 +4,10 @@ All serializers are deterministic: identical inputs produce identical
 bytes, so report files can be compared across runs and worker counts.
 Full float precision goes to CSV and JSON (shortest round-trip repr);
 the plain-text renderer rounds to three decimals for reading.
+
+Two-sided Wald p-values come from ``scipy.special.ndtr``, the compiled
+normal tail that ``scipy.stats.norm.sf`` itself calls, so importing this
+module does not pay for importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .simengine import ScenarioReport
 
@@ -69,7 +73,7 @@ def _wald_p(tau: float, se: float) -> float:
         return float("nan")
     if se == 0.0:
         return 1.0 if tau == 0.0 else 0.0
-    return float(2.0 * norm.sf(abs(tau) / se))
+    return float(2.0 * ndtr(-abs(tau) / se))
 
 
 def all_pairs_table(estimates, labels=None, adjustment: str = "holm") -> ContrastTable:

@@ -275,14 +275,6 @@ class TrueEffects:
         t1, t0 = int(pair[0]), int(pair[1])
         return full[t1 - 1] - full[t0 - 1]
 
-    @property
-    def population(self):
-        return (self.contrast((2, 1)), self.contrast((3, 1)))
-
-    @property
-    def overlap(self):
-        return self.population
-
 
 def true_effects(cfg: ScenarioConfig) -> TrueEffects:
     return TrueEffects(lam=cfg.lam)

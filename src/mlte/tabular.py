@@ -264,10 +264,6 @@ class ContrastSet:
                 raise ValueError(f"pair ({a}, {b}) outside treatment levels 1..{k}")
 
     @staticmethod
-    def versus_reference(k, reference=1):
-        return ContrastSet(tuple((t, reference) for t in range(1, k + 1) if t != reference))
-
-    @staticmethod
     def all_pairs(k):
         """All k(k-1)/2 unordered pairs, each ordered (higher, lower)."""
         return ContrastSet(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlte.reporting import (
+    _wald_p,
     all_pairs_table,
     holm_adjust,
     render_contrasts,
@@ -109,6 +110,19 @@ def test_table_p_matches_normal_tail():
     from scipy.stats import norm
 
     assert table.rows[0]["p"] == pytest.approx(2 * norm.sf(0.392 / 0.2))
+
+
+def test_wald_p_equals_scipy_stats_normal_tail_bit_for_bit():
+    from scipy.stats import norm
+
+    special = [0.0, 1e-300, 1e-8, 0.5, 1.96, 8.3, 37.5, 38.5, 40.0, np.inf]
+    spread = np.random.default_rng(0).exponential(3.0, 400)
+    z = np.concatenate([special, np.linspace(0.0, 40.0, 801), spread])
+    for se in (1.0, 0.2, 3.7):
+        for tau in (z * se, -z * se):
+            expected = 2.0 * norm.sf(np.abs(tau) / se)
+            got = np.array([_wald_p(a, se) for a in tau])
+            assert np.array_equal(got, expected)
 
 
 def test_table_nan_variance_excluded_from_family():

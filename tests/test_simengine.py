@@ -99,7 +99,8 @@ def test_true_effects_additive():
     assert te.contrast((3, 1)) == 1.5
     assert te.contrast((3, 2)) == 0.5
     assert te.contrast((1, 3)) == -1.5
-    assert te.population == te.overlap
+    for pair in [(2, 1), (3, 1), (3, 2), (1, 3)]:
+        assert te.contrast(pair, "population") == te.contrast(pair, "overlap")
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,9 @@ def test_all_pairs_count_and_order():
 
 
 def test_versus_reference():
-    cs = ContrastSet.versus_reference(3)
+    cs = ContrastSet([(t, 1) for t in (2, 3)])
     assert cs.pairs == ((2, 1), (3, 1))
+    cs.validate(3)
 
 
 def test_contrast_set_rejects_duplicates():
