@@ -31,7 +31,6 @@ from .simengine import (
     run_plasmode,
     run_scenario,
     simulate_dataset,
-    true_effects,
 )
 from .reporting import ContrastTable, all_pairs_table, holm_adjust, render_contrasts, render_report
 
@@ -75,5 +74,4 @@ __all__ = [
     "run_scenario",
     "simulate_dataset",
     "stan_estimates",
-    "true_effects",
 ]

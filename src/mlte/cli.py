@@ -30,7 +30,9 @@ import numpy as np
 
 from ._version import __version__
 from .learners import REGIMES, fit_propensity
-from .reporting import render_contrasts, render_report, render_table, all_pairs_table
+from .reporting import (
+    _contrast_payload, all_pairs_table, render_contrasts, render_report, render_table,
+)
 from .simengine import (
     METHOD_TABLE,
     METHODS,
@@ -83,6 +85,19 @@ def _comma_list(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _count(low):
+    """argparse type of a count flag: an int of at least `low`."""
+
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names the type in "invalid int value"
+    return convert
+
+
 # every flag once, as argparse keyword arguments; a flag's value is the
 # RunConfig field of the same name
 _FLAGS = {
@@ -96,10 +111,10 @@ _FLAGS = {
     "scenario": dict(choices=SCENARIO_NAMES),
     "n": dict(type=int, help="sample size (simulate) / resample size (plasmode)"),
     "reps": dict(type=int, help="number of replications"),
-    "m": dict(type=int, help="matches per unit"),
-    "bootstrap": dict(type=int, help="bootstrap resamples for stan (default 200)"),
+    "m": dict(type=_count(1), help="matches per unit"),
+    "bootstrap": dict(type=_count(0), help="bootstrap resamples for stan (default 200)"),
     "seed": dict(type=int),
-    "workers": dict(type=int, help="parallel workers (0 = one per core)"),
+    "workers": dict(type=_count(0), help="parallel workers (0 = one per core)"),
     "out": dict(help="output file (default: stdout)"),
     "format": dict(choices=("csv", "json", "text")),
 }
@@ -222,17 +237,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
             "config": cfg.provenance(),
             "seed": cfg.seed,
             "failures": failures,
-            "tables": [
-                {
-                    "method": t.method,
-                    "estimand": t.estimand,
-                    "adjustment": t.adjustment,
-                    "rows": [dict(r) for r in t.rows],
-                }
-                for t in tables
-            ],
+            "tables": [_contrast_payload(t) for t in tables],
         }
-        content = json.dumps(payload, indent=2, default=list) + "\n"
+        content = json.dumps(payload, indent=2) + "\n"
     elif cfg.format == "csv":
         rows = []
         for t in tables:
@@ -359,7 +366,7 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "estimate": _Command(cmd_estimate, "estimate all pairwise contrasts on a dataset", (
         "data", "treatment", "outcome", "covariates", "methods", "regime", "m", "bootstrap",
-        "seed", "workers", "out", "format",
+        "seed", "out", "format",
     )),
     "simulate": _Command(cmd_simulate, "run a synthetic replication study", (
         "scenario", "methods", "regime", "n", "reps", "m", "bootstrap", "seed", "workers",

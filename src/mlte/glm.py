@@ -40,7 +40,6 @@ _SEPARATION_BOUND = 20.0
 @dataclass(frozen=True)
 class LinearFit:
     coefficients: np.ndarray
-    residual_variance: float
 
     def predict(self, design):
         return np.asarray(design, dtype=float) @ self.coefficients
@@ -53,11 +52,8 @@ class LogisticFit:
     iterations: int
     separation: bool = False
 
-    def predict_prob(self, design, offset=None):
-        eta = np.asarray(design, dtype=float) @ self.coefficients
-        if offset is not None:
-            eta = eta + offset
-        return expit(eta)
+    def predict_prob(self, design):
+        return expit(np.asarray(design, dtype=float) @ self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -106,9 +102,7 @@ def fit_ols(design, y):
         coef = np.linalg.solve(G + lam * np.eye(q), b)
         if not np.all(np.isfinite(coef)):
             raise ValueError("design rank-deficient beyond ridge fallback")
-    resid = y - X @ coef
-    dof = max(n - q, 1)
-    return LinearFit(coefficients=coef, residual_variance=float(resid @ resid / dof))
+    return LinearFit(coefficients=coef)
 
 
 def fit_logistic(design, y, weights=None, offset=None):
@@ -173,7 +167,7 @@ def _softmax_rows(eta):
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def fit_multinomial(design, t, k=None):
+def fit_multinomial(design, t, k):
     """Multinomial logistic regression by damped Newton, level 1 reference.
 
     Maximizes the multinomial log-likelihood with a full (k-1)q x (k-1)q
@@ -185,8 +179,6 @@ def fit_multinomial(design, t, k=None):
     X = np.asarray(design, dtype=float)
     t = np.asarray(t, dtype=int)
     n, q = X.shape
-    if k is None:
-        k = int(t.max())
     present = np.unique(t)
     if len(present) != k or present[0] != 1 or present[-1] != k:
         raise ValueError("all treatment levels 1..k must be present")

@@ -69,7 +69,7 @@ _SL_FOLDS = 10
 
 @dataclass(frozen=True)
 class SuperLearnerSpec:
-    """Result of cross-validated stacking.
+    """Result of `_SL_FOLDS`-fold cross-validated stacking.
 
     `weights` lie on the simplex and align with `candidates`; `components`
     holds one (weight, bound design, full-data fit) triple per candidate,
@@ -77,7 +77,6 @@ class SuperLearnerSpec:
     """
 
     candidates: tuple
-    folds: int
     weights: np.ndarray
     components: tuple
     cv_risks: np.ndarray
@@ -222,8 +221,8 @@ def _cv_folds(data: Dataset, folds, seed):
     return fold_of
 
 
-def fit_super_learner(data: Dataset, candidates, folds=_SL_FOLDS, seed=0):
-    """Stack candidate outcome designs by V-fold cross-validation.
+def fit_super_learner(data: Dataset, candidates, seed=0):
+    """Stack candidate outcome designs by `_SL_FOLDS`-fold cross-validation.
 
     Each candidate is a DesignSpec; fold membership comes from a seeded
     permutation (see _cv_folds).  Candidate predictions on held-out folds
@@ -241,7 +240,7 @@ def fit_super_learner(data: Dataset, candidates, folds=_SL_FOLDS, seed=0):
     ``nnls`` is imported here, not at module level, so that only ml outcome
     fits pay for loading ``scipy.optimize``.
     """
-    n = data.n
+    n, folds = data.n, _SL_FOLDS
     if n < folds:
         raise ValueError(f"need at least {folds} rows for {folds}-fold stacking")
     if not candidates:
@@ -279,7 +278,6 @@ def fit_super_learner(data: Dataset, candidates, folds=_SL_FOLDS, seed=0):
     )
     return SuperLearnerSpec(
         candidates=tuple(candidates),
-        folds=folds,
         weights=weights,
         components=components,
         cv_risks=cv_risks,
@@ -307,9 +305,9 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
             _rich_parametric_spec(data, with_dummies=True),
             _additive_spline_spec(data, with_dummies=True),
         )
-        sl = fit_super_learner(data, candidates, folds=_SL_FOLDS, seed=seed)
+        sl = fit_super_learner(data, candidates, seed=seed)
         wtxt = "/".join(f"{w:.2f}" for w in sl.weights)
-        desc = f"super learner ({len(candidates)} candidates, {sl.folds}-fold cv, weights {wtxt})"
+        desc = f"super learner ({len(candidates)} candidates, {_SL_FOLDS}-fold cv, weights {wtxt})"
         return OutcomeFit("ml", data.outcome_kind, data.k, desc, sl.components, super_learner=sl)
 
     if regime == "correct":

@@ -47,7 +47,6 @@ class MatchSets:
     match_indices: np.ndarray
     usage_counts: np.ndarray
     nn_same: np.ndarray
-    metric: str
     m: int
 
     def __post_init__(self):
@@ -122,13 +121,7 @@ def build_matches(data: Dataset, m: int = 1, metric: str = "euclidean-standardiz
         )
         np.fill_diagonal(Down, np.inf)
         nn_same[didx] = didx[Down.argmin(axis=1)]
-    return MatchSets(
-        match_indices=match_indices,
-        usage_counts=usage_counts,
-        nn_same=nn_same,
-        metric=metric,
-        m=m,
-    )
+    return MatchSets(match_indices=match_indices, usage_counts=usage_counts, nn_same=nn_same, m=m)
 
 
 def _imputed_mean(data: Dataset, ms: MatchSets, level: int) -> np.ndarray:

@@ -126,31 +126,26 @@ def stan_estimates(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
 @dataclass(frozen=True)
 class TmleFluctuation:
     """Targeting-step record for one treatment level: the fluctuation
-    intercept, initial and updated predictions on the working [0, 1] scale,
-    and the (a, b) bounds used for continuous rescaling."""
+    intercept, the updated predictions on the working [0, 1] scale, and the
+    outcome bounds (a, b) that define that scale: (0, 1) for binary
+    outcomes, the observed range for continuous ones."""
 
     level: int
     epsilon: float
-    q0: np.ndarray
     q1: np.ndarray
     scale: tuple
 
 
-def _outcome_bounds(data: Dataset, bounds):
-    if bounds is not None:
-        a, b = float(bounds[0]), float(bounds[1])
-    elif data.outcome_kind == "binary":
-        a, b = 0.0, 1.0
-    else:
-        a, b = float(data.y.min()), float(data.y.max())
+def _outcome_bounds(data: Dataset):
+    if data.outcome_kind == "binary":
+        return 0.0, 1.0
+    a, b = float(data.y.min()), float(data.y.max())
     if not b > a:
         raise ValueError(f"degenerate outcome bounds ({a}, {b})")
     return a, b
 
 
-def tmle_fluctuations(
-    data: Dataset, out: OutcomeFit, prop: PropensityFit, levels, bounds=None
-):
+def tmle_fluctuations(data: Dataset, out: OutcomeFit, prop: PropensityFit, levels):
     """Run the one-parameter logistic fluctuation for each requested level.
 
     The outcome is mapped to Y* = (Y - a)/(b - a); initial predictions are
@@ -159,7 +154,7 @@ def tmle_fluctuations(
     logit(Q0) and weights I(T=j)/P(T=j|X) yields epsilon, and
     Q1 = expit(logit(Q0) + epsilon).  Returns {level: TmleFluctuation}.
     """
-    a, b = _outcome_bounds(data, bounds)
+    a, b = _outcome_bounds(data)
     ystar = (data.y - a) / (b - a)
     ones = np.ones((data.n, 1))
     result = {}
@@ -171,13 +166,11 @@ def tmle_fluctuations(
         fl = fit_logistic(ones, ystar, weights=wj, offset=offset)
         eps = float(fl.coefficients[0])
         q1 = expit(offset + eps)
-        result[j] = TmleFluctuation(level=j, epsilon=eps, q0=q0, q1=q1, scale=(a, b))
+        result[j] = TmleFluctuation(level=j, epsilon=eps, q1=q1, scale=(a, b))
     return result
 
 
-def estimate_tmle(
-    data: Dataset, out: OutcomeFit, prop: PropensityFit, pair, bounds=None
-) -> EffectEstimate:
+def estimate_tmle(data: Dataset, out: OutcomeFit, prop: PropensityFit, pair) -> EffectEstimate:
     """Targeted maximum likelihood for one pairwise contrast.
 
     Fluctuates each of the two levels once, averages the back-transformed
@@ -185,7 +178,7 @@ def estimate_tmle(
     of the efficient influence contribution divided by n.
     """
     t1, t0 = int(pair[0]), int(pair[1])
-    fl = tmle_fluctuations(data, out, prop, (t1, t0), bounds=bounds)
+    fl = tmle_fluctuations(data, out, prop, (t1, t0))
     a, b = fl[t1].scale
     span = b - a
     ystar = (data.y - a) / span

@@ -54,17 +54,20 @@ def holm_adjust(pvalues) -> np.ndarray:
     return adjusted
 
 
+# the multiplicity adjustment of every contrast table, named in its outputs
+_ADJUSTMENT = "holm"
+
+
 @dataclass(frozen=True)
 class ContrastTable:
-    """All-pairs contrast table for a single method.
+    """All-pairs contrast table for a single method, Holm-adjusted.
 
     rows: one dict per unordered treatment pair with keys pair, label,
-    estimate, se, ci_low, ci_high, p, p_adj.
+    estimate, se, ci_low, ci_high, p, p_adj (the Holm-adjusted p).
     """
 
     method: str
     estimand: str
-    adjustment: str
     rows: tuple
 
 
@@ -76,16 +79,14 @@ def _wald_p(tau: float, se: float) -> float:
     return float(2.0 * ndtr(-abs(tau) / se))
 
 
-def all_pairs_table(estimates, labels=None, adjustment: str = "holm") -> ContrastTable:
+def all_pairs_table(estimates, labels=None) -> ContrastTable:
     """Assemble one estimate per unordered treatment pair into a table with
-    two-sided Wald p-values and (by default) Holm adjustment.
+    two-sided Wald p-values, Holm-adjusted over the table's pairs.
 
     `labels` optionally maps level codes to display names.  Estimates with
     non-finite variance get NaN p-values and are excluded from the Holm
     family (their adjusted p is NaN as well).
     """
-    if adjustment not in ("none", "holm"):
-        raise ValueError(f"unknown adjustment {adjustment!r}")
     if not estimates:
         raise ValueError("no estimates given")
     methods = {e.method for e in estimates}
@@ -114,11 +115,7 @@ def all_pairs_table(estimates, labels=None, adjustment: str = "holm") -> Contras
     p_raw = np.array([_wald_p(e.tau_hat, e.se) for e in ordered])
     p_adj = np.full(len(p_raw), np.nan)
     finite = np.isfinite(p_raw)
-    if adjustment == "holm":
-        if finite.any():
-            p_adj[finite] = holm_adjust(p_raw[finite])
-    else:
-        p_adj = p_raw.copy()
+    p_adj[finite] = holm_adjust(p_raw[finite])
 
     def name(code):
         if labels is None:
@@ -140,12 +137,7 @@ def all_pairs_table(estimates, labels=None, adjustment: str = "holm") -> Contras
                 "p_adj": float(q),
             }
         )
-    return ContrastTable(
-        method=next(iter(methods)),
-        estimand=next(iter(estimands)),
-        adjustment=adjustment,
-        rows=tuple(rows),
-    )
+    return ContrastTable(method=next(iter(methods)), estimand=next(iter(estimands)), rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +155,8 @@ def _cell(value, text: bool) -> str:
 
 
 def _jsonify(obj):
+    """`obj` as JSON-ready data: tuples as lists, numpy scalars as Python
+    numbers, and non-finite floats as None (written as null)."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -259,22 +253,26 @@ def render_report(report: ScenarioReport, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _contrast_payload(table: ContrastTable) -> dict:
+    """A contrast table as JSON-ready data, non-finite numbers as None."""
+    return {
+        "method": table.method,
+        "estimand": table.estimand,
+        "adjustment": _ADJUSTMENT,
+        "rows": _jsonify([dict(r) for r in table.rows]),
+    }
+
+
 _CONTRAST_COLUMNS = ("label", "estimate", "se", "ci_low", "ci_high", "p", "p_adj")
 
 
 def render_contrasts(table: ContrastTable, fmt: str = "text") -> str:
     """Serialize an all-pairs contrast table."""
     if fmt == "json":
-        payload = {
-            "method": table.method,
-            "estimand": table.estimand,
-            "adjustment": table.adjustment,
-            "rows": _jsonify([dict(r) for r in table.rows]),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(_contrast_payload(table), indent=2) + "\n"
     if fmt == "csv":
         return render_table(table.rows, _CONTRAST_COLUMNS, fmt="csv")
     if fmt == "text":
-        title = f"method={table.method} estimand={table.estimand} adjustment={table.adjustment}"
+        title = f"method={table.method} estimand={table.estimand} adjustment={_ADJUSTMENT}"
         return render_table(table.rows, _CONTRAST_COLUMNS, fmt="text", title=title)
     raise ValueError(f"unknown format {fmt!r}")

@@ -57,13 +57,11 @@ __all__ = [
     "SCENARIO_NAMES",
     "ScenarioConfig",
     "PlasmodeConfig",
-    "TrueEffects",
     "Metrics",
     "ScenarioReport",
     "simulate_dataset",
     "treatment_probabilities",
     "outcome_mean",
-    "true_effects",
     "oracle_truth_mc",
     "truth_outcome_spec",
     "truth_propensity_spec",
@@ -263,23 +261,6 @@ def truth_propensity_spec() -> DesignSpec:
     )
 
 
-@dataclass(frozen=True)
-class TrueEffects:
-    """True pairwise contrasts; identical for the population and overlap
-    estimands because treatment enters the outcome mean additively."""
-
-    lam: tuple
-
-    def contrast(self, pair, estimand: str = "population") -> float:
-        full = (0.0,) + tuple(self.lam)
-        t1, t0 = int(pair[0]), int(pair[1])
-        return full[t1 - 1] - full[t0 - 1]
-
-
-def true_effects(cfg: ScenarioConfig) -> TrueEffects:
-    return TrueEffects(lam=cfg.lam)
-
-
 def oracle_truth_mc(
     cfg: ScenarioConfig,
     pairs=((2, 1), (3, 1)),
@@ -466,21 +447,15 @@ def _pair_label(pair) -> str:
     return f"tau{pair[0]}{pair[1]}"
 
 
-def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truth_of):
+def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truths):
     """Reduce per-replication outputs to metric rows; seed, replication
     count and regime come from the study's config `cfg`.
 
     per_rep: list of (rep, results, failures) sorted by rep.
-    truth_of: callable (pair, estimand) -> float.
+    truths: {(pair, estimand): true contrast} for both estimands.
     """
     rows = []
     method_failures = {}
-    truths = {}
-    for pair in pairs:
-        truths[_pair_label(pair)] = {
-            "population": truth_of(pair, "population"),
-            "overlap": truth_of(pair, "overlap"),
-        }
     for meth in methods:
         failed_reps = sum(1 for _, _, fails in per_rep if meth in fails)
         if failed_reps:
@@ -489,7 +464,7 @@ def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truth_of):
         for pair in pairs:
             ests = [res[(meth, pair)] for _, res, _ in per_rep if (meth, pair) in res]
             estimand = METHOD_TABLE[meth].estimand
-            truth = truth_of(pair, estimand)
+            truth = truths[(pair, estimand)]
             mt = compute_metrics(ests, truth)
             rows.append(
                 {
@@ -512,7 +487,10 @@ def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truth_of):
         seed=cfg.seed,
         reps=cfg.reps,
         config=cfg_echo,
-        truths=truths,
+        truths={
+            _pair_label(pair): {est: truths[(pair, est)] for est in ("population", "overlap")}
+            for pair in pairs
+        },
         rows=tuple(rows),
         method_failures=method_failures,
     )
@@ -546,8 +524,15 @@ def run_scenario(
     contrasts.validate(3)
     pairs = [tuple(p) for p in contrasts.pairs]
     per_rep = _run_replications(_scenario_rep, [(cfg, methods, pairs, rep) for rep in range(cfg.reps)], workers)
-    truth_of = true_effects(cfg).contrast
-    return _collect_report("scenario", cfg, asdict(cfg), methods, pairs, per_rep, truth_of)
+    # treatment enters the outcome mean additively, so both estimands share
+    # each contrast: the difference of the two levels' effects
+    effect = (0.0,) + cfg.lam
+    truths = {
+        (pair, est): effect[pair[0] - 1] - effect[pair[1] - 1]
+        for pair in pairs
+        for est in ("population", "overlap")
+    }
+    return _collect_report("scenario", cfg, asdict(cfg), methods, pairs, per_rep, truths)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +656,4 @@ def run_plasmode(
         "generator_outcome": cfg.generator_outcome.description,
         "generator_treatment": cfg.generator_treatment.description,
     }
-    return _collect_report(
-        "plasmode", cfg, cfg_echo, methods, pairs, per_rep,
-        lambda pair, estimand: truths[(tuple(pair), estimand)],
-    )
+    return _collect_report("plasmode", cfg, cfg_echo, methods, pairs, per_rep, truths)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,16 +63,16 @@ def square(column):
 _SPLINE_KNOTS = 3
 
 
-def spline(column, degree=3, knots=_SPLINE_KNOTS):
-    """Natural cubic spline term with `knots` interior knots at equally
-    spaced quantiles.  Only degree 3 is implemented."""
-    return ("spline", column, degree, knots)
+def spline(column):
+    """Natural cubic spline term with three interior knots at equally spaced
+    quantiles (`_SPLINE_KNOTS`)."""
+    return ("spline", column)
 
 
 def curvature(column, by=None):
     """The nonlinear columns of `spline(column)`, i.e. the basis without
     its linear column, multiplied by column `by` if given."""
-    return ("curvature", column, by, _SPLINE_KNOTS)
+    return ("curvature", column, by)
 
 
 _TERM_KINDS = {"intercept", "main", "interaction", "square", "spline", "curvature"}
@@ -147,10 +146,6 @@ class Dataset:
     def n(self):
         return self.X.shape[0]
 
-    @property
-    def p(self):
-        return self.X.shape[1]
-
     def column_index(self, name):
         try:
             return self.columns.index(name)
@@ -179,7 +174,7 @@ class Dataset:
         )
 
     @staticmethod
-    def from_arrays(X, t, y, columns=None, outcome_kind=None, treatment_labels=None):
+    def from_arrays(X, t, y, columns=None, outcome_kind=None):
         """Build a Dataset from raw arrays, recoding treatment labels.
 
         `t` may hold arbitrary sortable labels; they are recoded to 1..k in
@@ -193,8 +188,6 @@ class Dataset:
             columns = tuple(f"X{j + 1}" for j in range(X.shape[1]))
         if outcome_kind is None:
             outcome_kind = detect_outcome_kind(y)
-        if treatment_labels is not None:
-            labels = tuple(treatment_labels)
         return Dataset(
             X=X,
             columns=tuple(columns),
@@ -219,10 +212,6 @@ class DesignSpec:
         for term in terms:
             if not term or term[0] not in _TERM_KINDS:
                 raise ValueError(f"unknown design term {term!r}")
-            if term[0] == "spline" and term[2] != 3:
-                raise ValueError("only cubic (degree 3) splines are implemented")
-            if term[0] in ("spline", "curvature") and term[3] < 1:
-                raise ValueError("spline needs at least one interior knot")
         object.__setattr__(self, "terms", terms)
 
     def referenced_columns(self):
@@ -305,11 +294,11 @@ def detect_outcome_kind(y):
 # file ingestion
 
 
-def load_csv(path, treatment_col, outcome_col, covariate_cols, outcome_kind=None):
+def load_csv(path, treatment_col, outcome_col, covariate_cols):
     """Read an RFC-4180 CSV (header row required) into a Dataset.
 
     Treatment labels are recoded to 1..k in sorted order and the original
-    labels retained.  `outcome_kind=None` auto-detects binary outcomes.
+    labels retained.  Binary outcomes are detected from the values.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -334,9 +323,7 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols, outcome_kind=None
         raise ValueError("non-finite covariate")
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite outcome")
-    return Dataset.from_arrays(
-        X, t_raw, y, columns=tuple(covariate_cols), outcome_kind=outcome_kind
-    )
+    return Dataset.from_arrays(X, t_raw, y, columns=tuple(covariate_cols))
 
 
 def _parse_cell(text, col, lineno):
@@ -346,7 +333,7 @@ def _parse_cell(text, col, lineno):
         raise ValueError(f"line {lineno}: unparseable cell {text!r} in column {col!r}") from None
 
 
-def load_json(path, outcome_kind=None):
+def load_json(path):
     """Read a JSON dataset whose schema mirrors the Dataset fields:
 
     ``{"columns": [...], "X": [[...], ...], "T": [...], "Y": [...]}``
@@ -357,13 +344,12 @@ def load_json(path, outcome_kind=None):
     for key in ("columns", "X", "T", "Y"):
         if key not in obj:
             raise ValueError(f"{path}: missing key {key!r}")
-    kind = outcome_kind if outcome_kind is not None else obj.get("outcome_kind")
     return Dataset.from_arrays(
         np.asarray(obj["X"], dtype=float),
         obj["T"],
         np.asarray(obj["Y"], dtype=float),
         columns=tuple(obj["columns"]),
-        outcome_kind=kind,
+        outcome_kind=obj.get("outcome_kind"),
     )
 
 
@@ -415,9 +401,9 @@ def _spline_knots(x, n_interior=_SPLINE_KNOTS):
     return None
 
 
-def _spline_eligible(x, n_interior=_SPLINE_KNOTS):
-    """Whether column `x` can carry a spline with `n_interior` interior knots."""
-    return _spline_knots(x, n_interior) is not None
+def _spline_eligible(x):
+    """Whether column `x` can carry a spline."""
+    return _spline_knots(x) is not None
 
 
 @dataclass(frozen=True)
@@ -512,14 +498,14 @@ def bind_design(data: Dataset, spec: DesignSpec) -> BoundDesign:
     terms, knots = list(spec.terms), {}
     for pos, term in enumerate(spec.terms):
         if term[0] in ("spline", "curvature"):
-            found = _spline_knots(data.X[:, data.column_index(term[1])], term[3])
+            found = _spline_knots(data.X[:, data.column_index(term[1])])
             if found is not None:
                 knots[pos] = found
             elif term[0] == "spline":
                 terms[pos] = main(term[1])
             else:
                 raise ValueError(
-                    f"column {term[1]!r} cannot carry a spline: its {term[3] + 2} knots "
+                    f"column {term[1]!r} cannot carry a spline: its {_SPLINE_KNOTS + 2} knots "
                     "coincide or it has fewer distinct values than knots"
                 )
     if tuple(terms) != spec.terms:

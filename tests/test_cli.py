@@ -395,6 +395,61 @@ def test_empty_method_list_is_an_error(demo_csv, capsys, monkeypatch, command, s
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag,value,command", [
+    ("bootstrap", "-3", "estimate"), ("m", "0", "estimate"), ("workers", "-4", "simulate"),
+])
+@pytest.mark.parametrize("source", ("flag", "env"))
+def test_out_of_range_counts_exit_2(demo_csv, capsys, monkeypatch, flag, value, command, source):
+    if command == "simulate":
+        argv = [command, "--scenario", "t-y-", "--n", "50", "--reps", "1", "--methods", "crude"]
+    else:
+        argv = [command, "--data", demo_csv, *DEMO_ARGS, "--methods", "crude"]
+    if source == "flag":
+        argv += [f"--{flag}", value]
+    else:
+        monkeypatch.setenv("MLTE_" + flag.upper(), value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --{flag}: must be at least" in captured.err
+
+
+def test_estimate_has_no_workers_flag(demo_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("bootstrap", ("0", "1"))
+def test_estimate_json_writes_null_without_bootstrap_variance(demo_csv, capsys, bootstrap):
+    argv = ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude,stan",
+            "--bootstrap", bootstrap]
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    tables = {t["method"]: t["rows"] for t in payload["tables"]}
+    for row in tables["stan"]:
+        assert np.isfinite(row["estimate"])
+        assert all(row[key] is None for key in ("se", "ci_low", "ci_high", "p", "p_adj"))
+    # the csv of the same run holds the same numbers, empty where json has null
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    numeric = ("estimate", "se", "ci_low", "ci_high", "p", "p_adj")
+    from_csv = [
+        [float(cells[header.index(key)]) if cells[header.index(key)] else None for key in numeric]
+        for cells in (line.split(",") for line in lines[1:])
+    ]
+    from_json = [[row[key] for key in numeric] for rows in tables.values() for row in rows]
+    assert from_csv == from_json
+
+
 # ---------------------------------------------------------------------------
 # global flags
 

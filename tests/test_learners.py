@@ -230,7 +230,7 @@ def test_ml_regime_enters_low_cardinality_columns_as_main_terms(levels):
     out = fit_outcome(data, "ml", seed=2)
     assert np.all(np.isfinite(out.predict_matrix(data.X)))
     spline_spec = out.super_learner.candidates[2]
-    assert ("main", "o") in spline_spec.terms and ("spline", "x", 3, 3) in spline_spec.terms
+    assert main("o") in spline_spec.terms and spline("x") in spline_spec.terms
     prop = fit_propensity(data, "ml")
     np.testing.assert_allclose(prop.probs.sum(axis=1), 1.0, atol=1e-10)
     chosen = prop.description.split("groups: ")[1].rstrip(")").split(", ")

@@ -205,14 +205,6 @@ def test_tmle_binary_outcome_uses_unit_bounds():
     assert np.isfinite(est.tau_hat) and est.variance > 0
 
 
-def test_tmle_bounds_override():
-    data, out, prop = tmle_inputs()
-    fl = tmle_fluctuations(data, out, prop, (1,), bounds=(-50.0, 50.0))
-    assert fl[1].scale == (-50.0, 50.0)
-    est = estimate_tmle(data, out, prop, (2, 1), bounds=(-50.0, 50.0))
-    assert np.isfinite(est.tau_hat)
-
-
 def test_tmle_degenerate_bounds_raise():
     X = np.zeros((6, 1))
     data = Dataset.from_arrays(X, [1, 2, 3, 1, 2, 3], np.full(6, 3.0))

@@ -82,7 +82,7 @@ def test_table_orders_rows_and_labels():
     assert [r["pair"] for r in table.rows] == [(2, 1), (3, 1), (3, 2)]
     assert [r["label"] for r in table.rows] == ["low vs ctrl", "high vs ctrl", "high vs low"]
     assert table.method == "crude"
-    assert table.adjustment == "holm"
+    assert json.loads(render_contrasts(table, fmt="json"))["adjustment"] == "holm"
 
 
 def test_table_complete_five_levels():
@@ -138,8 +138,6 @@ def test_table_nan_variance_excluded_from_family():
 def test_table_validation_errors():
     with pytest.raises(ValueError):
         all_pairs_table([])
-    with pytest.raises(ValueError):
-        all_pairs_table(pair_estimates({(2, 1): 0.5}), adjustment="bonferroni")
     both_orders = pair_estimates({(2, 1): 0.5}) + pair_estimates({(1, 2): -0.5})
     with pytest.raises(ValueError):
         all_pairs_table(both_orders)
@@ -154,13 +152,6 @@ def test_table_validation_errors():
     )
     with pytest.raises(ValueError):
         all_pairs_table(mixed_estimand)
-
-
-def test_table_no_adjustment_passthrough():
-    ests = pair_estimates({(2, 1): 0.4, (3, 1): 0.1, (3, 2): 0.2})
-    table = all_pairs_table(ests, adjustment="none")
-    for r in table.rows:
-        assert r["p_adj"] == pytest.approx(r["p"])
 
 
 # ---------------------------------------------------------------------------

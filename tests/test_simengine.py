@@ -25,7 +25,6 @@ from mlte.simengine import (
     run_scenario,
     simulate_dataset,
     treatment_probabilities,
-    true_effects,
 )
 from mlte.tabular import ContrastSet, Dataset
 from mlte.weighting import make_estimate
@@ -88,19 +87,16 @@ def test_config_validation():
 
 def test_lambda_override_changes_truth():
     cfg = ScenarioConfig.named("t-y-", n=100, reps=1, seed=0, regime="mainterms", lam=(0.0, 0.0))
-    te = true_effects(cfg)
-    assert te.contrast((2, 1)) == 0.0
-    assert te.contrast((3, 1)) == 0.0
+    truths = run_scenario(cfg, methods=["crude"]).truths
+    assert truths == {p: {"population": 0.0, "overlap": 0.0} for p in ("tau21", "tau31")}
 
 
 def test_true_effects_additive():
-    te = true_effects(ScenarioConfig.named("t+y+", n=10, reps=1, seed=0, regime="correct"))
-    assert te.contrast((2, 1)) == 1.0
-    assert te.contrast((3, 1)) == 1.5
-    assert te.contrast((3, 2)) == 0.5
-    assert te.contrast((1, 3)) == -1.5
-    for pair in [(2, 1), (3, 1), (3, 2), (1, 3)]:
-        assert te.contrast(pair, "population") == te.contrast(pair, "overlap")
+    cfg = ScenarioConfig.named("t+y+", n=100, reps=1, seed=0, regime="mainterms")
+    contrasts = ContrastSet(((2, 1), (3, 1), (3, 2), (1, 3)))
+    truths = run_scenario(cfg, methods=["crude"], contrasts=contrasts).truths
+    expected = {"tau21": 1.0, "tau31": 1.5, "tau32": 0.5, "tau13": -1.5}
+    assert truths == {p: {"population": v, "overlap": v} for p, v in expected.items()}
 
 
 # ---------------------------------------------------------------------------

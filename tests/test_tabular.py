@@ -434,8 +434,9 @@ def test_load_json_roundtrip(tmp_path):
 
 
 def test_load_json_outcome_kind_override(tmp_path):
-    payload = {"columns": ["a"], "X": [[0.0], [1.0]], "T": [1, 2], "Y": [0.0, 1.0]}
+    payload = {"columns": ["a"], "X": [[0.0], [1.0]], "T": [1, 2], "Y": [0.0, 1.0],
+               "outcome_kind": "continuous"}
     path = tmp_path / "d.json"
     path.write_text(json.dumps(payload))
-    d = load_json(str(path), outcome_kind="continuous")
+    d = load_json(str(path))
     assert d.outcome_kind == "continuous"
