@@ -6,6 +6,10 @@ optional observation weights, offset, and fractional responses, as required
 by the targeting step of the TMLE estimator), and multinomial logistic
 regression via damped Newton for the treatment model.  No model-selection or
 inference machinery lives here; callers get coefficients and predictions.
+
+The logistic link and its inverse (`logit`, `expit`) are numpy versions of
+the ``scipy.special`` functions of the same names, within a few ulp of
+them, so this module needs only numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "LinearFit",
@@ -23,6 +26,8 @@ __all__ = [
     "fit_logistic",
     "fit_multinomial",
     "predict_probs",
+    "expit",
+    "logit",
     "PROB_CLIP",
 ]
 
@@ -35,6 +40,26 @@ _GRAD_TOL = 1e-8
 _MAX_ITER_LOGISTIC = 100
 _MAX_ITER_MULTINOMIAL = 200
 _SEPARATION_BOUND = 20.0
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)).  exp is taken only of -|x|, so
+    it never overflows; below x = -708 the result underflows, silently, to a
+    subnormal or 0, as the true value does."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def logit(p):
+    """Log-odds log(p / (1 - p)); inside [0.3, 0.65], where that ratio loses
+    precision, log1p(s) - log1p(-s) with s = 2 (p - 0.5), as scipy does."""
+    p = np.asarray(p, dtype=float)
+    s = 2.0 * (p - 0.5)
+    with np.errstate(divide="ignore"):  # p = 0 or 1 gives -inf or inf
+        central = np.log1p(s) - np.log1p(-s)
+        return np.where((p >= 0.3) & (p <= 0.65), central, np.log(p / (1.0 - p)))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ the initial outcome predictions by a one-parameter logistic fluctuation per
 treatment level, solving the efficient score equation, and reads its
 variance off the empirical influence function.  The unadjusted group-mean
 contrast lives here too since the simulation engine reports it as the
-no-adjustment baseline.
+no-adjustment baseline.  Everything here runs on numpy alone: the TMLE
+link functions are `glm.logit` and `glm.expit`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .glm import fit_logistic
+from .glm import expit, fit_logistic, logit
 from .learners import OutcomeFit, PropensityFit
 from .tabular import Dataset
 from .weighting import EffectEstimate, make_estimate
@@ -84,21 +84,26 @@ def stan_bootstrap(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
 
     Each resample refits the outcome learner from scratch (cross-validation
     included) on the resampled rows and recomputes every requested contrast.
-    Returns {pair: variance}; NaN variances when bootstrap_reps == 0.
+    Returns {pair: variance}.  Variances are NaN, and nothing is drawn, when
+    bootstrap_reps < 2 (fewer than 2 draws give no variance).  A pair with an
+    arm of fewer than 2 rows also gets NaN: every resample keeps that arm's
+    only row, so the draws would understate the variance.
     """
     pairs = [tuple(p) for p in pairs]
-    if bootstrap_reps == 0:
-        return {p: float("nan") for p in pairs}
-    draws = {p: np.empty(bootstrap_reps) for p in pairs}
+    variances = {p: float("nan") for p in pairs}
+    counts = np.bincount(data.t, minlength=data.k + 1)
+    live = [p for p in pairs if counts[list(p)].min() >= 2]
+    if bootstrap_reps < 2 or not live:
+        return variances
+    draws = {p: np.empty(bootstrap_reps) for p in live}
     for b in range(bootstrap_reps):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         boot = _bootstrap_resample(data, rng)
         refit = out.refit(boot, seed=np.random.SeedSequence(seed, spawn_key=(b, 1)))
-        for p in pairs:
+        for p in live:
             draws[p][b] = _plugin_contrast(refit, boot.X, p)
-    if bootstrap_reps < 2:
-        return {p: float("nan") for p in pairs}
-    return {p: float(np.var(draws[p], ddof=1)) for p in pairs}
+    variances.update({p: float(np.var(draws[p], ddof=1)) for p in live})
+    return variances
 
 
 def stan_estimates(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, seed=0):
@@ -107,7 +112,8 @@ def stan_estimates(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
 
     Each point estimate averages predicted outcome contrasts over all n
     rows.  Pass bootstrap_reps=0 to skip inference; the variances are then
-    NaN and the confidence intervals absent.  Returns {pair: EffectEstimate}.
+    NaN and the confidence intervals absent, as they are for a pair with a
+    1-row arm.  Returns {pair: EffectEstimate}.
     """
     pairs = [(int(p[0]), int(p[1])) for p in pairs]
     variances = stan_bootstrap(data, out, pairs, bootstrap_reps, seed)

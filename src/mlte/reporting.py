@@ -6,8 +6,9 @@ Full float precision goes to CSV and JSON (shortest round-trip repr);
 the plain-text renderer rounds to three decimals for reading.
 
 Two-sided Wald p-values come from ``scipy.special.ndtr``, the compiled
-normal tail that ``scipy.stats.norm.sf`` itself calls, so importing this
-module does not pay for importing ``scipy.stats``.
+normal tail that ``scipy.stats.norm.sf`` itself calls.  It is imported at
+the first p-value, so importing this module loads no scipy, and
+``scipy.stats`` is never loaded.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .simengine import ScenarioReport
 
@@ -76,6 +76,8 @@ def _wald_p(tau: float, se: float) -> float:
         return float("nan")
     if se == 0.0:
         return 1.0 if tau == 0.0 else 0.0
+    from scipy.special import ndtr  # deferred: scipy.special costs ~0.3 s to import
+
     return float(2.0 * ndtr(-abs(tau) / se))
 
 

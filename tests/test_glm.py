@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from mlte import glm
 from mlte.glm import (
     fit_logistic,
     fit_multinomial,
@@ -18,6 +20,51 @@ def design_and_response(n=300, q=4, seed=1):
     D = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
     beta = rng.normal(size=q)
     return rng, D, beta
+
+
+# ---------------------------------------------------------------------------
+# link functions: numpy versions of scipy.special.expit and logit
+
+_TINY = np.finfo(float).tiny
+
+
+def test_expit_matches_scipy_within_4_ulp_without_warning():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        rng.normal(scale=5.0, size=100_000),
+        rng.uniform(-745.0, 745.0, size=100_000),
+        [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf],
+    ])
+    with np.errstate(all="raise"):
+        ours = glm.expit(x)
+    ref = scipy.special.expit(x)
+    # scipy computes 1/(1+exp(-x)), which flushes to 0 once exp(-x)
+    # overflows (x < -709.78); there the numpy version keeps the subnormal
+    # exp(x), so compare subnormal results absolutely
+    normal = ref >= _TINY
+    assert normal.sum() > 190_000
+    np.testing.assert_array_max_ulp(ours[normal], ref[normal], maxulp=4)
+    np.testing.assert_allclose(ours[~normal], ref[~normal], rtol=0, atol=_TINY)
+    assert ours[x == np.inf].tolist() == [1.0] and ours[x == -np.inf].tolist() == [0.0]
+
+
+def test_logit_matches_scipy_within_4_ulp_without_warning():
+    rng = np.random.default_rng(12)
+    p = np.concatenate([
+        rng.uniform(1e-12, 1 - 1e-12, size=100_000),
+        np.geomspace(1e-12, 0.5, 10_000),
+        1 - np.geomspace(1e-12, 0.5, 10_000),
+        np.nextafter([0.3, 0.3, 0.65, 0.65], [0.0, 1.0, 0.0, 1.0]),
+        [1e-12, 1 - 1e-12, 0.3, 0.5, 0.65],
+    ])
+    with np.errstate(all="raise"):
+        ours = glm.logit(p)
+    np.testing.assert_array_max_ulp(ours, scipy.special.logit(p), maxulp=4)
+
+
+def test_logit_inverts_expit():
+    p = np.linspace(0.01, 0.99, 99)
+    np.testing.assert_allclose(glm.expit(glm.logit(p)), p, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fitstubs import StubOutcomeFit
+from mlte import learners
 from mlte.learners import fit_outcome, fit_propensity
 from mlte.outcome_methods import (
     _bootstrap_resample,
@@ -88,11 +89,22 @@ def test_stan_without_bootstrap_has_nan_inference():
     assert np.isnan(est.ci95[0])
 
 
-def test_stan_single_bootstrap_rep_cannot_form_variance():
-    data = scenario_data(n=120)
-    out = fit_outcome(data, "mainterms")
-    var = stan_bootstrap(data, out, [(2, 1)], bootstrap_reps=1, seed=5)
-    assert np.isnan(var[(2, 1)])
+def test_stan_single_bootstrap_rep_cannot_form_variance(monkeypatch):
+    # one draw gives no variance, so none is drawn: fit_outcome runs only for
+    # the point fit
+    calls = []
+    real = learners.fit_outcome
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(learners, "fit_outcome", counting)
+    data = scenario_data(n=200)
+    out = learners.fit_outcome(data, "ml", seed=1)
+    est = stan_estimates(data, out, [(2, 1), (3, 1)], bootstrap_reps=1, seed=5)
+    assert calls == ["ml"]
+    assert all(np.isnan(e.variance) and np.isnan(e.ci95).all() for e in est.values())
 
 
 def test_stan_bootstrap_seed_determinism():
@@ -140,7 +152,8 @@ def test_ml_stan_with_a_three_row_arm_gives_finite_estimates():
 
 
 def test_mainterms_stan_with_a_one_row_arm_gives_finite_estimates():
-    # the 2-row floor must not make every resample of a 1-row arm a redraw
+    # every resample keeps a 1-row arm's only row, so its draws understate
+    # the variance: that pair gets no variance, the other keeps its bootstrap
     rng = np.random.default_rng(4)
     n = 200
     X = rng.normal(size=(n, 2))
@@ -148,7 +161,11 @@ def test_mainterms_stan_with_a_one_row_arm_gives_finite_estimates():
     data = Dataset.from_arrays(X, t, X[:, 0] + t + rng.normal(size=n))
     out = fit_outcome(data, "mainterms")
     est = stan_estimates(data, out, [(3, 1), (2, 1)], bootstrap_reps=50, seed=0)
-    assert all(np.isfinite([e.tau_hat, e.variance]).all() for e in est.values())
+    assert all(np.isfinite(e.tau_hat) for e in est.values())
+    assert np.isfinite(est[(2, 1)].variance) and est[(2, 1)].variance > 0
+    assert np.isnan(est[(3, 1)].variance) and np.isnan(est[(3, 1)].ci95).all()
+    alone = stan_bootstrap(data, out, [(2, 1)], bootstrap_reps=50, seed=0)
+    assert est[(2, 1)].variance == alone[(2, 1)]
 
 
 def test_bootstrap_resample_gives_up_eventually():
