@@ -179,13 +179,19 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_dataset(cfg: RunConfig):
+    """The --data file as a Dataset; estimate and diagnose then reject the
+    `correct` regime (plasmode's config rejects it with its own message)."""
     if cfg.data is None:
         raise ValueError(f"{cfg.command} requires --data")
     if cfg.data.endswith(".json"):
-        return load_json(cfg.data)
-    if cfg.treatment is None or cfg.outcome is None or not cfg.covariates:
+        data = load_json(cfg.data)
+    elif cfg.treatment is None or cfg.outcome is None or not cfg.covariates:
         raise ValueError("csv input requires --treatment, --outcome and --covariates")
-    return load_csv(cfg.data, cfg.treatment, cfg.outcome, list(cfg.covariates))
+    else:
+        data = load_csv(cfg.data, cfg.treatment, cfg.outcome, list(cfg.covariates))
+    if cfg.regime == "correct" and cfg.command in ("estimate", "diagnose"):
+        raise ValueError("the 'correct' regime only exists inside the simulation engine")
+    return data
 
 
 def _provenance_header(cfg: RunConfig) -> str:
@@ -209,8 +215,6 @@ def _warn(message: str) -> None:
 
 def cmd_estimate(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
-    if cfg.regime == "correct":
-        raise ValueError("the 'correct' regime only exists inside the simulation engine")
     methods = [m for m in METHODS if m in cfg.methods]
     pairs = [tuple(p) for p in ContrastSet.all_pairs(data.k).pairs]
     # one dataset is replication 0 of its seed's substreams
@@ -314,8 +318,6 @@ _DIAGNOSE_COLUMNS = (
 
 def cmd_diagnose(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
-    if cfg.regime == "correct":
-        raise ValueError("the 'correct' regime only exists inside the simulation engine")
     prop = fit_propensity(data, cfg.regime)
     rows = []
     for lev in range(1, data.k + 1):

@@ -4,7 +4,9 @@ Three fitters cover every model the estimators need: ordinary least squares
 for continuous outcomes, binary logistic regression via damped Newton (with
 optional observation weights, offset, and fractional responses, as required
 by the targeting step of the TMLE estimator), and multinomial logistic
-regression via damped Newton for the treatment model.  No model-selection or
+regression via damped Newton for the treatment model.  The two Newton
+fitters share one driver (`_damped_newton`) and supply only their
+log-likelihood, gradient and negated Hessian.  No model-selection or
 inference machinery lives here; callers get coefficients and predictions.
 
 The logistic link and its inverse (`logit`, `expit`) are numpy versions of
@@ -130,6 +132,33 @@ def fit_ols(design, y):
     return LinearFit(coefficients=coef)
 
 
+def _damped_newton(X, theta, loglik, derivatives, max_iter):
+    """Maximize a log-likelihood by Newton steps with step-halving.
+
+    `loglik(theta)` returns (log-likelihood, fitted state) and
+    `derivatives(state)` the flat gradient and the negated Hessian there.
+    Converged at gradient max-norm < 1e-8; each step is halved, up to 30
+    times, until the log-likelihood does not drop.  `X` (the design) sets
+    the scale of the ridge `_solve_psd` falls back on.  Returns (theta,
+    converged, iterations).
+    """
+    scale = max(np.trace(X.T @ X) / X.shape[1], 1.0)
+    ll, state = loglik(theta)
+    for it in range(1, max_iter + 1):
+        grad, neg_hess = derivatives(state)
+        if np.max(np.abs(grad)) < _GRAD_TOL:
+            return theta, True, it - 1
+        step = _solve_psd(neg_hess, grad, scale).reshape(theta.shape)
+        factor = 1.0
+        for _ in range(30):
+            if loglik(theta + factor * step)[0] >= ll - 1e-12:
+                break
+            factor *= 0.5
+        theta = theta + factor * step
+        ll, state = loglik(theta)
+    return theta, False, max_iter
+
+
 def fit_logistic(design, y, weights=None, offset=None):
     """Binary logistic regression by damped Newton iteration.
 
@@ -148,38 +177,15 @@ def fit_logistic(design, y, weights=None, offset=None):
         raise ValueError("negative observation weight")
     o = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
 
-    def quasi_loglik(p):
-        eps = 1e-12
-        p = np.clip(p, eps, 1 - eps)
-        return float(np.sum(w * (y * np.log(p) + (1 - y) * np.log1p(-p))))
-
-    beta = np.zeros(q)
-    p = expit(o)
-    ll = quasi_loglik(p)
-    converged = False
-    it = 0
-    scale = max(np.trace(X.T @ X) / q, 1.0)
-    for it in range(1, _MAX_ITER_LOGISTIC + 1):
-        grad = X.T @ (w * (y - p))
-        if np.max(np.abs(grad)) < _GRAD_TOL:
-            converged = True
-            it -= 1
-            break
-        wt = w * p * (1 - p)
-        H = X.T @ (X * wt[:, None])
-        step = _solve_psd(H, grad, scale)
-        # step-halving keeps the quasi-likelihood monotone
-        factor = 1.0
-        for _ in range(30):
-            cand = beta + factor * step
-            p_cand = expit(o + X @ cand)
-            ll_cand = quasi_loglik(p_cand)
-            if ll_cand >= ll - 1e-12:
-                break
-            factor *= 0.5
-        beta = beta + factor * step
+    def quasi_loglik(beta):
         p = expit(o + X @ beta)
-        ll = quasi_loglik(p)
+        pc = np.clip(p, 1e-12, 1 - 1e-12)
+        return float(np.sum(w * (y * np.log(pc) + (1 - y) * np.log1p(-pc)))), p
+
+    def derivatives(p):
+        return X.T @ (w * (y - p)), X.T @ (X * (w * p * (1 - p))[:, None])
+
+    beta, converged, it = _damped_newton(X, np.zeros(q), quasi_loglik, derivatives, _MAX_ITER_LOGISTIC)
     # under complete separation the gradient can underflow to zero while the
     # coefficients run off; flag on magnitude, not on convergence failure
     separation = bool(np.max(np.abs(beta)) > _SEPARATION_BOUND)
@@ -210,42 +216,24 @@ def fit_multinomial(design, t, k):
     Yind = np.zeros((n, k))
     Yind[np.arange(n), t - 1] = 1.0
 
-    B = np.zeros((k - 1, q))
-    scale = max(np.trace(X.T @ X) / q, 1.0)
-
-    def loglik(Bcur):
-        eta = np.column_stack([np.zeros(n), X @ Bcur.T])
-        P = _softmax_rows(eta)
+    def loglik(B):
+        P = _softmax_rows(np.column_stack([np.zeros(n), X @ B.T]))
         return float(np.sum(Yind * np.log(np.clip(P, 1e-300, None)))), P
 
-    ll, P = loglik(B)
-    converged = False
-    iters = 0
-    for iters in range(1, _MAX_ITER_MULTINOMIAL + 1):
-        G = X.T @ (Yind[:, 1:] - P[:, 1:])  # (q, k-1)
-        grad = G.T.reshape(-1)
-        if np.max(np.abs(grad)) < _GRAD_TOL:
-            converged = True
-            iters -= 1
-            break
-        H = np.zeros(((k - 1) * q, (k - 1) * q))
+    def derivatives(P):
+        grad = (X.T @ (Yind[:, 1:] - P[:, 1:])).T.reshape(-1)
+        neg_hess = np.empty(((k - 1) * q, (k - 1) * q))
         for a in range(k - 1):
-            pa = P[:, a + 1]
             for b in range(a, k - 1):
-                wab = pa * ((1.0 if a == b else 0.0) - P[:, b + 1])
-                block = -X.T @ (X * wab[:, None])
-                H[a * q:(a + 1) * q, b * q:(b + 1) * q] = block
-                if b != a:
-                    H[b * q:(b + 1) * q, a * q:(a + 1) * q] = block
-        step = _solve_psd(-H, grad, scale).reshape(k - 1, q)
-        factor = 1.0
-        for _ in range(30):
-            ll_cand, P_cand = loglik(B + factor * step)
-            if ll_cand >= ll - 1e-12:
-                break
-            factor *= 0.5
-        B = B + factor * step
-        ll, P = loglik(B)
+                wab = P[:, a + 1] * ((1.0 if a == b else 0.0) - P[:, b + 1])
+                block = X.T @ (X * wab[:, None])
+                neg_hess[a * q:(a + 1) * q, b * q:(b + 1) * q] = block
+                neg_hess[b * q:(b + 1) * q, a * q:(a + 1) * q] = block
+        return grad, neg_hess
+
+    B, converged, iters = _damped_newton(
+        X, np.zeros((k - 1, q)), loglik, derivatives, _MAX_ITER_MULTINOMIAL
+    )
     return MultinomialFit(coefficients=B, converged=converged, iterations=iters, k=k)
 
 

@@ -25,7 +25,8 @@ The ml treatment model searches a natural-spline basis (spline mains for
 continuous covariates, mains for binary ones, and spline-by-binary
 interactions) by forward stepwise group selection under BIC, in the spirit
 of adaptive polychotomous spline regression.  Every group is a design term,
-so the chosen model is an ordinary bound design.  A covariate with too few
+so the chosen model is an ordinary bound design, and the search hands over
+its own fit of that design.  A covariate with too few
 distinct values for the spline's knots enters as a main term only, in both
 models.
 """
@@ -185,6 +186,16 @@ def _additive_spline_spec(data: Dataset, with_dummies):
     return DesignSpec(tuple(terms), includes_treatment_dummies=with_dummies)
 
 
+def _parametric_spec(data: Dataset, regime, truth_spec, with_dummies):
+    """The design of a parametric regime: the caller's `truth_spec` under
+    `correct`, intercept plus covariate mains under `mainterms`."""
+    if regime == "mainterms":
+        return _mainterms_spec(data, with_dummies)
+    if truth_spec is None:
+        raise ValueError("correct regime requires truth_spec")
+    return DesignSpec(truth_spec.terms, includes_treatment_dummies=with_dummies)
+
+
 def _fit_glm(D, data: Dataset):
     """GLM of `data`'s outcome on design D (rows aligned with `data`)."""
     if data.outcome_kind == "binary":
@@ -310,13 +321,7 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
         desc = f"super learner ({len(candidates)} candidates, {_SL_FOLDS}-fold cv, weights {wtxt})"
         return OutcomeFit("ml", data.outcome_kind, data.k, desc, sl.components, super_learner=sl)
 
-    if regime == "correct":
-        if truth_spec is None:
-            raise ValueError("correct regime requires truth_spec")
-        spec = DesignSpec(truth_spec.terms, includes_treatment_dummies=True)
-    else:
-        spec = _mainterms_spec(data, with_dummies=True)
-    bound = bind_design(data, spec)
+    bound = bind_design(data, _parametric_spec(data, regime, truth_spec, with_dummies=True))
     glm = "logistic" if data.outcome_kind == "binary" else "ols"
     desc = f"{glm} regression, {regime} design ({bound.n_columns} columns)"
     components = ((1.0, bound, _fit_glm(bound.matrix(data.X, data.t), data)),)
@@ -325,12 +330,6 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
 
 # ---------------------------------------------------------------------------
 # propensity fitting
-
-
-def _propensity_from_design(data: Dataset, bound: BoundDesign, regime, desc):
-    D = bound.matrix(data.X)
-    mfit = fit_multinomial(D, data.t, data.k)
-    return PropensityFit(regime, data.k, predict_probs(mfit, D), desc, bound, mfit)
 
 
 def _stepwise_groups(data: Dataset):
@@ -373,8 +372,9 @@ def _stepwise_multinomial(data: Dataset):
     is (k-1) per design column.  Weak treatment-covariate signal therefore
     yields a deliberately sparse model, mirroring how adaptive spline
     classifiers behave under light confounding.  Each group's columns are
-    expanded once.  Returns the candidate groups (see _stepwise_groups) and
-    the chosen group names in selection order.
+    expanded once.  Returns the candidate groups (see _stepwise_groups), the
+    chosen group names in selection order, and the multinomial fit and the
+    fitted probabilities of the chosen design.
     """
     n, k = data.n, data.k
     groups = _stepwise_groups(data)
@@ -382,28 +382,31 @@ def _stepwise_multinomial(data: Dataset):
     columns = dict(zip(groups, bind_design(data, all_terms).blocks(data.X)))
     logn = np.log(n)
 
-    def bic_of(D):
-        P = predict_probs(fit_multinomial(D, data.t, k), D)
+    def scored_fit(D):
+        """(BIC, fit, probabilities) of the multinomial model on design D."""
+        mfit = fit_multinomial(D, data.t, k)
+        P = predict_probs(mfit, D)
         ll = float(np.log(P[np.arange(n), data.t - 1]).sum())
-        return -2.0 * ll + (k - 1) * D.shape[1] * logn
+        return -2.0 * ll + (k - 1) * D.shape[1] * logn, mfit, P
 
     D = np.ones((n, 1))
     chosen = []
-    bic = bic_of(D)
+    model = scored_fit(D)
     while True:
         best = None
         for name, (_, needs) in groups.items():
             if name in chosen or not needs.issubset(chosen):
                 continue
             D_try = np.column_stack([D, columns[name]])
-            bic_try = bic_of(D_try)
-            if bic_try < bic - 1e-9 and (best is None or bic_try < best[0]):
-                best = (bic_try, name, D_try)
+            trial = scored_fit(D_try)
+            if trial[0] < model[0] - 1e-9 and (best is None or trial[0] < best[0][0]):
+                best = (trial, name, D_try)
         if best is None:
             break
-        bic, picked, D = best
+        model, picked, D = best
         chosen.append(picked)
-    return groups, tuple(chosen)
+    _, mfit, P = model
+    return groups, tuple(chosen), mfit, P
 
 
 def fit_propensity(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None):
@@ -411,26 +414,20 @@ def fit_propensity(data: Dataset, regime, truth_spec: Optional[DesignSpec] = Non
 
     correct    multinomial GLM on the caller-supplied `truth_spec`,
     mainterms  multinomial GLM on intercept + covariate mains,
-    ml         forward-BIC spline multinomial (see _stepwise_multinomial).
+    ml         forward-BIC spline multinomial (see _stepwise_multinomial);
+               the search's own fit of the chosen design is kept, and the
+               design is bound only so that `predict_matrix` can expand it.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if regime == "correct":
-        if truth_spec is None:
-            raise ValueError("correct regime requires truth_spec")
-        spec = DesignSpec(truth_spec.terms, includes_treatment_dummies=False)
-        bound = bind_design(data, spec)
-        return _propensity_from_design(
-            data, bound, regime, f"multinomial GLM, supplied design ({bound.n_columns} columns)"
-        )
-    if regime == "mainterms":
-        spec = _mainterms_spec(data, with_dummies=False)
-        bound = bind_design(data, spec)
-        return _propensity_from_design(
-            data, bound, regime, f"multinomial GLM, main terms ({bound.n_columns} columns)"
-        )
-
-    groups, chosen = _stepwise_multinomial(data)
-    bound = bind_design(data, DesignSpec((intercept(),) + tuple(groups[name][0] for name in chosen)))
-    desc = f"stepwise spline multinomial (BIC, {len(chosen)} groups: {', '.join(chosen) or 'intercept only'})"
-    return _propensity_from_design(data, bound, "ml", desc)
+    if regime == "ml":
+        groups, chosen, mfit, probs = _stepwise_multinomial(data)
+        bound = bind_design(data, DesignSpec((intercept(),) + tuple(groups[name][0] for name in chosen)))
+        desc = f"stepwise spline multinomial (BIC, {len(chosen)} groups: {', '.join(chosen) or 'intercept only'})"
+        return PropensityFit("ml", data.k, probs, desc, bound, mfit)
+    bound = bind_design(data, _parametric_spec(data, regime, truth_spec, with_dummies=False))
+    D = bound.matrix(data.X)
+    mfit = fit_multinomial(D, data.t, data.k)
+    design = "supplied design" if regime == "correct" else "main terms"
+    desc = f"multinomial GLM, {design} ({bound.n_columns} columns)"
+    return PropensityFit(regime, data.k, predict_probs(mfit, D), desc, bound, mfit)

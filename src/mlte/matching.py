@@ -124,10 +124,6 @@ def build_matches(data: Dataset, m: int = 1, metric: str = "euclidean-standardiz
     return MatchSets(match_indices=match_indices, usage_counts=usage_counts, nn_same=nn_same, m=m)
 
 
-def _imputed_mean(data: Dataset, ms: MatchSets, level: int) -> np.ndarray:
-    return data.y[ms.match_indices[:, level - 1, :]].mean(axis=1)
-
-
 def _match_variance(data: Dataset, ms: MatchSets, pair, diff: np.ndarray, tau: float) -> float:
     t1, t0 = pair
     n, m = data.n, ms.m
@@ -138,25 +134,29 @@ def _match_variance(data: Dataset, ms: MatchSets, pair, diff: np.ndarray, tau: f
     return float(((diff - tau) ** 2).sum() / n**2 + reuse[rel].sum() / n**2)
 
 
-def estimate_match(data: Dataset, ms: MatchSets, pair) -> EffectEstimate:
-    """Matching estimator: difference of imputed potential-outcome means."""
+def _matched_estimate(data: Dataset, ms: MatchSets, pair, method, out: OutcomeFit = None):
+    """Contrast of imputed potential-outcome means: each row's donor-outcome
+    mean, shifted by `out`'s prediction gap between row and donors if given."""
     t1, t0 = int(pair[0]), int(pair[1])
-    diff = _imputed_mean(data, ms, t1) - _imputed_mean(data, ms, t0)
+    imputed = {}
+    for lev in (t1, t0):
+        idx = ms.match_indices[:, lev - 1, :]
+        imputed[lev] = data.y[idx].mean(axis=1)
+        if out is not None:
+            mh = out.predict(lev, data.X)
+            imputed[lev] = imputed[lev] + mh - mh[idx].mean(axis=1)
+    diff = imputed[t1] - imputed[t0]
     tau = float(diff.mean())
     var = _match_variance(data, ms, (t1, t0), diff, tau)
-    return make_estimate((t1, t0), tau, var, "population", "match", data.n)
+    return make_estimate((t1, t0), tau, var, "population", method, data.n)
+
+
+def estimate_match(data: Dataset, ms: MatchSets, pair) -> EffectEstimate:
+    """Matching estimator: difference of imputed potential-outcome means."""
+    return _matched_estimate(data, ms, pair, "match")
 
 
 def estimate_bcm(data: Dataset, ms: MatchSets, out: OutcomeFit, pair) -> EffectEstimate:
     """Bias-corrected matching: donor outcomes shifted by the outcome-model
     prediction gap between the matched unit and its donor before averaging."""
-    t1, t0 = int(pair[0]), int(pair[1])
-    diffs = {}
-    for lev in (t1, t0):
-        mh = out.predict(lev, data.X)
-        idx = ms.match_indices[:, lev - 1, :]
-        diffs[lev] = data.y[idx].mean(axis=1) + mh - mh[idx].mean(axis=1)
-    diff = diffs[t1] - diffs[t0]
-    tau = float(diff.mean())
-    var = _match_variance(data, ms, (t1, t0), diff, tau)
-    return make_estimate((t1, t0), tau, var, "population", "bcm", data.n)
+    return _matched_estimate(data, ms, pair, "bcm", out)

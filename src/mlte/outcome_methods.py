@@ -20,7 +20,7 @@ import numpy as np
 from .glm import expit, fit_logistic, logit
 from .learners import OutcomeFit, PropensityFit
 from .tabular import Dataset
-from .weighting import EffectEstimate, make_estimate
+from .weighting import EffectEstimate, _arms_support_variance, make_estimate
 
 __all__ = [
     "TmleFluctuation",
@@ -35,18 +35,16 @@ _BOOTSTRAP_REDRAW_LIMIT = 10
 
 
 def estimate_crude(data: Dataset, pair) -> EffectEstimate:
-    """Unadjusted difference of group means with the two-sample variance."""
+    """Unadjusted difference of group means with the two-sample variance
+    (NaN for a pair with a 1-row arm)."""
     t1, t0 = int(pair[0]), int(pair[1])
     y1 = data.y[data.t == t1]
     y0 = data.y[data.t == t0]
     if len(y1) == 0 or len(y0) == 0:
         raise ValueError(f"empty arm in pair {pair}")
     tau = y1.mean() - y0.mean()
-    var = 0.0
-    if len(y1) > 1:
-        var += y1.var(ddof=1) / len(y1)
-    if len(y0) > 1:
-        var += y0.var(ddof=1) / len(y0)
+    supported = _arms_support_variance(data.t, pair)
+    var = y1.var(ddof=1) / len(y1) + y0.var(ddof=1) / len(y0) if supported else np.nan
     return make_estimate((t1, t0), tau, var, "population", "crude", len(y1) + len(y0))
 
 
@@ -91,8 +89,7 @@ def stan_bootstrap(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
     """
     pairs = [tuple(p) for p in pairs]
     variances = {p: float("nan") for p in pairs}
-    counts = np.bincount(data.t, minlength=data.k + 1)
-    live = [p for p in pairs if counts[list(p)].min() >= 2]
+    live = [p for p in pairs if _arms_support_variance(data.t, p)]
     if bootstrap_reps < 2 or not live:
         return variances
     draws = {p: np.empty(bootstrap_reps) for p in live}
@@ -199,5 +196,5 @@ def estimate_tmle(data: Dataset, out: OutcomeFit, prop: PropensityFit, pair) -> 
         - (q1_0 * span + a)
         - tau
     )
-    var = float(D.var(ddof=1) / data.n)
+    var = float(D.var(ddof=1) / data.n) if _arms_support_variance(data.t, pair) else np.nan
     return make_estimate((t1, t0), tau, var, "population", "tmle", data.n)

@@ -12,7 +12,8 @@ the same effect for the population and the overlap population alike.
 The plasmode harness resamples rows of a real dataset, regenerates the
 treatment from a fitted assignment model and a binary outcome from a
 fitted outcome model, so the true effects are known functionals of the
-generator fits.
+generator fits.  Scenario data and the Monte Carlo oracle share one
+covariate draw, scenario and plasmode data one treatment-level draw.
 
 Replications draw from per-replication RNG substreams spawned off the
 master seed with a purpose tag, so results are bit-identical regardless
@@ -48,7 +49,7 @@ from .tabular import (
     main,
     square,
 )
-from .weighting import compute_overlap_weights, estimate_aow, estimate_ipw, estimate_ow
+from .weighting import _overlap_tilt, compute_overlap_weights, estimate_aow, estimate_ipw, estimate_ow
 
 __all__ = [
     "METHOD_TABLE",
@@ -228,18 +229,26 @@ def outcome_mean(gamma, lam, X, t) -> np.ndarray:
     return base + lam[0] * (t == 2) + lam[1] * (t == 3)
 
 
-def simulate_dataset(cfg: ScenarioConfig, rep_index: int) -> Dataset:
-    """Generate one replication's dataset from its own RNG substream."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_DATA, rep_index)))
-    n = cfg.n
+def _draw_covariates(rng, n) -> np.ndarray:
+    """n rows of (x1, x2, x3) from the generating distribution."""
     x1 = rng.normal(0.0, 1.0, n)
     x2 = rng.normal(2.0 * x1, 1.0)
     x3 = (rng.random(n) < 0.4).astype(float)
-    X = np.column_stack([x1, x2, x3])
-    probs = treatment_probabilities(cfg.beta, X)
-    u = rng.random(n)
-    cum = probs.cumsum(axis=1)
-    t = 1 + (u > cum[:, 0]).astype(np.int64) + (u > cum[:, 1])
+    return np.column_stack([x1, x2, x3])
+
+
+def _draw_levels(rng, probs) -> np.ndarray:
+    """One level in 1..k per row of the (n, k) probability matrix `probs`,
+    a uniform draw inverted through the row's cumulative probabilities."""
+    u = rng.random(len(probs))
+    return 1 + (u[:, None] > probs.cumsum(axis=1)[:, :-1]).sum(axis=1)
+
+
+def simulate_dataset(cfg: ScenarioConfig, rep_index: int) -> Dataset:
+    """Generate one replication's dataset from its own RNG substream."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_DATA, rep_index)))
+    X = _draw_covariates(rng, cfg.n)
+    t = _draw_levels(rng, treatment_probabilities(cfg.beta, X))
     y = rng.normal(outcome_mean(cfg.gamma, cfg.lam, X, t), 1.0)
     return Dataset.from_arrays(
         X, t, y, columns=("x1", "x2", "x3"), outcome_kind="continuous"
@@ -278,16 +287,12 @@ def oracle_truth_mc(
     prob_fn yields the estimand that overlap-weight estimators target
     under that model.  Returns {pair: truth}.
     """
-    rng = np.random.default_rng(seed)
-    x1 = rng.normal(0.0, 1.0, draws)
-    x2 = rng.normal(2.0 * x1, 1.0)
-    x3 = (rng.random(draws) < 0.4).astype(float)
-    X = np.column_stack([x1, x2, x3])
+    X = _draw_covariates(np.random.default_rng(seed), draws)
     if weighting == "population":
         w = np.ones(draws)
     elif weighting == "overlap":
         probs = treatment_probabilities(cfg.beta, X) if prob_fn is None else prob_fn(X)
-        w = 1.0 / (1.0 / probs).sum(axis=1)
+        w = _overlap_tilt(probs)
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
     wsum = w.sum()
@@ -581,8 +586,7 @@ def _plasmode_truths(cfg: PlasmodeConfig, pairs):
         lev: cfg.generator_outcome.predict(lev, cfg.source.X)
         for lev in range(1, cfg.source.k + 1)
     }
-    probs = cfg.generator_treatment.probs
-    h = 1.0 / (1.0 / probs).sum(axis=1)
+    h = _overlap_tilt(cfg.generator_treatment.probs)
     truths = {}
     for pair in pairs:
         t1, t0 = pair
@@ -602,10 +606,7 @@ def _plasmode_rep(args):
     for _ in range(10):
         rows = rng.integers(0, cfg.source.n, size)
         X = cfg.source.X[rows]
-        probs = cfg.generator_treatment.predict_matrix(X)
-        cum = probs.cumsum(axis=1)
-        u = rng.random(size)
-        t = 1 + (u[:, None] > cum[:, :-1]).sum(axis=1)
+        t = _draw_levels(rng, cfg.generator_treatment.predict_matrix(X))
         if len(np.unique(t)) != cfg.source.k:
             continue
         mu_all = cfg.generator_outcome.predict_matrix(X)

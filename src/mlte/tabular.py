@@ -298,7 +298,8 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
     """Read an RFC-4180 CSV (header row required) into a Dataset.
 
     Treatment labels are recoded to 1..k in sorted order and the original
-    labels retained.  Binary outcomes are detected from the values.
+    labels retained.  Binary outcomes are detected from the values.  A cell
+    that parses to a non-finite value is rejected by the Dataset checks.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -317,13 +318,7 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
             )
     if not x_rows:
         raise ValueError(f"{path}: no data rows")
-    X = np.asarray(x_rows, dtype=float)
-    y = np.asarray(y_raw, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite covariate")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite outcome")
-    return Dataset.from_arrays(X, t_raw, y, columns=tuple(covariate_cols))
+    return Dataset.from_arrays(x_rows, t_raw, y_raw, columns=tuple(covariate_cols))
 
 
 def _parse_cell(text, col, lineno):

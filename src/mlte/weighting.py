@@ -10,7 +10,9 @@ augmented version adds an outcome-regression correction and is consistent
 when either the treatment or the outcome model is correct.
 
 All three report influence-function variances that treat the fitted
-probabilities as known.
+probabilities as known, and NaN variance (no interval) to a pair with an
+arm of fewer than 2 rows.  The simulation engine's overlap truths use the
+same tilt h (`_overlap_tilt`).
 """
 
 from __future__ import annotations
@@ -70,6 +72,12 @@ class EffectEstimate:
         return bool(lo <= truth <= hi)
 
 
+def _arms_support_variance(t, pair):
+    """Whether both arms of `pair` hold at least 2 rows of treatment codes
+    `t`: no variance formula sees the noise of a 1-row arm's one outcome."""
+    return min(np.count_nonzero(t == int(level)) for level in pair) >= 2
+
+
 def make_estimate(pair, tau, variance, estimand, method, n_used):
     tau = float(tau)
     variance = float(variance)
@@ -122,9 +130,14 @@ def compute_overlap_weights(prop: PropensityFit, t_obs) -> OverlapWeights:
     P = prop.probs
     if P.shape[0] != len(t_obs):
         raise ValueError("propensity rows do not match observations")
-    h = 1.0 / (1.0 / P).sum(axis=1)
+    h = _overlap_tilt(P)
     w = h / P[np.arange(len(t_obs)), t_obs - 1]
     return OverlapWeights(h=h, w=w)
+
+
+def _overlap_tilt(P):
+    """h = [sum_l 1/P_l]^-1 of each row of the probability matrix P."""
+    return 1.0 / (1.0 / P).sum(axis=1)
 
 
 def _check_pair(pair, k):
@@ -147,8 +160,22 @@ def estimate_ipw(data: Dataset, prop: PropensityFit, pair) -> EffectEstimate:
     sign = (data.t == t1).astype(float) - (data.t == t0).astype(float)
     psi = sign * data.y / p_fact
     tau = psi.mean()
-    var = float(((psi - tau) ** 2).sum() / n**2)
+    var = float(((psi - tau) ** 2).sum() / n**2) if _arms_support_variance(data.t, pair) else np.nan
     return make_estimate((t1, t0), tau, var, "population", "ipw", n)
+
+
+def _overlap_arm_means(data: Dataset, ow: OverlapWeights, t1, t0):
+    """(i1, i0, s1, s0, tau1, tau0): row masks, weight totals and weighted
+    outcome means of arms t1 and t0; raises if an arm has no weight."""
+    i1 = data.t == t1
+    i0 = data.t == t0
+    s1 = ow.w[i1].sum()
+    s0 = ow.w[i0].sum()
+    if s1 <= 0 or s0 <= 0:
+        raise ValueError("a contrast arm has no effective weight")
+    tau1 = float((data.y[i1] * ow.w[i1]).sum() / s1)
+    tau0 = float((data.y[i0] * ow.w[i0]).sum() / s0)
+    return i1, i0, s1, s0, tau1, tau0
 
 
 def ow_influence(data: Dataset, ow: OverlapWeights, pair):
@@ -158,14 +185,7 @@ def ow_influence(data: Dataset, ow: OverlapWeights, pair):
     sum is identically zero because each arm is centered at its own
     weighted mean.  Returns (tau, D)."""
     t1, t0 = _check_pair(pair, data.k)
-    i1 = data.t == t1
-    i0 = data.t == t0
-    s1 = ow.w[i1].sum()
-    s0 = ow.w[i0].sum()
-    if s1 <= 0 or s0 <= 0:
-        raise ValueError("a contrast arm has no effective weight")
-    tau1 = float((data.y[i1] * ow.w[i1]).sum() / s1)
-    tau0 = float((data.y[i0] * ow.w[i0]).sum() / s0)
+    i1, i0, _, _, tau1, tau0 = _overlap_arm_means(data, ow, t1, t0)
     hbar = ow.h.mean()
     D = (i1 * (data.y - tau1) * ow.w - i0 * (data.y - tau0) * ow.w) / hbar
     return tau1 - tau0, D
@@ -177,10 +197,9 @@ def estimate_ow(data: Dataset, ow: OverlapWeights, pair) -> EffectEstimate:
     Targets the overlap population.  The variance is the empirical second
     moment of the influence contributions divided by n^2.
     """
-    t1, t0 = _check_pair(pair, data.k)
-    tau, D = ow_influence(data, ow, (t1, t0))
-    var = float((D**2).sum() / data.n**2)
-    return make_estimate((t1, t0), tau, var, "overlap", "ow", data.n)
+    tau, D = ow_influence(data, ow, pair)
+    var = float((D**2).sum() / data.n**2) if _arms_support_variance(data.t, pair) else np.nan
+    return make_estimate(pair, tau, var, "overlap", "ow", data.n)
 
 
 def aow_influence(
@@ -198,19 +217,12 @@ def aow_influence(
     Returns (tau, D).
     """
     t1, t0 = _check_pair(pair, data.k)
-    i1 = data.t == t1
-    i0 = data.t == t0
     m1 = out.predict(t1, data.X)
     m0 = out.predict(t0, data.X)
-    s1 = ow.w[i1].sum()
-    s0 = ow.w[i0].sum()
-    if s1 <= 0 or s0 <= 0:
-        raise ValueError("a contrast arm has no effective weight")
-    tau_ow = float(
-        (data.y[i1] * ow.w[i1]).sum() / s1 - (data.y[i0] * ow.w[i0]).sum() / s0
-    )
+    i1, i0, s1, s0, tau1, tau0 = _overlap_arm_means(data, ow, t1, t0)
     tau = (
-        tau_ow
+        tau1
+        - tau0
         + float((ow.h * (m1 - m0)).sum() / ow.h.sum())
         - float((m1[i1] * ow.w[i1]).sum() / s1)
         + float((m0[i0] * ow.w[i0]).sum() / s0)
@@ -240,7 +252,6 @@ def estimate_aow(
     specified.  The variance is the empirical second moment of the
     influence contributions divided by n^2.
     """
-    t1, t0 = _check_pair(pair, data.k)
-    tau, D = aow_influence(data, ow, out, prop, (t1, t0))
-    var = float((D**2).sum() / data.n**2)
-    return make_estimate((t1, t0), tau, var, "overlap", "aow", data.n)
+    tau, D = aow_influence(data, ow, out, prop, pair)
+    var = float((D**2).sum() / data.n**2) if _arms_support_variance(data.t, pair) else np.nan
+    return make_estimate(pair, tau, var, "overlap", "aow", data.n)

@@ -97,6 +97,27 @@ def test_estimate_rejects_correct_regime(demo_csv, capsys):
     assert "simulation engine" in capsys.readouterr().err
 
 
+def test_diagnose_rejects_correct_regime(demo_csv, capsys):
+    rc = run_cli(["diagnose", "--data", demo_csv, *DEMO_ARGS, "--regime", "correct"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the 'correct' regime only exists inside the simulation engine\n"
+    )
+
+
+@pytest.mark.parametrize("cell, message", ((2, "non-finite covariate"), (1, "non-finite outcome")))
+def test_estimate_rejects_a_nan_cell(demo_csv, tmp_path, capsys, cell, message):
+    lines = open(demo_csv).read().splitlines()
+    cells = lines[3].split(",")
+    cells[cell] = "nan"
+    lines[3] = ",".join(cells)
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = run_cli(["estimate", "--data", str(path), *DEMO_ARGS, "--methods", "crude"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_estimate_warns_when_estimands_mixed(demo_csv, capsys):
     rc = run_cli(
         ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude,ow", "--format", "csv"]

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -20,6 +21,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     for export in getattr(module, "__all__", ()):
         assert hasattr(module, export), f"{name}.__all__ lists missing {export!r}"
+
+
+def test_pyproject_reads_the_version_from_the_package():
+    # the version lives only in mlte/_version.py; setuptools reads it from there
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(mlte.__file__))))
+    with warnings.catch_warnings():  # [tool.setuptools] support is flagged as beta
+        warnings.simplefilter("ignore")
+        config = read_configuration(os.path.join(root, "pyproject.toml"))
+    assert config["project"]["version"] == mlte.__version__ == "0.1.0"
 
 
 def _scipy_modules_after(code):

@@ -23,7 +23,8 @@ from mlte.simengine import (
     truth_outcome_spec,
     truth_propensity_spec,
 )
-from mlte.glm import fit_ols
+import mlte.learners
+from mlte.glm import fit_multinomial, fit_ols
 from mlte.tabular import Dataset, bind_design, main, spline
 
 
@@ -179,6 +180,30 @@ def test_ml_propensity_stepwise_is_parsimonious_under_weak_assignment():
     assert "stepwise" in fit.description
     n_groups = int(fit.description.split("(")[1].split()[1])
     assert n_groups <= 4
+
+
+def test_ml_propensity_keeps_the_fit_of_its_stepwise_search(monkeypatch):
+    # one multinomial fit per BIC evaluation and none after the search: the
+    # chosen design's fit from the search is the propensity model
+    _, data = scenario_data("t+y+", n=600, seed=17)
+    fits = []
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return fit_multinomial(*args, **kwargs)
+
+    monkeypatch.setattr(mlte.learners, "fit_multinomial", counting)
+    fit = fit_propensity(data, "ml")
+    chosen = fit.description.split(": ")[1].rstrip(")").split(", ")
+    assert chosen and chosen != ["intercept only"]
+    groups = _stepwise_groups(data)
+    evaluations = 1 + sum(
+        sum(1 for name, (_, needs) in groups.items()
+            if name not in chosen[:r] and needs.issubset(chosen[:r]))
+        for r in range(len(chosen) + 1)
+    )
+    assert len(fits) == evaluations
+    np.testing.assert_array_equal(fit.probs, fit.predict_matrix(data.X))
 
 
 def test_ml_propensity_deterministic():

@@ -61,11 +61,14 @@ def test_crude_missing_level_raises():
         estimate_crude(data, (5, 1))
 
 
-def test_crude_single_row_arm_drops_its_variance_term():
+def test_crude_single_row_arm_gives_no_variance():
+    # dropping the 1-row arm's variance term understated the variance; the
+    # pair keeps its estimate but gets no variance and no interval
     X = np.zeros((4, 1))
     data = Dataset.from_arrays(X, [1, 2, 2, 2], [5.0, 1.0, 2.0, 3.0])
     est = estimate_crude(data, (2, 1))
-    assert est.variance == pytest.approx(np.var([1.0, 2.0, 3.0], ddof=1) / 3)
+    assert est.tau_hat == 2.0 - 5.0
+    assert np.isnan(est.variance) and np.isnan(est.ci95).all()
 
 
 # ---------------------------------------------------------------------------

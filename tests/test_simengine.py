@@ -294,6 +294,28 @@ def test_programming_errors_in_estimators_propagate(monkeypatch):
         apply_all(tiny_k3(n=30), regime="mainterms", methods=["crude", "ipw"])
 
 
+def test_every_method_gives_a_pair_with_a_one_row_arm_no_variance():
+    # arm 3 has a single row: its one noise draw enters every estimate, but
+    # no variance formula can see it, so (3, 1) gets NaN variance and no CI
+    # from every method, while (2, 1) keeps its variance; matching needs 2
+    # rows per arm and names the arm
+    rng = np.random.default_rng(4)
+    n = 200
+    X = rng.normal(size=(n, 2))
+    t = np.concatenate([np.tile([1, 2], (n - 1) // 2 + 1)[: n - 1], [3]])
+    data = Dataset.from_arrays(X, t, X[:, 0] + t + rng.normal(size=n))
+    results, failures = _apply_methods(
+        data, "mainterms", METHODS, [(3, 1), (2, 1)], seed=0, rep=0, bootstrap_reps=20, m=1
+    )
+    assert set(failures) == {"match", "bcm"}
+    assert all("level 3 has 1 rows" in msg for msg in failures.values())
+    for meth in ("crude", "stan", "ipw", "tmle", "ow", "aow"):
+        one_row, both = results[(meth, (3, 1))], results[(meth, (2, 1))]
+        assert np.isfinite(one_row.tau_hat), meth
+        assert np.isnan(one_row.variance) and np.isnan(one_row.ci95).all(), meth
+        assert np.isfinite(both.tau_hat) and np.isfinite(both.variance) and both.variance > 0, meth
+
+
 def test_method_table_rows_resolve():
     assert METHODS == tuple(METHOD_TABLE)
     for row in METHOD_TABLE.values():
