@@ -40,6 +40,7 @@ from .simengine import (
     SCENARIO_NAMES,
     ScenarioConfig,
     _apply_methods,
+    _check_plasmode_regime,
     make_plasmode_generators,
     run_plasmode,
     run_scenario,
@@ -180,7 +181,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 def _load_dataset(cfg: RunConfig):
     """The --data file as a Dataset; estimate and diagnose then reject the
-    `correct` regime (plasmode's config rejects it with its own message)."""
+    `correct` regime (plasmode rejects it with its own message)."""
     if cfg.data is None:
         raise ValueError(f"{cfg.command} requires --data")
     if cfg.data.endswith(".json"):
@@ -294,6 +295,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_plasmode(cfg: RunConfig) -> int:
     source = _load_dataset(cfg)
+    _check_plasmode_regime(cfg.regime)  # before the generator fits, which take seconds
     gen_out, gen_trt = make_plasmode_generators(source, seed=cfg.seed)
     pcfg = PlasmodeConfig(
         source=source,

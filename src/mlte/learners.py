@@ -15,7 +15,9 @@ so they pickle and can be shipped to worker processes.
 
 The ml outcome ensemble stacks three candidates (main terms; mains plus all
 pairwise interactions and squares; additive natural cubic splines) with
-non-negative-least-squares weights on 10-fold cross-validated predictions.
+non-negative-least-squares weights on 10-fold cross-validated predictions;
+the non-negative least squares is Lawson and Hanson's active-set method,
+written in numpy (`_nnls`).
 A candidate without spline knots is expanded once on the full data and its
 fold designs are row slices of that expansion, bit for bit what expanding
 each fold gives; the spline candidate is bound on each training fold,
@@ -232,6 +234,46 @@ def _cv_folds(data: Dataset, folds, seed):
     return fold_of
 
 
+def _nnls(A, b):
+    """argmin ||A x - b|| over x >= 0, by the active-set method of Lawson and
+    Hanson (Solving Least Squares Problems, 1974, ch. 23) on A'A and A'b.
+
+    The inactive columns are scanned in the order of Lawson and Hanson's
+    index array (an entering column swaps places with the first inactive
+    one, a leaving column goes to the front), and the first largest
+    gradient entry enters; so exactly equal columns get the weight in the
+    same column as ``scipy.optimize.nnls``.  Columns off the active set
+    have weight exactly 0.
+    """
+    AtA, Atb = A.T @ A, A.T @ b
+    n = len(Atb)
+    tol = 10 * np.finfo(float).eps * n * np.abs(AtA).sum(axis=0).max()
+    x, active, free = np.zeros(n), [], list(range(n))
+    for _ in range(3 * n):
+        w = Atb - AtA @ x
+        if not free or w[free].max() <= tol:
+            return x
+        pos = int(np.argmax(w[free]))
+        active.append(free[pos])
+        free[pos] = free[0]
+        del free[0]
+        while True:
+            s = np.zeros(n)
+            s[active] = np.linalg.solve(AtA[np.ix_(active, active)], Atb[active])
+            if s[active].min() > 0:
+                break
+            # step from x towards s until the first active weight reaches 0
+            alpha, first = min((x[j] / (x[j] - s[j]), j) for j in active if s[j] <= 0)
+            x += alpha * (s - x)
+            x[first] = 0.0
+            for j in [j for j in active if x[j] <= 0]:
+                active.remove(j)
+                free.insert(0, j)
+                x[j] = 0.0
+        x = s
+    raise RuntimeError("non-negative least squares did not converge")
+
+
 def fit_super_learner(data: Dataset, candidates, seed=0):
     """Stack candidate outcome designs by `_SL_FOLDS`-fold cross-validation.
 
@@ -248,8 +290,8 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     is exactly the per-fold expansion.  A candidate with knots is bound on
     each training fold.
 
-    ``nnls`` is imported here, not at module level, so that only ml outcome
-    fits pay for loading ``scipy.optimize``.
+    The non-negative least squares is `_nnls`, Lawson and Hanson's
+    active-set method in numpy.
     """
     n, folds = data.n, _SL_FOLDS
     if n < folds:
@@ -275,9 +317,7 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
             fit = _fit_glm(D_train, sub)
             cv_pred[test, c] = fit.predict_prob(D_test) if binary else fit.predict(D_test)
 
-    from scipy.optimize import nnls  # deferred: scipy.optimize costs ~0.25 s to import
-
-    weights, _ = nnls(cv_pred, data.y)
+    weights = _nnls(cv_pred, data.y)
     cv_risks = ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
     if weights.sum() <= 0:
         weights = np.zeros(len(candidates))

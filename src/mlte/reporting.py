@@ -5,16 +5,19 @@ bytes, so report files can be compared across runs and worker counts.
 Full float precision goes to CSV and JSON (shortest round-trip repr);
 the plain-text renderer rounds to three decimals for reading.
 
-Two-sided Wald p-values come from ``scipy.special.ndtr``, the compiled
-normal tail that ``scipy.stats.norm.sf`` itself calls.  It is imported at
-the first p-value, so importing this module loads no scipy, and
-``scipy.stats`` is never loaded.
+Two-sided Wald p-values come from ``math.erf`` and ``math.erfc`` with the
+branches of cephes' ``ndtr`` (the normal tail behind
+``scipy.stats.norm.sf``): they agree with scipy's within 1e-13 relative
+down to the smallest normal double, reached near |z| = 37.5; beyond it
+erfc returns subnormal values where scipy's flush to 0, a difference
+below that double.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +74,19 @@ class ContrastTable:
     rows: tuple
 
 
+_SQRT_HALF = 0.7071067811865476
+
+
 def _wald_p(tau: float, se: float) -> float:
+    """Two-sided Wald p-value 2 P(Z > |tau| / se) for standard normal Z."""
     if not np.isfinite(se):
         return float("nan")
     if se == 0.0:
         return 1.0 if tau == 0.0 else 0.0
-    from scipy.special import ndtr  # deferred: scipy.special costs ~0.3 s to import
-
-    return float(2.0 * ndtr(-abs(tau) / se))
+    x = -abs(tau) / se * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 2.0 * (0.5 + 0.5 * math.erf(x))
+    return math.erfc(-x)
 
 
 def all_pairs_table(estimates, labels=None) -> ContrastTable:

@@ -568,10 +568,16 @@ class PlasmodeConfig:
             raise ValueError("generator treatment-level count does not match the source")
         if not 1 <= self.resample_size <= 10 * self.source.n:
             raise ValueError("resample_size must be in [1, 10 * source n]")
-        if self.regime not in ("mainterms", "ml"):
-            raise ValueError("plasmode regime must be 'mainterms' or 'ml' (no known truth spec)")
+        _check_plasmode_regime(self.regime)
         if self.reps < 1:
             raise ValueError("reps must be positive")
+
+
+def _check_plasmode_regime(regime):
+    """Reject a regime plasmode cannot run: `correct` needs a known truth
+    design, which a plasmode source does not have."""
+    if regime not in ("mainterms", "ml"):
+        raise ValueError("plasmode regime must be 'mainterms' or 'ml' (no known truth spec)")
 
 
 def make_plasmode_generators(source: Dataset, seed: int = 0):

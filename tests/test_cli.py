@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import mlte.learners
+import mlte.simengine
 from mlte.cli import _COMMANDS, _FLAGS, RunConfig, _provenance_keys, main
 from mlte.outcome_methods import estimate_crude
 from mlte.simengine import ScenarioConfig, simulate_dataset
@@ -223,6 +225,20 @@ def test_plasmode_runs_from_csv_source(binary_csv, tmp_path, capsys):
     assert payload["kind"] == "plasmode"
     assert payload["config"]["resample_size"] == 150
     assert {r["parameter"] for r in payload["rows"]} == {"tau21", "tau31", "tau32"}
+
+
+def test_plasmode_rejects_correct_regime_before_fitting(binary_csv, capsys, monkeypatch):
+    # the ml generator pair takes seconds to fit; a bad regime must not wait for it
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_outcome called for a rejected regime")
+
+    monkeypatch.setattr(mlte.learners, "fit_outcome", no_fit)
+    monkeypatch.setattr(mlte.simengine, "fit_outcome", no_fit)
+    rc = run_cli(["plasmode", "--data", binary_csv, *DEMO_ARGS, "--regime", "correct"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: plasmode regime must be 'mainterms' or 'ml' (no known truth spec)\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
-importing the package, and simulating without the `ml` regime, loads no
-scipy."""
+no command or code path loads scipy, which only the tests use."""
 
 import importlib
 import os
@@ -8,6 +7,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -59,5 +59,31 @@ def test_simulation_without_ml_loads_no_scipy(regime):
         " bootstrap_reps=5)\n"
         "report = run_scenario(cfg, methods=list(METHODS))\n"
         "assert len(METHODS) == 8 and not report.method_failures, report.method_failures"
+    )
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_ml_commands_load_no_scipy():
+    # together these reach every p-value and every super-learner stacking in
+    # mlte; loading scipy.special and scipy.optimize for them costs 48 MB
+    golden = Path(__file__).parent / "golden"
+    columns = ["--treatment", "trt", "--outcome", "resp", "--covariates", "x1,x2,x3"]
+    runs = [
+        ["estimate", "--data", str(golden / "continuous.csv"), *columns, "--regime", "ml",
+         "--bootstrap", "3", "--format", "json"],
+        ["diagnose", "--data", str(golden / "continuous.csv"), *columns, "--regime", "ml"],
+        ["plasmode", "--data", str(golden / "binary.csv"), *columns, "--regime", "ml",
+         "--n", "150", "--reps", "1", "--bootstrap", "2", "--format", "json"],
+    ]
+    code = (
+        "import contextlib, io, json\n"
+        "from mlte.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    if argv[0] == 'estimate':\n"
+        "        payload = json.loads(out.getvalue())\n"
+        "        assert not payload['failures'] and len(payload['tables']) == 8, payload\n"
     )
     assert _scipy_modules_after(code) == "[]"

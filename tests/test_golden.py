@@ -1,0 +1,73 @@
+"""Golden outputs: the command line's stdout, stderr and exit code, byte for
+byte, for the cases listed in tests/golden/manifest.json.
+
+Each case runs `cli.main` in-process with tests/golden/ as the working
+directory, so the `--data` paths recorded in the outputs are relative.
+Floating-point output depends on numpy's linear algebra, so the manifest
+records the numpy version the files were made with, and a different
+version fails with both versions named.
+
+To accept an intended change of output, regenerate the files with
+
+    MLTE_UPDATE_GOLDEN=1 python -m pytest tests/test_golden.py
+
+and review the diff of tests/golden/ before committing it.
+"""
+
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mlte.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "manifest.json"
+UPDATE = os.environ.get("MLTE_UPDATE_GOLDEN") == "1"
+
+
+def _load_manifest():
+    return json.loads(MANIFEST.read_text())
+
+
+def _write_manifest(manifest):
+    """The manifest as JSON with one case per line, so that a diff shows
+    which case changed."""
+    lines = [f"  {json.dumps(key)}: {json.dumps(manifest[key])}," for key in ("about", "numpy")]
+    cases = ",\n".join("    " + json.dumps(case) for case in manifest["cases"])
+    MANIFEST.write_text("{\n" + "\n".join(lines) + '\n  "cases": [\n' + cases + "\n  ]\n}\n")
+
+
+CASES = _load_manifest()["cases"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_golden_output(case, monkeypatch, capsys):
+    for name in list(os.environ):
+        if name.startswith("MLTE_"):  # flag fallbacks would change the outputs
+            monkeypatch.delenv(name)
+    monkeypatch.chdir(GOLDEN)
+    code = main(list(case["argv"]))
+    out, err = capsys.readouterr()
+    stdout, stderr = GOLDEN / f"{case['name']}.stdout", GOLDEN / f"{case['name']}.stderr"
+    if UPDATE:
+        stdout.write_bytes(out.encode())
+        stderr.write_bytes(err.encode())
+        manifest = _load_manifest()
+        manifest["numpy"] = np.__version__
+        for entry in manifest["cases"]:
+            if entry["name"] == case["name"]:
+                entry["exit"] = code
+        _write_manifest(manifest)
+        return
+    recorded = _load_manifest()["numpy"]
+    if recorded != np.__version__:
+        pytest.fail(
+            f"golden outputs were recorded with numpy {recorded}, this is numpy "
+            f"{np.__version__}; regenerate them with MLTE_UPDATE_GOLDEN=1 and review the diff"
+        )
+    assert code == case["exit"]
+    assert out.encode() == stdout.read_bytes()
+    assert err.encode() == stderr.read_bytes()

@@ -8,6 +8,7 @@ import pytest
 
 from mlte.learners import (
     _cv_folds,
+    _nnls,
     _stepwise_groups,
     fit_outcome,
     fit_propensity,
@@ -372,8 +373,6 @@ def test_sliced_fold_designs_equal_per_fold_expansion():
 def reference_super_learner(data, candidates, folds, seed):
     """Cross-validated predictions by binding and expanding every candidate
     on every training fold, then the same stacking."""
-    from scipy.optimize import nnls
-
     fold_of = reference_folds(data.n, folds, seed)
     cv_pred = np.zeros((data.n, len(candidates)))
     for c, spec in enumerate(candidates):
@@ -383,7 +382,7 @@ def reference_super_learner(data, candidates, folds, seed):
             bound = bind_design(sub, spec)
             fit = fit_ols(bound.matrix(sub.X, sub.t), sub.y)
             cv_pred[test, c] = fit.predict(bound.matrix(data.X[test], data.t[test]))
-    weights, _ = nnls(cv_pred, data.y)
+    weights = _nnls(cv_pred, data.y)
     return weights / weights.sum(), ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
 
 
@@ -398,3 +397,50 @@ def test_super_learner_equals_reference_fold_loop():
     weights, cv_risks = reference_super_learner(data, candidates, 10, 5)
     np.testing.assert_array_equal(sl.weights, weights)
     np.testing.assert_array_equal(sl.cv_risks, cv_risks)
+
+
+def nnls_problems(seed, count):
+    """Seeded stacking-like problems: columns are noisy copies of the
+    outcome, some duplicated (the spline candidate equals the main-terms
+    one when no covariate is spline-eligible), some with an all-zero
+    optimum, some with a single column, and some with correlated columns
+    of mixed sign, where columns leave the active set again; each problem
+    is rescaled by up to 1e6 either way."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m, k = int(rng.integers(20, 601)), (1, 3, 3, 3, 5)[i % 5]
+        y = rng.normal(size=m)
+        A = y[:, None] + rng.normal(scale=rng.uniform(0.1, 3.0), size=(m, k))
+        kind = i % 7
+        if kind == 1 and k >= 3:
+            A[:, 2] = A[:, 0]
+        elif kind == 2 and k >= 2:
+            A[:, 1] = A[:, 0]
+        elif kind == 3 and k >= 3:
+            A[:, 2] = A[:, 1]
+        elif kind == 4:
+            y = -y  # every column points away from y: the optimum is 0
+        elif kind == 5:
+            A = rng.normal(size=(m, k))
+        elif kind == 6:
+            Z = rng.normal(size=(m, k))
+            A = Z + 0.5 * Z @ rng.normal(size=(k, k))
+            y = A @ rng.normal(size=k) + rng.normal(size=m)
+        scale = 10.0 ** rng.uniform(-6, 6)
+        yield scale * A, scale * y
+
+
+def test_nnls_matches_scipy():
+    from scipy.optimize import nnls
+
+    zero_optima = ties = single = 0
+    for A, y in nnls_problems(seed=3, count=700):
+        expected, _ = nnls(A, y)
+        got = _nnls(A, y)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, expected.max()))
+        # the same columns are exactly 0, so equal columns break ties alike
+        np.testing.assert_array_equal(got == 0, expected == 0)
+        zero_optima += not expected.any()
+        ties += any(np.array_equal(A[:, i], A[:, j]) for i in range(A.shape[1]) for j in range(i))
+        single += A.shape[1] == 1
+    assert zero_optima > 50 and ties > 150 and single > 100
