@@ -40,6 +40,7 @@ from .simengine import (
     SCENARIO_NAMES,
     ScenarioConfig,
     _apply_methods,
+    _check_plasmode_outcome,
     _check_plasmode_regime,
     make_plasmode_generators,
     run_plasmode,
@@ -295,7 +296,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_plasmode(cfg: RunConfig) -> int:
     source = _load_dataset(cfg)
-    _check_plasmode_regime(cfg.regime)  # before the generator fits, which take seconds
+    # before the generator fits, which take seconds
+    _check_plasmode_regime(cfg.regime)
+    _check_plasmode_outcome(source.outcome_kind)
     gen_out, gen_trt = make_plasmode_generators(source, seed=cfg.seed)
     pcfg = PlasmodeConfig(
         source=source,

@@ -562,8 +562,7 @@ class PlasmodeConfig:
     metric: str = "euclidean-standardized"
 
     def __post_init__(self):
-        if self.generator_outcome.outcome_kind != "binary":
-            raise ValueError("plasmode outcome generator must be binary")
+        _check_plasmode_outcome(self.generator_outcome.outcome_kind)
         if self.generator_outcome.k != self.source.k or self.generator_treatment.k != self.source.k:
             raise ValueError("generator treatment-level count does not match the source")
         if not 1 <= self.resample_size <= 10 * self.source.n:
@@ -571,6 +570,13 @@ class PlasmodeConfig:
         _check_plasmode_regime(self.regime)
         if self.reps < 1:
             raise ValueError("reps must be positive")
+
+
+def _check_plasmode_outcome(outcome_kind):
+    """Reject a non-binary outcome: plasmode regenerates a binary outcome
+    from a generator fitted on the source, so the source's must be binary."""
+    if outcome_kind != "binary":
+        raise ValueError("plasmode outcome generator must be binary")
 
 
 def _check_plasmode_regime(regime):

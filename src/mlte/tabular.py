@@ -13,6 +13,14 @@ row i alone (and on knots frozen at binding), so expanding rows and then
 selecting some gives exactly the same bits as selecting and then expanding.
 Spline cubes are computed by multiplication (``u * u * u``), not ``** 3``;
 the two differ in the last bit for some entries.
+
+A bound design keeps the term columns of the last matrix it expanded when
+that matrix is read-only and owns its data, as the X of a ``Dataset`` built
+from fresh arrays and of every ``take`` subset does: a fit's design and the
+counterfactual predictions on the same rows then expand the covariates once.
+A writeable matrix or a view is expanded on every call.  The kept block is
+reused only for the identical array object, so results are bit-identical to
+expanding afresh.
 """
 
 from __future__ import annotations
@@ -123,24 +131,22 @@ class Dataset:
             raise ValueError("non-finite outcome")
         if t.min() < 1 or t.max() > self.k:
             raise ValueError("treatment codes must lie in 1..k")
-        counts = np.bincount(t, minlength=self.k + 1)[1:]
-        if not counts.all():
-            missing = (np.flatnonzero(counts == 0) + 1).tolist()
-            raise ValueError(f"treatment level(s) {missing} have zero rows")
+        _check_levels_present(t, self.k)
         if self.outcome_kind not in ("continuous", "binary"):
             raise ValueError("outcome_kind must be 'continuous' or 'binary'")
         if self.outcome_kind == "binary" and not np.all(np.isin(y, (0.0, 1.0))):
             raise ValueError("binary outcome must take values in {0, 1}")
         if len(self.treatment_labels) != self.k:
             raise ValueError("treatment_labels must have length k")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "y", y)
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "treatment_labels", tuple(self.treatment_labels))
-        self.X.setflags(write=False)
-        self.t.setflags(write=False)
-        self.y.setflags(write=False)
+        self._set_arrays(X, t, y)
+
+    def _set_arrays(self, X, t, y):
+        """Store the checked arrays X, t, y, flagged read-only."""
+        for name, array in (("X", X), ("t", t), ("y", y)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n(self):
@@ -157,21 +163,25 @@ class Dataset:
         return self.treatment_labels[code - 1]
 
     def take(self, rows):
-        """Row subset / resample (used by the bootstrap and plasmode loops).
+        """Row subset / resample (used by the bootstrap and cross-validation
+        loops).
 
-        The caller is responsible for re-checking level presence; construction
-        raises if a treatment level disappears.
+        Raises ValueError if a treatment level disappears, as construction
+        does.  The other construction checks (finite values, codes in 1..k,
+        binary outcome values, label count) hold for any rows of a checked
+        Dataset, so they are not repeated; the subset equals the checked
+        constructor's result field for field.  Its arrays are fresh,
+        read-only and own their data, so a bound design keeps the term
+        columns it expands from the subset's X (see the module docstring).
         """
         rows = np.asarray(rows, dtype=int)
-        return Dataset(
-            X=self.X[rows],
-            columns=self.columns,
-            t=self.t[rows],
-            y=self.y[rows],
-            outcome_kind=self.outcome_kind,
-            k=self.k,
-            treatment_labels=self.treatment_labels,
-        )
+        t = self.t[rows]
+        _check_levels_present(t, self.k)
+        sub = object.__new__(Dataset)
+        for name in ("columns", "outcome_kind", "k", "treatment_labels"):
+            object.__setattr__(sub, name, getattr(self, name))
+        sub._set_arrays(self.X[rows], t, self.y[rows])
+        return sub
 
     @staticmethod
     def from_arrays(X, t, y, columns=None, outcome_kind=None):
@@ -197,6 +207,14 @@ class Dataset:
             k=len(labels),
             treatment_labels=labels,
         )
+
+
+def _check_levels_present(t, k):
+    """Raise ValueError naming the levels among 1..k absent from codes `t`."""
+    counts = np.bincount(t, minlength=k + 1)[1:]
+    if not counts.all():
+        missing = (np.flatnonzero(counts == 0) + 1).tolist()
+        raise ValueError(f"treatment level(s) {missing} have zero rows")
 
 
 @dataclass(frozen=True)
@@ -405,12 +423,25 @@ def _spline_eligible(x):
 class BoundDesign:
     """A DesignSpec bound to training data: spline knots are frozen so the
     same basis can be evaluated on new rows (counterfactual prediction,
-    cross-validation folds)."""
+    cross-validation folds).
+
+    Each instance keeps one private memo, the term block of the last
+    read-only, data-owning matrix it expanded (see `_term_block`).  The memo
+    takes no part in equality or repr and is dropped on pickling, so fits
+    sent to worker processes carry no cached arrays."""
 
     spec: DesignSpec
     column_index: dict
     knots: dict = field(default_factory=dict)
     k: int = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", None)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_memo"] = None
+        return state
 
     def _widths(self):
         """Column count of each term, in term order."""
@@ -447,18 +478,43 @@ class BoundDesign:
                     np.multiply(basis[:, 1:], X[:, self.column_index[term[2]]][:, None], out=cols)
             j += width
 
+    def _term_block(self, X, widths):
+        """The read-only term columns of float matrix X (no dummies).
+
+        The memo holds the block of the last X expanded if that X is
+        read-only and owns its data, so that no view can change it; the
+        block is returned again while the same array object comes back still
+        read-only.  Any other call expands afresh and empties or replaces
+        the memo, so an array flagged writeable in between is expanded anew.
+        (An array flagged writeable, changed and flagged read-only again with
+        no call in between would go unnoticed; a Dataset's arrays are never
+        flagged writeable again.)"""
+        memo = self._memo
+        if memo is not None and memo[0] is X and not X.flags.writeable:
+            return memo[1]
+        block = np.empty((X.shape[0], sum(widths)))
+        self._expand(X, block, widths)
+        block.setflags(write=False)
+        keep = X.flags.owndata and not X.flags.writeable
+        object.__setattr__(self, "_memo", (X, block) if keep else None)
+        return block
+
     def blocks(self, X):
-        """The columns of each term, one 2-d block per term, in term order
-        (treatment dummies excluded)."""
+        """The columns of each term, one read-only 2-d block per term, in
+        term order (treatment dummies excluded)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         widths = self._widths()
-        out = np.empty((X.shape[0], sum(widths)))
-        self._expand(X, out, widths)
-        return np.split(out, np.cumsum(widths)[:-1], axis=1)
+        return np.split(self._term_block(X, widths), np.cumsum(widths)[:-1], axis=1)
 
     def matrix(self, X, t=None):
         """The design matrix of rows X: the term columns, then the
-        treatment dummies of levels 2..k when the spec includes them."""
+        treatment dummies of levels 2..k when the spec includes them.
+
+        Always a fresh, writeable array.  The term columns are copied from
+        the memoized block when X is the read-only, data-owning array this
+        design expanded last (a Dataset's X, say), so a fit and its
+        predictions on the same rows expand them once; the result is bit for
+        bit what a fresh expansion gives."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         widths = self._widths()
         dummies = self.spec.includes_treatment_dummies
@@ -466,7 +522,7 @@ class BoundDesign:
             raise ValueError("design includes treatment dummies but no t given")
         q = sum(widths)
         out = np.empty((X.shape[0], q + (self.k - 1 if dummies else 0)))
-        self._expand(X, out, widths)
+        out[:, :q] = self._term_block(X, widths)
         if dummies:
             t = np.asarray(t, dtype=int)
             for j, level in enumerate(range(2, self.k + 1), start=q):

@@ -241,6 +241,17 @@ def test_plasmode_rejects_correct_regime_before_fitting(binary_csv, capsys, monk
     )
 
 
+def test_plasmode_rejects_continuous_source_before_fitting(demo_csv, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_outcome called for a continuous source")
+
+    monkeypatch.setattr(mlte.learners, "fit_outcome", no_fit)
+    monkeypatch.setattr(mlte.simengine, "fit_outcome", no_fit)
+    rc = run_cli(["plasmode", "--data", demo_csv, *DEMO_ARGS, "--regime", "ml"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: plasmode outcome generator must be binary\n"
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 

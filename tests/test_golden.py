@@ -71,3 +71,10 @@ def test_golden_output(case, monkeypatch, capsys):
     assert code == case["exit"]
     assert out.encode() == stdout.read_bytes()
     assert err.encode() == stderr.read_bytes()
+
+
+def test_worker_counts_give_identical_reports():
+    # both cases are checked against their files above; here the files
+    # themselves must agree, so the process pool reproduces the serial run
+    serial, pooled = (GOLDEN / f"simulate-t-y--correct-workers{w}.stdout" for w in (1, 2))
+    assert serial.read_bytes() == pooled.read_bytes()

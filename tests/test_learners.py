@@ -227,7 +227,13 @@ def test_fits_pickle_and_predict_identically(regime):
     prop = fit_propensity(data, regime, truth_spec=truth_propensity_spec())
     for fit in (out, prop):
         assert not any(callable(getattr(fit, f.name)) for f in dataclasses.fields(fit))
+        bounds = [bound for _, bound, _ in fit.components] if fit is out else [fit.bound]
+        fit.predict_matrix(new.X)  # every bound design now keeps new.X's term block
+        assert all(bound._memo is not None for bound in bounds)
         copy = pickle.loads(pickle.dumps(fit))
+        copies = [bound for _, bound, _ in copy.components] if fit is out else [copy.bound]
+        assert all(bound._memo is None for bound in copies)
+        assert [repr(bound) for bound in copies] == [repr(bound) for bound in bounds]
         np.testing.assert_array_equal(copy.predict_matrix(new.X), fit.predict_matrix(new.X))
     np.testing.assert_array_equal(pickle.loads(pickle.dumps(prop)).probs, prop.probs)
 

@@ -14,8 +14,8 @@ from mlte.outcome_methods import (
     stan_estimates,
     tmle_fluctuations,
 )
-from mlte.simengine import ScenarioConfig, simulate_dataset
-from mlte.tabular import Dataset
+from mlte.simengine import ScenarioConfig, simulate_dataset, truth_outcome_spec
+from mlte.tabular import BoundDesign, Dataset
 
 
 def linear_outcome_fit(data):
@@ -180,6 +180,24 @@ def test_bootstrap_resample_gives_up_eventually():
 
     with pytest.raises(RuntimeError, match="fewer than 2 rows"):
         _bootstrap_resample(data, StuckRng())
+
+
+@pytest.mark.parametrize("pairs", ([(2, 1)], [(2, 1), (3, 1)]))
+def test_stan_expands_each_design_once_per_fit(pairs, monkeypatch):
+    # the point fit and every resample's refit expand their rows once; the
+    # 2 * len(pairs) counterfactual predictions on those rows reuse that
+    data = scenario_data(n=200)
+    calls = []
+    expand = BoundDesign._expand
+
+    def counting_expand(self, X, out, widths):
+        calls.append(X.shape)
+        return expand(self, X, out, widths)
+
+    monkeypatch.setattr(BoundDesign, "_expand", counting_expand)
+    out = fit_outcome(data, "correct", truth_spec=truth_outcome_spec())
+    stan_estimates(data, out, pairs, bootstrap_reps=5, seed=1)
+    assert len(calls) == 1 + 5
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,85 @@ def test_design_matrix_equals_stacked_blocks_and_dummies():
     np.testing.assert_array_equal(bound.matrix(new, t)[:, :-2], bind_design(d, DesignSpec(spec.terms)).matrix(new))
 
 
+def memo_design(d):
+    spec = DesignSpec(
+        terms=(intercept(), main("X1"), interaction("X1", "X2"), square("X3"), spline("X2"),
+               curvature("X3", by="X1")),
+        includes_treatment_dummies=True,
+    )
+    return spec, bind_design(d, spec)
+
+
+def test_memoized_matrix_equals_fresh_expansion():
+    d = toy_dataset(n=60)
+    spec, bound = memo_design(d)
+    for t in (d.t, np.full(d.n, 1), np.full(d.n, 2), np.full(d.n, 3), d.t):
+        D = bound.matrix(d.X, t)
+        np.testing.assert_array_equal(D, bind_design(d, spec).matrix(d.X, t))
+        assert D.flags.writeable
+        assert not np.shares_memory(D, bound._memo[1])
+    assert bound._memo[0] is d.X
+    D[:] = 0.0  # the caller's copy, not the kept block
+    np.testing.assert_array_equal(bound.matrix(d.X, d.t), bind_design(d, spec).matrix(d.X, d.t))
+
+
+def test_memo_skips_writeable_and_view_matrices():
+    d = toy_dataset(n=60)
+    _, bound = memo_design(d)
+    X = np.array(d.X)
+    first = bound.matrix(X, d.t)
+    X[:, 0] += 1.0
+    second = bound.matrix(X, d.t)
+    assert bound._memo is None
+    assert not np.array_equal(first, second)
+    view = d.X[:30]
+    assert not view.flags.writeable and not view.flags.owndata
+    bound.matrix(view, d.t[:30])
+    assert bound._memo is None
+
+
+def test_memo_misses_an_array_flagged_writeable_again():
+    d = toy_dataset(n=60)
+    _, bound = memo_design(d)
+    X = np.array(d.X)
+    X.setflags(write=False)
+    before = bound.matrix(X, d.t)
+    assert bound._memo[0] is X
+    X.setflags(write=True)
+    X[:, 1] *= 2.0
+    after = bound.matrix(X, d.t)
+    assert not np.array_equal(before, after)
+    assert bound._memo is None
+    X.setflags(write=False)  # the writeable call emptied the memo, so X expands again
+    np.testing.assert_array_equal(bound.matrix(X, d.t), after)
+
+
+def test_blocks_share_the_memo():
+    d = toy_dataset(n=60)
+    _, bound = memo_design(d)
+    D = bound.matrix(d.X, d.t)
+    blocks = bound.blocks(d.X)
+    assert all(np.shares_memory(b, bound._memo[1]) and not b.flags.writeable for b in blocks)
+    np.testing.assert_array_equal(np.column_stack(blocks), D[:, :-2])
+
+
+def test_take_equals_checked_constructor():
+    d = toy_dataset(n=30, binary_y=True)
+    rows = np.random.default_rng(3).integers(0, d.n, 45)
+    sub = d.take(rows)
+    checked = Dataset(
+        X=d.X[rows], columns=d.columns, t=d.t[rows], y=d.y[rows],
+        outcome_kind=d.outcome_kind, k=d.k, treatment_labels=d.treatment_labels,
+    )
+    for name in ("columns", "outcome_kind", "k", "treatment_labels"):
+        assert getattr(sub, name) == getattr(checked, name)
+    for name in ("X", "t", "y"):
+        a, b = getattr(sub, name), getattr(checked, name)
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.flags == b.flags
+
+
 def test_take_missing_level_error_text():
     d = toy_dataset(n=12, k=3)
     with pytest.raises(ValueError, match=r"^treatment level\(s\) \[2\] have zero rows$"):
