@@ -8,7 +8,7 @@ for benchmarking their bias, variance and confidence-interval coverage.
 """
 
 from ._version import __version__
-from .tabular import ContrastSet, Dataset, DesignSpec, load_csv, load_json
+from .tabular import Dataset, DesignSpec, load_csv, load_json
 from .glm import fit_logistic, fit_multinomial, fit_ols, predict_probs
 from .learners import fit_outcome, fit_propensity, fit_super_learner
 from .weighting import (
@@ -35,7 +35,6 @@ from .simengine import (
 from .reporting import ContrastTable, all_pairs_table, holm_adjust, render_contrasts, render_report
 
 __all__ = [
-    "ContrastSet",
     "ContrastTable",
     "Dataset",
     "DesignSpec",

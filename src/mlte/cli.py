@@ -46,7 +46,7 @@ from .simengine import (
     run_plasmode,
     run_scenario,
 )
-from .tabular import ContrastSet, load_csv, load_json
+from .tabular import all_pairs, load_csv, load_json
 
 __all__ = ["RunConfig", "main", "cmd_estimate", "cmd_simulate", "cmd_plasmode", "cmd_diagnose"]
 
@@ -111,8 +111,8 @@ _FLAGS = {
         f"{meth} ({row.estimand})" for meth, row in METHOD_TABLE.items())),
     "regime": dict(choices=REGIMES),
     "scenario": dict(choices=SCENARIO_NAMES),
-    "n": dict(type=int, help="sample size (simulate) / resample size (plasmode)"),
-    "reps": dict(type=int, help="number of replications"),
+    "n": dict(type=_count(1), help="sample size (simulate) / resample size (plasmode)"),
+    "reps": dict(type=_count(1), help="number of replications"),
     "m": dict(type=_count(1), help="matches per unit"),
     "bootstrap": dict(type=_count(0), help="bootstrap resamples for stan (default 200)"),
     "seed": dict(type=int),
@@ -218,7 +218,7 @@ def _warn(message: str) -> None:
 def cmd_estimate(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
     methods = [m for m in METHODS if m in cfg.methods]
-    pairs = [tuple(p) for p in ContrastSet.all_pairs(data.k).pairs]
+    pairs = all_pairs(data.k)
     # one dataset is replication 0 of its seed's substreams
     results, failures = _apply_methods(
         data, cfg.regime, methods, pairs, cfg.seed, 0, cfg.bootstrap, cfg.m
@@ -261,7 +261,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         )
         content = _provenance_header(cfg) + body
     else:
-        sections = [render_contrasts(t, fmt="text") for t in tables]
+        sections = [render_contrasts(t) for t in tables]
         content = _provenance_header(cfg) + "\n".join(sections)
     _emit(content, cfg)
     return 0

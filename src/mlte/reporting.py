@@ -182,14 +182,9 @@ def _jsonify(obj):
 def render_table(rows, columns, fmt: str = "csv", title: str = None) -> str:
     """Render a list of row dicts with a fixed column order.
 
-    csv: full precision; text: aligned, floats to three decimals; json:
-    {"rows": [...]} with full precision.
+    csv: full precision; text: aligned, floats to three decimals, under
+    `title` if given.
     """
-    if fmt == "json":
-        payload = {"rows": _jsonify([{c: r.get(c) for c in columns} for r in rows])}
-        if title:
-            payload["title"] = title
-        return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(",".join(columns) + "\n")
@@ -276,13 +271,8 @@ def _contrast_payload(table: ContrastTable) -> dict:
 _CONTRAST_COLUMNS = ("label", "estimate", "se", "ci_low", "ci_high", "p", "p_adj")
 
 
-def render_contrasts(table: ContrastTable, fmt: str = "text") -> str:
-    """Serialize an all-pairs contrast table."""
-    if fmt == "json":
-        return json.dumps(_contrast_payload(table), indent=2) + "\n"
-    if fmt == "csv":
-        return render_table(table.rows, _CONTRAST_COLUMNS, fmt="csv")
-    if fmt == "text":
-        title = f"method={table.method} estimand={table.estimand} adjustment={_ADJUSTMENT}"
-        return render_table(table.rows, _CONTRAST_COLUMNS, fmt="text", title=title)
-    raise ValueError(f"unknown format {fmt!r}")
+def render_contrasts(table: ContrastTable) -> str:
+    """An all-pairs contrast table as an aligned text section under a
+    title line naming its method, estimand and adjustment."""
+    title = f"method={table.method} estimand={table.estimand} adjustment={_ADJUSTMENT}"
+    return render_table(table.rows, _CONTRAST_COLUMNS, fmt="text", title=title)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,9 +41,9 @@ from .learners import REGIMES, OutcomeFit, PropensityFit, fit_outcome, fit_prope
 from .matching import build_matches, estimate_bcm, estimate_match
 from .outcome_methods import estimate_crude, estimate_tmle, stan_estimates
 from .tabular import (
-    ContrastSet,
     Dataset,
     DesignSpec,
+    all_pairs,
     intercept,
     interaction,
     main,
@@ -123,6 +123,13 @@ _GAMMA = {
     "y+": (0.0, 0.5, 0.5, 0.5, 0.2, 0.2),
 }
 
+# the additive effects of levels 2 and 3 relative to level 1
+_LAM = (1.0, 1.5)
+# the contrasts every scenario study estimates: each level against level 1
+_SCENARIO_PAIRS = ((2, 1), (3, 1))
+# the matching metric of every study, echoed in its report
+_MATCH_METRIC = "euclidean-standardized"
+
 # RNG substream purpose tags
 _TAG_DATA = 0
 _TAG_LEARNER = 1
@@ -132,12 +139,14 @@ _TAG_PLASMODE = 3
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One synthetic-scenario run: data-generating coefficients plus the
-    replication plan and estimation knobs.
+    """One run of a built-in scenario: the replication plan and estimation
+    knobs.
 
-    treatment_strength / outcome_strength name the built-in coefficient
-    sets; "custom" allows arbitrary beta/gamma.  lam holds the additive
-    effects of levels 2 and 3 relative to level 1.
+    treatment_strength ('t-' or 't+') and outcome_strength ('y-' or 'y+')
+    name the scenario.  The fields it determines are not set but derived:
+    beta and gamma from the coefficient tables, lam (the additive effects
+    of levels 2 and 3 relative to level 1) and the matching metric, so a
+    report's config echo lists them all.
     """
 
     treatment_strength: str
@@ -146,58 +155,34 @@ class ScenarioConfig:
     reps: int
     seed: int
     regime: str
-    beta: tuple = None
-    gamma: tuple = None
-    lam: tuple = (1.0, 1.5)
+    beta: tuple = field(init=False)
+    gamma: tuple = field(init=False)
+    lam: tuple = field(init=False)
     bootstrap_reps: int = 200
     m: int = 1
-    metric: str = "euclidean-standardized"
+    metric: str = field(init=False)
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.treatment_strength in _BETA:
-            table = _BETA[self.treatment_strength]
-            if self.beta is None:
-                object.__setattr__(self, "beta", table)
-            elif tuple(self.beta) != table:
-                raise ValueError(
-                    f"beta does not match the {self.treatment_strength!r} coefficient table"
-                )
-        elif self.treatment_strength != "custom" or self.beta is None:
-            raise ValueError("treatment_strength must be 't-', 't+', or 'custom' with beta given")
-        if self.outcome_strength in _GAMMA:
-            table = _GAMMA[self.outcome_strength]
-            if self.gamma is None:
-                object.__setattr__(self, "gamma", table)
-            elif tuple(self.gamma) != table:
-                raise ValueError(
-                    f"gamma does not match the {self.outcome_strength!r} coefficient table"
-                )
-        elif self.outcome_strength != "custom" or self.gamma is None:
-            raise ValueError("outcome_strength must be 'y-', 'y+', or 'custom' with gamma given")
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
-        if len(self.beta) != 10:
-            raise ValueError("beta must have 10 entries (5 per non-reference level)")
-        if len(self.gamma) != 6:
-            raise ValueError("gamma must have 6 entries")
-        if len(self.lam) != 2:
-            raise ValueError("lam must have 2 entries")
+        if self.treatment_strength not in _BETA or self.outcome_strength not in _GAMMA:
+            raise ValueError(
+                f"unknown scenario {self.treatment_strength + self.outcome_strength!r}; "
+                f"expected one of {SCENARIO_NAMES}"
+            )
         if self.n < 1 or self.reps < 1:
             raise ValueError("n and reps must be positive")
+        object.__setattr__(self, "beta", _BETA[self.treatment_strength])
+        object.__setattr__(self, "gamma", _GAMMA[self.outcome_strength])
+        object.__setattr__(self, "lam", _LAM)
+        object.__setattr__(self, "metric", _MATCH_METRIC)
 
     @property
     def scenario(self) -> str:
-        if self.treatment_strength in _BETA and self.outcome_strength in _GAMMA:
-            return self.treatment_strength + self.outcome_strength
-        return "custom"
+        return self.treatment_strength + self.outcome_strength
 
     @staticmethod
     def named(scenario: str, n: int, reps: int, seed: int, regime: str, **knobs):
-        if scenario not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIO_NAMES}")
         return ScenarioConfig(
             treatment_strength=scenario[:2],
             outcome_strength=scenario[2:],
@@ -319,7 +304,6 @@ def _apply_methods(
     rep: int,
     bootstrap_reps: int,
     m: int,
-    metric: str = "euclidean-standardized",
 ):
     """Fit the regime's models once, run every requested method on every pair.
 
@@ -351,7 +335,7 @@ def _apply_methods(
             "propensity fit",
             lambda: fit_propensity(data, regime, truth_spec=truth_prop),
         ),
-        "matches": ("matching", lambda: build_matches(data, m=m, metric=metric)),
+        "matches": ("matching", lambda: build_matches(data, m=m, metric=_MATCH_METRIC)),
     }
     inputs, failures = {}, {}
     for name, (label, fit) in fitters.items():
@@ -400,7 +384,7 @@ def _scenario_rep(args):
     cfg, methods, pairs, rep = args
     data = simulate_dataset(cfg, rep)
     results, failures = _apply_methods(
-        data, cfg.regime, methods, pairs, cfg.seed, rep, cfg.bootstrap_reps, cfg.m, cfg.metric
+        data, cfg.regime, methods, pairs, cfg.seed, rep, cfg.bootstrap_reps, cfg.m
     )
     return rep, results, failures
 
@@ -513,21 +497,17 @@ def _run_replications(rep_fn, jobs, workers):
     return [rep_fn(job) for job in jobs]
 
 
-def run_scenario(
-    cfg: ScenarioConfig, methods=None, contrasts: ContrastSet = None, workers: int = 1
-) -> ScenarioReport:
+def run_scenario(cfg: ScenarioConfig, methods=None, workers: int = 1) -> ScenarioReport:
     """Run the full replication loop for one scenario configuration.
 
-    The crude baseline is always included.  workers > 1 distributes
+    Levels 2 and 3 are each compared with level 1 (tau21, tau31).  The
+    crude baseline is always included.  workers > 1 distributes
     replications over processes; results are identical to a serial run
     because every replication owns its seed-derived RNG substreams and
     rows are reduced in replication order.  workers=0 means one per core.
     """
     methods = _normalize_methods(methods)
-    if contrasts is None:
-        contrasts = ContrastSet(pairs=((2, 1), (3, 1)))
-    contrasts.validate(3)
-    pairs = [tuple(p) for p in contrasts.pairs]
+    pairs = _SCENARIO_PAIRS
     per_rep = _run_replications(_scenario_rep, [(cfg, methods, pairs, rep) for rep in range(cfg.reps)], workers)
     # treatment enters the outcome mean additively, so both estimands share
     # each contrast: the difference of the two levels' effects
@@ -559,7 +539,6 @@ class PlasmodeConfig:
     regime: str = "mainterms"
     bootstrap_reps: int = 200
     m: int = 1
-    metric: str = "euclidean-standardized"
 
     def __post_init__(self):
         _check_plasmode_outcome(self.generator_outcome.outcome_kind)
@@ -633,15 +612,13 @@ def _plasmode_rep(args):
     if data is None:
         return rep, {}, {meth: "resample kept losing a treatment level or outcome class" for meth in methods}
     results, failures = _apply_methods(
-        data, cfg.regime, methods, pairs, cfg.seed, rep, cfg.bootstrap_reps, cfg.m, cfg.metric
+        data, cfg.regime, methods, pairs, cfg.seed, rep, cfg.bootstrap_reps, cfg.m
     )
     return rep, results, failures
 
 
-def run_plasmode(
-    cfg: PlasmodeConfig, methods=None, contrasts: ContrastSet = None, workers: int = 1
-) -> ScenarioReport:
-    """Plasmode replication loop.
+def run_plasmode(cfg: PlasmodeConfig, methods=None, workers: int = 1) -> ScenarioReport:
+    """Plasmode replication loop over every pair of treatment levels.
 
     Replications run like those of `run_scenario`: serially, or with
     workers > 1 on a process pool that receives the generator fits as
@@ -649,10 +626,7 @@ def run_plasmode(
     seed-derived RNG substreams, so the report does not depend on `workers`.
     """
     methods = _normalize_methods(methods)
-    if contrasts is None:
-        contrasts = ContrastSet.all_pairs(cfg.source.k)
-    contrasts.validate(cfg.source.k)
-    pairs = [tuple(p) for p in contrasts.pairs]
+    pairs = all_pairs(cfg.source.k)
     truths = _plasmode_truths(cfg, pairs)
     per_rep = _run_replications(_plasmode_rep, [(cfg, methods, pairs, rep) for rep in range(cfg.reps)], workers)
     cfg_echo = {
@@ -665,7 +639,7 @@ def run_plasmode(
         "regime": cfg.regime,
         "bootstrap_reps": cfg.bootstrap_reps,
         "m": cfg.m,
-        "metric": cfg.metric,
+        "metric": _MATCH_METRIC,
         "generator_outcome": cfg.generator_outcome.description,
         "generator_treatment": cfg.generator_treatment.description,
     }

@@ -2,11 +2,12 @@
 
 Everything downstream (model fitters, estimators, the simulation engine)
 consumes the small immutable containers defined here: ``Dataset`` for the
-observed table, ``DesignSpec`` for a symbolic regression design, and
-``ContrastSet`` for the treatment pairs under comparison.  Design expansion
-supports intercept, main effects, two-way interactions, squares, natural
-cubic spline bases with quantile knots, and the nonlinear (curvature) part
-of such a basis, optionally multiplied by a binary column.
+observed table and ``DesignSpec`` for a symbolic regression design;
+``all_pairs`` lists the treatment pairs that an all-pairs comparison
+estimates.  Design expansion supports intercept, main effects, two-way
+interactions, squares, natural cubic spline bases with quantile knots, and
+the nonlinear (curvature) part of such a basis, optionally multiplied by a
+binary column.
 
 Expansion is row by row: every term and treatment dummy of row i depends on
 row i alone (and on knots frozen at binding), so expanding rows and then
@@ -15,12 +16,11 @@ Spline cubes are computed by multiplication (``u * u * u``), not ``** 3``;
 the two differ in the last bit for some entries.
 
 A bound design keeps the term columns of the last matrix it expanded when
-that matrix is read-only and owns its data, as the X of a ``Dataset`` built
-from fresh arrays and of every ``take`` subset does: a fit's design and the
-counterfactual predictions on the same rows then expand the covariates once.
-A writeable matrix or a view is expanded on every call.  The kept block is
-reused only for the identical array object, so results are bit-identical to
-expanding afresh.
+that matrix is read-only and owns its data, as the X of every ``Dataset``
+does: a fit's design and the counterfactual predictions on the same rows
+then expand the covariates once.  A writeable matrix or a view is expanded
+on every call.  The kept block is reused only for the identical array
+object, so results are bit-identical to expanding afresh.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
     "Dataset",
     "DesignSpec",
     "BoundDesign",
-    "ContrastSet",
+    "all_pairs",
     "load_csv",
     "load_json",
     "bind_design",
@@ -94,6 +94,9 @@ _TERM_KINDS = {"intercept", "main", "interaction", "square", "spline", "curvatur
 class Dataset:
     """Immutable covariate/treatment/outcome table.
 
+    Construction copies X, t and y, so the table owns its arrays: they are
+    read-only and no caller's array or view shares their memory.
+
     Attributes
     ----------
     X : (n, p) float array of covariates.
@@ -115,9 +118,9 @@ class Dataset:
     treatment_labels: tuple
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        t = np.asarray(self.t, dtype=int)
-        y = np.asarray(self.y, dtype=float)
+        X = np.array(self.X, dtype=float)
+        t = np.array(self.t, dtype=int)
+        y = np.array(self.y, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array")
         n = X.shape[0]
@@ -248,34 +251,10 @@ class DesignSpec:
             data.column_index(name)
 
 
-@dataclass(frozen=True)
-class ContrastSet:
-    """Ordered treatment pairs (t, t') to be estimated."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
-        seen = set()
-        for a, b in pairs:
-            if a == b:
-                raise ValueError(f"degenerate pair ({a}, {b})")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate pair ({a}, {b})")
-            seen.add((a, b))
-        object.__setattr__(self, "pairs", pairs)
-
-    def validate(self, k):
-        for a, b in self.pairs:
-            if not (1 <= a <= k and 1 <= b <= k):
-                raise ValueError(f"pair ({a}, {b}) outside treatment levels 1..{k}")
-
-    @staticmethod
-    def all_pairs(k):
-        """All k(k-1)/2 unordered pairs, each ordered (higher, lower)."""
-        return ContrastSet(
-            tuple((b, a) for a in range(1, k + 1) for b in range(a + 1, k + 1))
-        )
+def all_pairs(k):
+    """All k(k-1)/2 unordered pairs of levels 1..k, each ordered (higher,
+    lower): (2, 1), (3, 1), ..., (k, 1), (3, 2), ..."""
+    return [(b, a) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import mlte.learners
 import mlte.simengine
 from mlte.cli import _COMMANDS, _FLAGS, RunConfig, _provenance_keys, main
 from mlte.outcome_methods import estimate_crude
-from mlte.simengine import ScenarioConfig, simulate_dataset
+from mlte.simengine import PlasmodeConfig, ScenarioConfig, simulate_dataset
 from mlte.tabular import load_csv
 
 
@@ -394,6 +394,52 @@ def test_provenance_keys_derived_from_command_flags():
     )
 
 
+class _Captured(Exception):
+    """Raised by a stubbed study runner to hand back the config it got."""
+
+
+def _study_config(argv, monkeypatch, runner):
+    """The config object the command builds from `argv` and passes to the
+    study runner `runner`, which is not run."""
+
+    def capture(cfg, **kwargs):
+        raise _Captured(cfg)
+
+    monkeypatch.setattr(mlte.cli, runner, capture)
+    with pytest.raises(_Captured) as exc:
+        main(argv)
+    return exc.value.args[0]
+
+
+def test_every_study_setting_comes_from_a_flag(binary_csv, monkeypatch):
+    # a config field that no flag sets or derives is a knob only tests turn
+    flags = ["--regime", "ml", "--n", "150", "--reps", "3", "--m", "2", "--bootstrap", "4",
+             "--seed", "5"]
+    common = dict(reps=3, seed=5, regime="ml", bootstrap_reps=4, m=2)
+    scen = _study_config(["simulate", "--scenario", "t+y-", *flags], monkeypatch, "run_scenario")
+    by_flag = dict(common, n=150, treatment_strength="t+", outcome_strength="y-")
+    assert {f.name for f in dataclasses.fields(ScenarioConfig) if f.init} == set(by_flag)
+    assert {name: getattr(scen, name) for name in by_flag} == by_flag
+
+    made, real = [], mlte.cli.make_plasmode_generators
+
+    def generators(source, seed):
+        made.append((source, seed, real(source, seed=seed)))
+        return made[-1][2]
+
+    monkeypatch.setattr(mlte.cli, "make_plasmode_generators", generators)
+    plas = _study_config(["plasmode", "--data", binary_csv, *DEMO_ARGS, *flags], monkeypatch,
+                         "run_plasmode")
+    by_flag = dict(common, resample_size=150)
+    derived = {"source", "generator_outcome", "generator_treatment"}  # from --data and --seed
+    assert {f.name for f in dataclasses.fields(PlasmodeConfig) if f.init} == set(by_flag) | derived
+    assert {name: getattr(plas, name) for name in by_flag} == by_flag
+    (source, seed, (gen_out, gen_trt)), = made
+    assert seed == 5 and plas.source is source
+    assert plas.generator_outcome is gen_out and plas.generator_treatment is gen_trt
+    np.testing.assert_array_equal(source.X, load_csv(binary_csv, "trt", "resp", ["x1", "x2", "x3"]).X)
+
+
 @pytest.mark.parametrize("flag,value", [("regime", "bogus"), ("format", "xml"), ("m", "two")])
 def test_environment_values_are_validated_like_flags(demo_csv, capsys, monkeypatch, flag, value):
     argv = ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude"]
@@ -445,6 +491,7 @@ def test_empty_method_list_is_an_error(demo_csv, capsys, monkeypatch, command, s
 
 @pytest.mark.parametrize("flag,value,command", [
     ("bootstrap", "-3", "estimate"), ("m", "0", "estimate"), ("workers", "-4", "simulate"),
+    ("n", "0", "simulate"), ("reps", "0", "simulate"),
 ])
 @pytest.mark.parametrize("source", ("flag", "env"))
 def test_out_of_range_counts_exit_2(demo_csv, capsys, monkeypatch, flag, value, command, source):

@@ -74,7 +74,9 @@ def test_golden_output(case, monkeypatch, capsys):
 
 
 def test_worker_counts_give_identical_reports():
-    # both cases are checked against their files above; here the files
-    # themselves must agree, so the process pool reproduces the serial run
-    serial, pooled = (GOLDEN / f"simulate-t-y--correct-workers{w}.stdout" for w in (1, 2))
-    assert serial.read_bytes() == pooled.read_bytes()
+    # each case is checked against its file above; here the files of a
+    # serial and a pooled study must agree, so the process pool reproduces
+    # the serial run
+    for study in ("simulate-t-y--correct", "plasmode-mainterms-csv"):
+        serial, pooled = (GOLDEN / f"{study}-workers{w}.stdout" for w in (1, 2))
+        assert serial.read_bytes() == pooled.read_bytes(), study

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlte.reporting import (
+    _contrast_payload,
     _wald_p,
     all_pairs_table,
     holm_adjust,
@@ -82,7 +83,7 @@ def test_table_orders_rows_and_labels():
     assert [r["pair"] for r in table.rows] == [(2, 1), (3, 1), (3, 2)]
     assert [r["label"] for r in table.rows] == ["low vs ctrl", "high vs ctrl", "high vs low"]
     assert table.method == "crude"
-    assert json.loads(render_contrasts(table, fmt="json"))["adjustment"] == "holm"
+    assert _contrast_payload(table)["adjustment"] == "holm"
 
 
 def test_table_complete_five_levels():
@@ -203,15 +204,10 @@ def test_render_table_text_alignment_and_rounding():
     assert lines[2].startswith("crude")
 
 
-def test_render_table_json_nan_becomes_null():
-    rows = [{"a": float("nan"), "b": 2.5}]
-    payload = json.loads(render_table(rows, ("a", "b"), fmt="json"))
-    assert payload["rows"][0] == {"a": None, "b": 2.5}
-
-
 def test_render_table_unknown_format():
-    with pytest.raises(ValueError):
-        render_table([], ("a",), fmt="yaml")
+    for fmt in ("json", "yaml"):
+        with pytest.raises(ValueError):
+            render_table([], ("a",), fmt=fmt)
 
 
 def test_render_report_json_payload():
@@ -239,15 +235,16 @@ def test_render_report_csv_and_text():
 
 
 def test_render_contrasts_formats():
+    # text only: the json and csv outputs of `estimate` come from
+    # _contrast_payload and render_table
     ests = pair_estimates({(2, 1): 0.4, (3, 1): 0.9, (3, 2): 0.5})
-    table = all_pairs_table(ests)
-    payload = json.loads(render_contrasts(table, fmt="json"))
-    assert payload["method"] == "crude"
-    assert len(payload["rows"]) == 3
-    csv_out = render_contrasts(table, fmt="csv")
-    assert csv_out.startswith("label,estimate,se,ci_low,ci_high,p,p_adj\n")
-    text_out = render_contrasts(table, fmt="text")
-    assert text_out.startswith("method=crude estimand=population adjustment=holm")
+    text_out = render_contrasts(all_pairs_table(ests))
+    lines = text_out.splitlines()
+    assert lines[0] == "method=crude estimand=population adjustment=holm"
+    assert lines[1].split() == ["label", "estimate", "se", "ci_low", "ci_high", "p", "p_adj"]
+    assert len(lines) == 5
+    with pytest.raises(TypeError):
+        render_contrasts(all_pairs_table(ests), fmt="json")
 
 
 def test_rendering_is_deterministic():

@@ -26,7 +26,7 @@ from mlte.simengine import (
     simulate_dataset,
     treatment_probabilities,
 )
-from mlte.tabular import ContrastSet, Dataset
+from mlte.tabular import Dataset
 from mlte.weighting import make_estimate
 
 BETA_WEAK = (-0.2, 0.2, 0.2, 0.1, 0.1, 0.2, 0.1, -0.2, 0.1, 0.1)
@@ -53,49 +53,30 @@ def test_named_scenarios_pin_coefficient_tables():
         assert cfg.gamma == gamma
         assert cfg.scenario == name
         assert cfg.lam == (1.0, 1.5)
+        assert cfg.metric == "euclidean-standardized"
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown scenario 't\\?y-'"):
         ScenarioConfig.named("t?y-", n=100, reps=1, seed=0, regime="mainterms")
+    with pytest.raises(ValueError, match="unknown scenario"):
+        ScenarioConfig("t-", "y", n=100, reps=1, seed=0, regime="mainterms")
     with pytest.raises(ValueError):
         ScenarioConfig.named("t-y-", n=100, reps=1, seed=0, regime="oracle")
     with pytest.raises(ValueError):
         ScenarioConfig.named("t-y-", n=0, reps=1, seed=0, regime="mainterms")
-    with pytest.raises(ValueError):
-        ScenarioConfig.named("t-y-", n=100, reps=1, seed=0, regime="mainterms", beta=BETA_STRONG)
-    with pytest.raises(ValueError):
-        ScenarioConfig(
-            treatment_strength="custom",
-            outcome_strength="y-",
-            n=100,
-            reps=1,
-            seed=0,
-            regime="mainterms",
-        )
-    custom = ScenarioConfig(
-        treatment_strength="custom",
-        outcome_strength="y-",
-        n=100,
-        reps=1,
-        seed=0,
-        regime="mainterms",
-        beta=(0.0,) * 10,
-    )
-    assert custom.scenario == "custom"
-
-
-def test_lambda_override_changes_truth():
-    cfg = ScenarioConfig.named("t-y-", n=100, reps=1, seed=0, regime="mainterms", lam=(0.0, 0.0))
-    truths = run_scenario(cfg, methods=["crude"]).truths
-    assert truths == {p: {"population": 0.0, "overlap": 0.0} for p in ("tau21", "tau31")}
+    # the scenario determines these; none can be set
+    for derived in ("beta", "gamma", "lam", "metric"):
+        with pytest.raises(TypeError, match=derived):
+            ScenarioConfig.named(
+                "t-y-", n=100, reps=1, seed=0, regime="mainterms", **{derived: None}
+            )
 
 
 def test_true_effects_additive():
     cfg = ScenarioConfig.named("t+y+", n=100, reps=1, seed=0, regime="mainterms")
-    contrasts = ContrastSet(((2, 1), (3, 1), (3, 2), (1, 3)))
-    truths = run_scenario(cfg, methods=["crude"], contrasts=contrasts).truths
-    expected = {"tau21": 1.0, "tau31": 1.5, "tau32": 0.5, "tau13": -1.5}
+    truths = run_scenario(cfg, methods=["crude"]).truths
+    expected = {"tau21": 1.0, "tau31": 1.5}
     assert truths == {p: {"population": v, "overlap": v} for p, v in expected.items()}
 
 
@@ -118,18 +99,13 @@ def test_outcome_mean_closed_form():
 
 
 def test_zero_gamma_group_means_recover_level_effects():
-    cfg = ScenarioConfig(
-        treatment_strength="t-",
-        outcome_strength="custom",
-        n=10**5,
-        reps=1,
-        seed=6,
-        regime="mainterms",
-        gamma=(0.0,) * 6,
-    )
+    # the outcome less its covariate part (the mean with zero level
+    # effects) is the level effect plus noise
+    cfg = ScenarioConfig.named("t-y-", n=10**5, reps=1, seed=6, regime="mainterms")
     data = simulate_dataset(cfg, 0)
+    effects = data.y - outcome_mean(GAMMA_WEAK, (0.0, 0.0), data.X, data.t)
     for lev, want in ((1, 0.0), (2, 1.0), (3, 1.5)):
-        assert data.y[data.t == lev].mean() == pytest.approx(want, abs=0.03)
+        assert effects[data.t == lev].mean() == pytest.approx(want, abs=0.03)
 
 
 def test_strong_assignment_violates_overlap_weak_does_not():
@@ -258,8 +234,9 @@ def test_run_scenario_rejects_unknown_method_and_pair():
     cfg = ScenarioConfig.named("t-y-", n=100, reps=1, seed=4, regime="mainterms")
     with pytest.raises(ValueError):
         run_scenario(cfg, methods=["cruude"])
-    with pytest.raises(ValueError):
-        run_scenario(cfg, contrasts=ContrastSet(pairs=((4, 1),)))
+    # the contrasts are fixed (tau21, tau31), so no pair can be passed
+    with pytest.raises(TypeError):
+        run_scenario(cfg, contrasts=[(4, 1)])
 
 
 def tiny_k3(n=9, seed=3):

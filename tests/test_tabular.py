@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlte.simengine import _SCENARIO_PAIRS
 from mlte.tabular import (
     BoundDesign,
-    ContrastSet,
     Dataset,
+    all_pairs,
     DesignSpec,
     bind_design,
     curvature,
@@ -122,34 +123,42 @@ def test_dataset_column_index_unknown_name():
         d.column_index("nope")
 
 
+def test_dataset_owns_its_arrays():
+    rng = np.random.default_rng(2)
+    big = rng.normal(size=(30, 4))
+    t = np.tile([1, 2, 3], 10)
+    y = rng.normal(size=30)
+    X = big[:, :2].copy()
+    d = Dataset.from_arrays(X, t, y)
+    view = Dataset.from_arrays(big[:, :2], t, y)
+    kept = view.X.copy()
+    big[:, :2] += 1.0  # the caller may still change its arrays
+    X[0, 0] = y[0] = 0.0
+    np.testing.assert_array_equal(view.X, kept)
+    for got, given in ((d.X, X), (d.y, y), (view.X, big), (view.y, y)):
+        assert not np.shares_memory(got, given)
+        assert got.flags.owndata and not got.flags.writeable
+    assert X.flags.writeable and y.flags.writeable
+
+
 # ---------------------------------------------------------------------------
-# contrast sets
+# contrast pairs
 
 
 def test_all_pairs_count_and_order():
-    cs = ContrastSet.all_pairs(4)
-    assert len(cs.pairs) == 6
-    for t1, t0 in cs.pairs:
-        assert t1 > t0
+    for k in range(2, 7):
+        pairs = all_pairs(k)
+        assert len(pairs) == len(set(pairs)) == k * (k - 1) // 2
+        for t1, t0 in pairs:
+            assert 1 <= t0 < t1 <= k
 
 
 def test_versus_reference():
-    cs = ContrastSet([(t, 1) for t in (2, 3)])
-    assert cs.pairs == ((2, 1), (3, 1))
-    cs.validate(3)
-
-
-def test_contrast_set_rejects_duplicates():
-    with pytest.raises(ValueError):
-        ContrastSet(pairs=((2, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        ContrastSet(pairs=((2, 2),))
-
-
-def test_contrast_set_validate_range():
-    cs = ContrastSet(pairs=((3, 1),))
-    with pytest.raises(ValueError):
-        cs.validate(2)
+    # every level against level 1 comes first, in level order; a scenario
+    # study estimates just these pairs
+    for k in range(2, 7):
+        assert all_pairs(k)[: k - 1] == [(t, 1) for t in range(2, k + 1)]
+    assert list(_SCENARIO_PAIRS) == all_pairs(3)[:2]
 
 
 # ---------------------------------------------------------------------------
