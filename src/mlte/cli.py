@@ -115,7 +115,7 @@ _FLAGS = {
     "reps": dict(type=_count(1), help="number of replications"),
     "m": dict(type=_count(1), help="matches per unit"),
     "bootstrap": dict(type=_count(0), help="bootstrap resamples for stan (default 200)"),
-    "seed": dict(type=int),
+    "seed": dict(type=_count(0)),
     "workers": dict(type=_count(0), help="parallel workers (0 = one per core)"),
     "out": dict(help="output file (default: stdout)"),
     "format": dict(choices=("csv", "json", "text")),

@@ -5,14 +5,19 @@ treatment arm other than its own, so each potential-outcome mean is imputed
 for the full sample.  Distances are exact (no approximate search) and are
 computed in a whitened coordinate system: covariates scaled by their sample
 standard deviation by default, or by the inverse sample covariance
-(Mahalanobis) on request.  The bias-corrected variant shifts each donor
-outcome by the difference in outcome-model predictions between the matched
-unit and the donor.
+(Mahalanobis) on request.  Each squared distance is summed as
+sum_j (q_j - d_j)^2 over queries taken _CHUNK rows at a time, so a search
+holds O(_CHUNK * n) floats, and identical whitened donor rows get
+bit-identical distances.  Ties resolve to the lowest row index, duplicate
+rows of binary or ordinal covariates included (the standardized scaling
+maps identical rows to identical whitened rows).  The bias-corrected
+variant shifts each donor outcome by the difference in outcome-model
+predictions between the matched unit and the donor.
 
-Variances follow the matching literature's usage-count form: the variance
-of the imputed contrasts plus a term driven by how often each unit is
-reused as a donor, with the unit-level outcome variance estimated from the
-nearest same-arm neighbor.
+Variances follow the usage-count form of Abadie & Imbens (2006): the
+variance of the imputed contrasts plus a term driven by how often each unit
+is reused as a donor, with the unit-level outcome variance estimated from
+the nearest same-arm neighbor, found by the same search.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ __all__ = ["MatchSets", "build_matches", "estimate_match", "estimate_bcm"]
 
 METRICS = ("euclidean-standardized", "mahalanobis")
 
-_CHUNK = 1024
+_CHUNK = 64
 _COV_RIDGE = 1e-8
 
 
@@ -68,21 +73,41 @@ def _whiten(X: np.ndarray, metric: str) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def _nearest(Zq: np.ndarray, Zd: np.ndarray, m: int) -> np.ndarray:
+def _nearest(Zq: np.ndarray, Zd: np.ndarray, m: int, exclude_self: bool = False) -> np.ndarray:
     """Indices (into Zd's rows) of the m nearest donors for each query row.
 
-    Ties resolve to the donor appearing first in Zd, i.e. the smallest row
-    index when donors are passed in ascending order.
+    Squared distances are summed exactly as sum_j (q_j - d_j)^2, column by
+    column into two (_CHUNK x donors) buffers allocated once per call, so
+    memory is O(_CHUNK * len(Zd)) and every distance is the same arithmetic
+    whatever the chunk shape or BLAS.  Identical donor rows therefore get
+    identical distances, and ties resolve to the donor appearing first in
+    Zd, i.e. the smallest row index when donors are passed in ascending
+    order.  With `exclude_self`, Zq and Zd are the same rows and row i never
+    matches itself.
     """
-    out = np.empty((len(Zq), m), dtype=np.intp)
-    dsq = (Zd * Zd).sum(axis=1)
-    for lo in range(0, len(Zq), _CHUNK):
-        q = Zq[lo : lo + _CHUNK]
-        D = (q * q).sum(axis=1)[:, None] + dsq[None, :] - 2.0 * (q @ Zd.T)
+    nq = len(Zq)
+    out = np.empty((nq, m), dtype=np.intp)
+    cols = np.ascontiguousarray(Zd.T)
+    rows = max(1, min(_CHUNK, nq))
+    dist, term = np.empty((rows, len(Zd))), np.empty((rows, len(Zd)))
+    for lo in range(0, nq, rows):
+        q = Zq[lo : lo + rows]
+        D, T = dist[: len(q)], term[: len(q)]
+        for j, col in enumerate(cols):
+            # fill with the query value, then subtract the donor column:
+            # faster than subtracting with the query value broadcast
+            A = T if j else D
+            np.copyto(A, q[:, j : j + 1])
+            np.subtract(A, col, out=A)
+            np.multiply(A, A, out=A)
+            if j:
+                np.add(D, T, out=D)
+        if exclude_self:
+            D[np.arange(len(q)), np.arange(lo, lo + len(q))] = np.inf
         if m == 1:
-            out[lo : lo + _CHUNK, 0] = D.argmin(axis=1)
+            out[lo : lo + rows, 0] = D.argmin(axis=1)
         else:
-            out[lo : lo + _CHUNK] = np.argsort(D, axis=1, kind="stable")[:, :m]
+            out[lo : lo + rows] = np.argsort(D, axis=1, kind="stable")[:, :m]
     return out
 
 
@@ -91,8 +116,10 @@ def build_matches(data: Dataset, m: int = 1, metric: str = "euclidean-standardiz
 
     Requires every level to contain at least max(m, 2) rows: m so that
     every query has enough donors, 2 so that each row has a same-arm
-    neighbor for the variance estimate.  Search is exact, chunked to keep
-    the distance matrix in memory for large n.
+    neighbor for the variance estimate.  Both searches, cross-arm and
+    same-arm, go through `_nearest`: exact squared distances in query
+    chunks, so memory is O(_CHUNK * n) rather than arm x arm, and tied
+    donors, duplicate rows included, resolve to the lowest row index.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -109,18 +136,12 @@ def build_matches(data: Dataset, m: int = 1, metric: str = "euclidean-standardiz
     for lev in range(1, k + 1):
         didx = np.flatnonzero(data.t == lev)
         qidx = np.flatnonzero(data.t != lev)
-        sel = didx[_nearest(Z[qidx], Z[didx], m)]
+        Zd = Z[didx]
+        sel = didx[_nearest(Z[qidx], Zd, m)]
         match_indices[qidx, lev - 1, :] = sel
         match_indices[didx, lev - 1, :] = didx[:, None]
         np.add.at(usage_counts[:, lev - 1], sel.ravel(), 1)
-        # nearest neighbor within the arm, self excluded
-        Down = (
-            (Z[didx] * Z[didx]).sum(axis=1)[:, None]
-            + (Z[didx] * Z[didx]).sum(axis=1)[None, :]
-            - 2.0 * (Z[didx] @ Z[didx].T)
-        )
-        np.fill_diagonal(Down, np.inf)
-        nn_same[didx] = didx[Down.argmin(axis=1)]
+        nn_same[didx] = didx[_nearest(Zd, Zd, 1, exclude_self=True)[:, 0]]
     return MatchSets(match_indices=match_indices, usage_counts=usage_counts, nn_same=nn_same, m=m)
 
 

@@ -417,6 +417,17 @@ class BoundDesign:
     def __post_init__(self):
         object.__setattr__(self, "_memo", None)
 
+    def __eq__(self, other):
+        # knots are arrays, which the generated field-tuple comparison
+        # cannot reduce to one bool
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.spec, self.column_index, self.k) == (other.spec, other.column_index, other.k)
+            and self.knots.keys() == other.knots.keys()
+            and all(np.array_equal(self.knots[pos], other.knots[pos]) for pos in self.knots)
+        )
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_memo"] = None

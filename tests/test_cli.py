@@ -466,11 +466,14 @@ def test_environment_ignores_flags_the_command_does_not_take(demo_csv, capsys, m
 
 
 def test_environment_value_starting_with_dash_reaches_flag(capsys, monkeypatch):
+    # "-3" is parsed as the value of --seed, not as an option, so argparse
+    # range-checks it like a command-line value
     monkeypatch.setenv("MLTE_SEED", "-3")
-    rc = run_cli(["simulate", "--scenario", "t-y-", "--n", "50", "--reps", "1",
-                  "--methods", "crude"])
-    assert rc == 1
-    assert "non-negative" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--scenario", "t-y-", "--n", "50", "--reps", "1",
+                 "--methods", "crude"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ("estimate", "simulate", "plasmode"))
@@ -491,7 +494,7 @@ def test_empty_method_list_is_an_error(demo_csv, capsys, monkeypatch, command, s
 
 @pytest.mark.parametrize("flag,value,command", [
     ("bootstrap", "-3", "estimate"), ("m", "0", "estimate"), ("workers", "-4", "simulate"),
-    ("n", "0", "simulate"), ("reps", "0", "simulate"),
+    ("n", "0", "simulate"), ("reps", "0", "simulate"), ("seed", "-3", "simulate"),
 ])
 @pytest.mark.parametrize("source", ("flag", "env"))
 def test_out_of_range_counts_exit_2(demo_csv, capsys, monkeypatch, flag, value, command, source):

@@ -233,7 +233,7 @@ def test_fits_pickle_and_predict_identically(regime):
         copy = pickle.loads(pickle.dumps(fit))
         copies = [bound for _, bound, _ in copy.components] if fit is out else [copy.bound]
         assert all(bound._memo is None for bound in copies)
-        assert [repr(bound) for bound in copies] == [repr(bound) for bound in bounds]
+        assert copies == bounds
         np.testing.assert_array_equal(copy.predict_matrix(new.X), fit.predict_matrix(new.X))
     np.testing.assert_array_equal(pickle.loads(pickle.dumps(prop)).probs, prop.probs)
 

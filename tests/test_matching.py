@@ -1,10 +1,13 @@
 """Nearest-neighbor matching with replacement and its bias-corrected form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from fitstubs import StubOutcomeFit
+from mlte import matching
 from mlte.matching import METRICS, build_matches, estimate_bcm, estimate_match
 from mlte.tabular import Dataset
 
@@ -76,6 +79,104 @@ def test_match_sets_agree_with_brute_force(metric, m):
                 np.testing.assert_array_equal(np.sort(ms.match_indices[i, lev - 1]), np.sort(want))
 
 
+def reference_matches(data, m, metric):
+    """The search without chunking: every query-donor squared distance in
+    one full matrix, summed column by column as sum_j (q_j - d_j)^2."""
+    Z = matching._whiten(data.X, metric)
+    n, k = data.n, data.k
+    match_indices = np.empty((n, k, m), dtype=np.intp)
+    nn_same = np.empty(n, dtype=np.intp)
+    for lev in range(1, k + 1):
+        donors = np.flatnonzero(data.t == lev)
+        D = (Z[:, None, 0] - Z[None, donors, 0]) ** 2
+        for j in range(1, Z.shape[1]):
+            D = D + (Z[:, None, j] - Z[None, donors, j]) ** 2
+        match_indices[:, lev - 1] = donors[np.argsort(D, axis=1, kind="stable")[:, :m]]
+        match_indices[donors, lev - 1] = donors[:, None]
+        D[donors, np.arange(len(donors))] = np.inf
+        nn_same[donors] = donors[D[donors].argmin(axis=1)]
+    return match_indices, nn_same
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("m", [1, 3])
+def test_match_sets_equal_full_matrix_reference(metric, m):
+    for seed, (n, p) in enumerate([(80, 1), (300, 2), (700, 5), (1200, 3)]):
+        data = random_k3(n=n, p=p, seed=seed)
+        ms = build_matches(data, m=m, metric=metric)
+        match_indices, nn_same = reference_matches(data, m, metric)
+        np.testing.assert_array_equal(ms.match_indices, match_indices)
+        np.testing.assert_array_equal(ms.nn_same, nn_same)
+
+
+def discrete_k3(n=1500, seed=0):
+    """Binary and ordinal covariates only, so most rows have exact
+    duplicates, each arm included."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 2, n), rng.integers(0, 3, n), rng.integers(0, 4, n),
+        rng.integers(0, 2, n), rng.integers(0, 5, n),
+    ]).astype(float)
+    t = rng.integers(1, 4, n)
+    return Dataset.from_arrays(X, t, rng.normal(size=n))
+
+
+def assert_first_duplicates_chosen(data, ms):
+    """Among donor rows identical to a chosen donor, the chosen ones are the
+    lowest-indexed: within each group of identical rows, a query's donors
+    are a prefix of the group's donors in row order."""
+    group = np.unique(data.X, axis=0, return_inverse=True)[1].ravel()
+    for lev in range(1, data.k + 1):
+        donors = np.flatnonzero(data.t == lev)
+        rank = np.empty(data.n, dtype=np.intp)
+        for g in np.unique(group[donors]):
+            members = donors[group[donors] == g]
+            rank[members] = np.arange(len(members))
+        queries = np.flatnonzero(data.t != lev)
+        chosen = ms.match_indices[queries, lev - 1]
+        same_group = group[chosen][:, :, None] == group[chosen][:, None, :]
+        assert (rank[chosen] < same_group.sum(axis=2)).all(), f"level {lev}"
+        # same-arm neighbor: the first row identical to it, the query skipped
+        nn = ms.nn_same[donors]
+        earlier = rank[nn] - (group[donors] == group[nn]) * (donors < nn)
+        assert (earlier == 0).all(), f"level {lev} same-arm"
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_duplicate_rows_resolve_to_first_donor(m):
+    for seed in range(6):
+        data = discrete_k3(seed=seed)
+        assert_first_duplicates_chosen(data, build_matches(data, m=m))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128, 10**6])
+def test_matches_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    data, dup = random_k3(n=500, seed=21), discrete_k3(seed=21)
+    want = [build_matches(d, m=m) for d in (data, dup) for m in (1, 3)]
+    monkeypatch.setattr(matching, "_CHUNK", chunk)
+    got = [build_matches(d, m=m) for d in (data, dup) for m in (1, 3)]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.match_indices, b.match_indices)
+        np.testing.assert_array_equal(a.usage_counts, b.usage_counts)
+        np.testing.assert_array_equal(a.nn_same, b.nn_same)
+    assert_first_duplicates_chosen(dup, got[2])
+
+
+def test_search_memory_is_bounded_by_chunk_not_arm_size():
+    # a 4000-row arm: an arm x arm distance matrix alone would take 128 MB
+    rng = np.random.default_rng(23)
+    n = 6000
+    t = np.concatenate([np.ones(4000, dtype=int), rng.integers(2, 4, n - 4000)])
+    data = Dataset.from_arrays(rng.normal(size=(n, 3)), t, rng.normal(size=n))
+    tracemalloc.start()
+    try:
+        build_matches(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 def test_usage_counts_total_m_per_query():
     data = random_k3(seed=3)
     for m in (1, 2):
@@ -123,6 +224,9 @@ def test_level_size_requirements():
         build_matches(data2, m=0)
     with pytest.raises(ValueError):
         build_matches(data2, metric="cosine")
+    # one level: no cross-arm queries, only same-arm neighbors
+    single = build_matches(Dataset.from_arrays(X, np.ones(10, dtype=int), np.zeros(10)))
+    np.testing.assert_array_equal(single.match_indices[:, 0, 0], np.arange(10))
 
 
 # ---------------------------------------------------------------------------

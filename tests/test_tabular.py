@@ -203,6 +203,19 @@ def test_bound_design_freezes_spline_knots():
     assert not np.allclose(D_new, D_refit)
 
 
+def test_bound_designs_compare_by_their_knots():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(200, 1))
+    d = Dataset.from_arrays(X, np.tile([1, 2], 100), rng.normal(size=200))
+    spec = DesignSpec(terms=(intercept(), spline("X1")))
+    bound = bind_design(d, spec)
+    assert bound == bind_design(d, spec)
+    other = bind_design(Dataset.from_arrays(X + 1.0, d.t, d.y), spec)
+    assert (bound == other) is False
+    assert (bound != other) is True
+    assert bound != bind_design(d, DesignSpec(terms=(intercept(),)))
+
+
 def test_curvature_term_is_spline_without_its_linear_column():
     rng = np.random.default_rng(5)
     X = np.column_stack([rng.normal(size=60), (rng.random(60) < 0.5).astype(float)])
