@@ -19,10 +19,13 @@ non-negative-least-squares weights on 10-fold cross-validated predictions;
 the non-negative least squares is Lawson and Hanson's active-set method,
 written in numpy (`_nnls`).
 A candidate without spline knots is expanded once on the full data and its
-fold designs are row slices of that expansion, bit for bit what expanding
-each fold gives; the spline candidate is bound on each training fold,
-because its quantile knots depend on the fold.  Folds keep every treatment
-level in every training fold.
+fold designs are row gathers of that expansion, bit for bit what expanding
+each fold gives.  The spline candidate is bound on each training fold,
+because its quantile knots depend on the fold, but each spline column is
+sorted once per fit: every fold's knots come from that one order, and each
+fold's design is expanded once, on all rows, into a buffer reused across
+folds, from which its training and held-out rows are gathered.  Folds keep
+every treatment level in every training fold.
 The ml treatment model searches a natural-spline basis (spline mains for
 continuous covariates, mains for binary ones, and spline-by-binary
 interactions) by forward stepwise group selection under BIC, in the spirit
@@ -111,14 +114,13 @@ class OutcomeFit:
         if not (1 <= level <= self.k):
             raise ValueError(f"treatment level {level} outside 1..{self.k}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        t = np.full(X.shape[0], level, dtype=int)
         pred = np.zeros(X.shape[0])
         for weight, bound, fit in self.components:
             if weight == 0.0:
                 continue
-            D = bound.matrix(X, t)
+            D = bound.matrix(X, level)
             pred += weight * (fit.predict_prob(D) if self.outcome_kind == "binary" else fit.predict(D))
-        if not np.all(np.isfinite(pred)):
+        if not np.isfinite(pred).all():
             raise ValueError("non-finite outcome prediction")
         return pred
 
@@ -195,6 +197,8 @@ def _parametric_spec(data: Dataset, regime, truth_spec, with_dummies):
         return _mainterms_spec(data, with_dummies)
     if truth_spec is None:
         raise ValueError("correct regime requires truth_spec")
+    if truth_spec.includes_treatment_dummies == with_dummies:
+        return truth_spec
     return DesignSpec(truth_spec.terms, includes_treatment_dummies=with_dummies)
 
 
@@ -274,6 +278,26 @@ def _nnls(A, b):
     raise RuntimeError("non-negative least squares did not converge")
 
 
+def _column_orders(data: Dataset, candidates, fold_of):
+    """One sort per column that a candidate splines: {column index: (its
+    values in ascending order, the fold of each of those rows)}."""
+    splined = {data.column_index(term[1]) for spec in candidates for term in spec.terms
+               if term[0] in ("spline", "curvature")}
+    ordered = {}
+    for j in sorted(splined):
+        order = np.argsort(data.X[:, j])
+        ordered[j] = (data.X[order, j], fold_of[order])
+    return ordered
+
+
+def _sorted_outside(ordered, f):
+    """The `sorted_columns` mapping of `bind_design` for the rows outside
+    fold f (all rows for f = -1): each column's ordered values with fold
+    f's removed, still ascending, so every fold binds its knots without a
+    sort."""
+    return {j: values[fold != f] for j, (values, fold) in ordered.items()}
+
+
 def fit_super_learner(data: Dataset, candidates, seed=0):
     """Stack candidate outcome designs by `_SL_FOLDS`-fold cross-validation.
 
@@ -286,9 +310,14 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     (binary outcomes are stacked on the probability scale).
 
     A candidate whose design binds without spline knots is expanded once on
-    the full data and sliced by fold rows; expansion is row by row, so this
-    is exactly the per-fold expansion.  A candidate with knots is bound on
-    each training fold.
+    the full data and its fold rows are gathered from that; expansion is row
+    by row, so this is exactly the per-fold expansion.  A candidate with
+    knots is bound on each training fold, with one sort per spline column
+    per fit: the full data's and every fold's knots come from that order
+    (`_column_orders`, `_sorted_outside`, once per fold).  Each fold's
+    design is expanded once on all n rows, through `matrix(..., out=)`,
+    into a workspace reused across folds, and its training and held-out
+    rows are gathered from it.
 
     The non-negative least squares is `_nnls`, Lawson and Hanson's
     active-set method in numpy.
@@ -301,19 +330,23 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     fold_of = _cv_folds(data, folds, seed)
     splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
 
+    ordered = _column_orders(data, candidates, fold_of)
     binary = data.outcome_kind == "binary"
-    bounds = [bind_design(data, spec) for spec in candidates]
+    everywhere = _sorted_outside(ordered, -1)
+    bounds = [bind_design(data, spec, everywhere) for spec in candidates]
     designs = [bound.matrix(data.X, data.t) for bound in bounds]
     cv_pred = np.zeros((n, len(candidates)))
-    for c, (spec, bound, D) in enumerate(zip(candidates, bounds, designs)):
-        for train, test in splits:
+    workspace = np.empty(0)
+    for f, (train, test) in enumerate(splits):
+        outside = _sorted_outside(ordered, f)
+        for c, (spec, bound, D) in enumerate(zip(candidates, bounds, designs)):
             sub = data.take(train)
             if bound.knots:
-                fold_bound = bind_design(sub, spec)
-                D_train = fold_bound.matrix(sub.X, sub.t)
-                D_test = fold_bound.matrix(data.X[test], data.t[test])
-            else:
-                D_train, D_test = D[train], D[test]
+                fold_bound = bind_design(sub, spec, outside)
+                if workspace.size < fold_bound.n_columns * n:
+                    workspace = np.empty(fold_bound.n_columns * n)
+                D = fold_bound.matrix(data.X, data.t, out=workspace)
+            D_train, D_test = np.take(D, train, axis=0), np.take(D, test, axis=0)
             fit = _fit_glm(D_train, sub)
             cv_pred[test, c] = fit.predict_prob(D_test) if binary else fit.predict(D_test)
 

@@ -10,9 +10,11 @@ sum_j (q_j - d_j)^2 over queries taken _CHUNK rows at a time, so a search
 holds O(_CHUNK * n) floats, and identical whitened donor rows get
 bit-identical distances.  Ties resolve to the lowest row index, duplicate
 rows of binary or ordinal covariates included (the standardized scaling
-maps identical rows to identical whitened rows).  The bias-corrected
-variant shifts each donor outcome by the difference in outcome-model
-predictions between the matched unit and the donor.
+maps identical rows to identical whitened rows).  For m > 1 each query's
+m nearest are selected by a partition, and only the donors at or below the
+m-th distance are sorted, which gives exactly the stable-sort order.  The
+bias-corrected variant shifts each donor outcome by the difference in
+outcome-model predictions between the matched unit and the donor.
 
 Variances follow the usage-count form of Abadie & Imbens (2006): the
 variance of the imputed contrasts plus a term driven by how often each unit
@@ -83,7 +85,8 @@ def _nearest(Zq: np.ndarray, Zd: np.ndarray, m: int, exclude_self: bool = False)
     identical distances, and ties resolve to the donor appearing first in
     Zd, i.e. the smallest row index when donors are passed in ascending
     order.  With `exclude_self`, Zq and Zd are the same rows and row i never
-    matches itself.
+    matches itself.  For m > 1, `_m_smallest` selects each chunk's donors,
+    partitioning in the second buffer.
     """
     nq = len(Zq)
     out = np.empty((nq, m), dtype=np.intp)
@@ -107,8 +110,28 @@ def _nearest(Zq: np.ndarray, Zd: np.ndarray, m: int, exclude_self: bool = False)
         if m == 1:
             out[lo : lo + rows, 0] = D.argmin(axis=1)
         else:
-            out[lo : lo + rows] = np.argsort(D, axis=1, kind="stable")[:, :m]
+            out[lo : lo + rows] = _m_smallest(D, m, T)
     return out
+
+
+def _m_smallest(D, m, work):
+    """Columns of the m smallest entries of each row of D, ordered by
+    (value, column): exactly ``np.argsort(D, axis=1, kind="stable")[:, :m]``.
+
+    Selects instead of sorting whole rows: the m-th smallest value of each
+    row comes from a partition in `work` (a buffer of D's shape), every
+    column at or below it is a candidate (so ties at that value stay in),
+    and only the candidates are sorted, stably by (row, value), which keeps
+    tied columns in ascending order.
+    """
+    np.copyto(work, D)
+    work.partition(m - 1, axis=1)
+    keep = D <= work[:, m - 1 : m]
+    rows, cols = np.nonzero(keep)
+    order = np.lexsort((D[rows, cols], rows))
+    counts = np.count_nonzero(keep, axis=1)
+    starts = np.cumsum(counts) - counts
+    return cols[order][starts[:, None] + np.arange(m)]
 
 
 def build_matches(data: Dataset, m: int = 1, metric: str = "euclidean-standardized") -> MatchSets:

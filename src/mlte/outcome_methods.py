@@ -54,18 +54,24 @@ def estimate_crude(data: Dataset, pair) -> EffectEstimate:
 
 def _plugin_contrast(out: OutcomeFit, X, pair):
     t1, t0 = pair
-    return float((out.predict(t1, X) - out.predict(t0, X)).mean())
+    diff = out.predict(t1, X) - out.predict(t0, X)
+    return float(np.add.reduce(diff) / len(diff))  # diff.mean() without its Python-level dispatch
 
 
-def _bootstrap_resample(data: Dataset, rng):
+def _resample_need(data: Dataset):
+    """Rows a resample must keep of each level: 2, or 1 for a 1-row level."""
+    return np.minimum(np.bincount(data.t, minlength=data.k + 1)[1:], 2)
+
+
+def _bootstrap_resample(data: Dataset, rng, need):
     """One with-replacement resample keeping at least 2 rows of every level.
 
     Two rows is the fewest that cross-validation folds (``_cv_folds``) and
     the match search accept; a level with a single row in the data needs
-    only to stay present.  Redraws (consuming fresh randomness from `rng`)
-    while a level has fewer; gives up after a fixed number of attempts.
+    only to stay present (`need`, from `_resample_need`).  Redraws
+    (consuming fresh randomness from `rng`) while a level has fewer; gives
+    up after a fixed number of attempts.
     """
-    need = np.minimum(np.bincount(data.t, minlength=data.k + 1)[1:], 2)
     for _ in range(_BOOTSTRAP_REDRAW_LIMIT):
         rows = rng.integers(0, data.n, data.n)
         if (np.bincount(data.t[rows], minlength=data.k + 1)[1:] >= need).all():
@@ -93,10 +99,13 @@ def stan_bootstrap(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
     if bootstrap_reps < 2 or not live:
         return variances
     draws = {p: np.empty(bootstrap_reps) for p in live}
+    need = _resample_need(data)
     for b in range(bootstrap_reps):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        boot = _bootstrap_resample(data, rng)
-        refit = out.refit(boot, seed=np.random.SeedSequence(seed, spawn_key=(b, 1)))
+        boot = _bootstrap_resample(data, rng, need)
+        # only the ml super learner draws from its seed (its folds)
+        refit_seed = np.random.SeedSequence(seed, spawn_key=(b, 1)) if out.regime == "ml" else 0
+        refit = out.refit(boot, seed=refit_seed)
         for p in live:
             draws[p][b] = _plugin_contrast(refit, boot.X, p)
     variances.update({p: float(np.var(draws[p], ddof=1)) for p in live})

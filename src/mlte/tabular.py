@@ -13,14 +13,18 @@ Expansion is row by row: every term and treatment dummy of row i depends on
 row i alone (and on knots frozen at binding), so expanding rows and then
 selecting some gives exactly the same bits as selecting and then expanding.
 Spline cubes are computed by multiplication (``u * u * u``), not ``** 3``;
-the two differ in the last bit for some entries.
+the two differ in the last bit for some entries.  Terms are written in
+place, column by column, by ``out=`` ufuncs into the C-ordered (n x columns)
+design matrix handed to a fitter.
 
-A bound design keeps the term columns of the last matrix it expanded when
-that matrix is read-only and owns its data, as the X of every ``Dataset``
-does: a fit's design and the counterfactual predictions on the same rows
-then expand the covariates once.  A writeable matrix or a view is expanded
-on every call.  The kept block is reused only for the identical array
-object, so results are bit-identical to expanding afresh.
+A bound design keeps the design of the last matrix it expanded, with
+all-zero treatment dummies, when that matrix is read-only and owns its
+data, as the X of every ``Dataset`` does: a fit's design and the
+counterfactual predictions on the same rows then expand the covariates
+once, and each later call copies the kept design and sets its dummies.  A
+writeable matrix or a view is expanded on every call.  The kept design is
+reused only for the identical array object, so results are bit-identical to
+expanding afresh.
 """
 
 from __future__ import annotations
@@ -169,6 +173,10 @@ class Dataset:
         """Row subset / resample (used by the bootstrap and cross-validation
         loops).
 
+        `rows` holds integer row indices (repeats and negative indices
+        allowed, as in numpy indexing) or is a boolean mask of length n
+        selecting its True rows; any other dtype raises TypeError.
+
         Raises ValueError if a treatment level disappears, as construction
         does.  The other construction checks (finite values, codes in 1..k,
         binary outcome values, label count) hold for any rows of a checked
@@ -177,13 +185,19 @@ class Dataset:
         read-only and own their data, so a bound design keeps the term
         columns it expands from the subset's X (see the module docstring).
         """
-        rows = np.asarray(rows, dtype=int)
-        t = self.t[rows]
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            if rows.shape != (self.n,):
+                raise ValueError(f"boolean row mask has shape {rows.shape}, expected ({self.n},)")
+            rows = np.flatnonzero(rows)
+        elif rows.dtype.kind not in "iu":
+            raise TypeError(f"rows must be integer indices or a boolean mask, not {rows.dtype}")
+        t = np.take(self.t, rows)
         _check_levels_present(t, self.k)
         sub = object.__new__(Dataset)
         for name in ("columns", "outcome_kind", "k", "treatment_labels"):
             object.__setattr__(sub, name, getattr(self, name))
-        sub._set_arrays(self.X[rows], t, self.y[rows])
+        sub._set_arrays(np.take(self.X, rows, axis=0), t, np.take(self.y, rows))
         return sub
 
     @staticmethod
@@ -349,48 +363,67 @@ def load_json(path):
 # design expansion
 
 
-def _natural_cubic_basis(x, knots):
+def _curvature_rows(x, knots, out):
+    """Write the K-2 curvature columns of the natural cubic basis of column
+    `x` on K knots, as rows, into the (K-2, n) block `out`: d_k - d_{K-2},
+    where d_k = ((x - knots[k])_+^3 - (x - knots[-1])_+^3) / (knots[-1] -
+    knots[k]).  All K truncated powers are evaluated in one broadcast, one
+    row per knot so that inner loops run over the n rows, and cubed as
+    u * u * u."""
+    u = np.subtract(x, knots[:, None])
+    np.maximum(u, 0.0, out=u)
+    cubes = u * u
+    cubes *= u
+    d = cubes[:-1]
+    np.subtract(d, cubes[-1], out=d)
+    np.divide(d, (knots[-1] - knots[:-1])[:, None], out=d)
+    np.subtract(d[:-1], d[-1], out=out)
+
+
+def _natural_cubic_basis(x, knots, out=None):
     """Natural cubic spline basis (linear tails) for one column.
 
     `knots` are the full knot vector, boundaries included.  Returns K-1
-    columns for K knots: the identity column plus K-2 curvature columns
-    d_k - d_{K-2}, where d_k = ((x - knots[k])_+^3 - (x - knots[-1])_+^3) /
-    (knots[-1] - knots[k]).  All K truncated powers are evaluated in one
-    broadcast, one row per knot so that inner loops run over the n rows,
-    and cubed as u * u * u.
+    columns for K knots: the identity column plus the K-2 curvature columns
+    of `_curvature_rows`, as the (n, K-1) transpose of the term-major
+    (K-1, n) block `out` that holds them row by row (allocated if None).
     """
-    x = np.ascontiguousarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     knots = np.asarray(knots, dtype=float)
-    u = np.maximum(x - knots[:, None], 0.0)
-    cubes = u * u * u
-    d = (cubes[:-1] - cubes[-1]) / (knots[-1] - knots[:-1])[:, None]
-    out = np.empty((len(knots) - 1, x.shape[0]))
+    if out is None:
+        out = np.empty((len(knots) - 1, x.shape[0]))
     out[0] = x
-    np.subtract(d[:-1], d[-1], out=out[1:])
+    _curvature_rows(x, knots, out[1:])
     return out.T
 
 
-def _spline_knots(x, n_interior=_SPLINE_KNOTS):
-    """Knots of a spline with `n_interior` interior knots on column `x`:
-    boundary knots at the data range, interior ones at equally spaced
-    quantiles.  None when the column cannot carry the spline because its
-    basis would be rank-deficient: two knots coincide (a column dominated by
-    a few values), or the column has fewer distinct values than knots
-    (interpolated quantiles can separate the knots of a 3-valued column).
+def _knots_of_sorted(s, n_interior=_SPLINE_KNOTS):
+    """Knots of a spline with `n_interior` interior knots on a column whose
+    values, sorted ascending, are `s`: boundary knots at the data range,
+    interior ones at equally spaced quantiles.  None when the column cannot
+    carry the spline because its basis would be rank-deficient: two knots
+    coincide (a column dominated by a few values), or the column has fewer
+    distinct values than knots (interpolated quantiles can separate the
+    knots of a 3-valued column).
 
-    One sort gives the range, the distinct-value count and the quantiles,
-    which follow np.quantile's default (linear) rule bit for bit.
+    The sorted values give the range, the distinct-value count and the
+    quantiles, which follow np.quantile's default (linear) rule bit for bit.
     """
-    s = np.sort(x)
     at = (len(s) - 1) * (np.arange(1, n_interior + 1) * (1.0 / (n_interior + 1)))
     lo = at.astype(np.intp)
     a, b, g = s[lo], s[np.minimum(lo + 1, len(s) - 1)], at - lo
     interior = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
-    knots = np.concatenate([s[:1], interior, s[-1:]])
-    distinct = 1 + np.count_nonzero(s[1:] != s[:-1])
-    if np.all(knots[1:] > knots[:-1]) and distinct >= len(knots):
+    # sorting leaves -0.0 and 0.0 in either order, so a knot at zero could
+    # carry either sign; adding 0.0 makes it 0.0 and changes no other value
+    knots = np.concatenate([s[:1], interior, s[-1:]]) + 0.0
+    if (knots[1:] > knots[:-1]).all() and 1 + np.count_nonzero(s[1:] != s[:-1]) >= len(knots):
         return knots
     return None
+
+
+def _spline_knots(x, n_interior=_SPLINE_KNOTS):
+    """`_knots_of_sorted` of column `x`, sorted here."""
+    return _knots_of_sorted(np.sort(x), n_interior)
 
 
 def _spline_eligible(x):
@@ -404,10 +437,12 @@ class BoundDesign:
     same basis can be evaluated on new rows (counterfactual prediction,
     cross-validation folds).
 
-    Each instance keeps one private memo, the term block of the last
-    read-only, data-owning matrix it expanded (see `_term_block`).  The memo
-    takes no part in equality or repr and is dropped on pickling, so fits
-    sent to worker processes carry no cached arrays."""
+    Column counts are fixed at binding: `_n_terms` term columns (each
+    term's count in `_widths`) and `n_columns` with the dummies.  Each
+    instance keeps one private memo, the design of the last read-only,
+    data-owning matrix it expanded (see `_template`).  The memo takes no
+    part in equality or repr and is dropped on pickling, so fits sent to
+    worker processes carry no cached arrays."""
 
     spec: DesignSpec
     column_index: dict
@@ -415,6 +450,14 @@ class BoundDesign:
     k: int = 2
 
     def __post_init__(self):
+        widths = tuple(
+            len(self.knots[pos]) - (1 if term[0] == "spline" else 2) if pos in self.knots else 1
+            for pos, term in enumerate(self.spec.terms)
+        )
+        dummies = self.k - 1 if self.spec.includes_treatment_dummies else 0
+        object.__setattr__(self, "_widths", widths)
+        object.__setattr__(self, "_n_terms", sum(widths))
+        object.__setattr__(self, "n_columns", sum(widths) + dummies)
         object.__setattr__(self, "_memo", None)
 
     def __eq__(self, other):
@@ -433,113 +476,129 @@ class BoundDesign:
         state["_memo"] = None
         return state
 
-    def _widths(self):
-        """Column count of each term, in term order."""
-        widths = []
-        for pos, term in enumerate(self.spec.terms):
-            if term[0] == "spline":
-                widths.append(len(self.knots[pos]) - 1)
-            elif term[0] == "curvature":
-                widths.append(len(self.knots[pos]) - 2)
-            else:
-                widths.append(1)
-        return widths
-
     def _expand(self, X, out, widths):
-        """Write every term's columns into the leading columns of `out`."""
+        """Write every term's columns, one row each, into the leading rows
+        of the term-major block `out` (the transpose of a design's term
+        columns)."""
         j = 0
         for pos, (term, width) in enumerate(zip(self.spec.terms, widths)):
-            kind, cols = term[0], out[:, j:j + width]
+            kind, rows = term[0], out[j:j + width]
             if kind == "intercept":
-                cols[:, 0] = 1.0
+                rows.fill(1.0)
             elif kind == "main":
-                cols[:, 0] = X[:, self.column_index[term[1]]]
+                rows[0] = X[:, self.column_index[term[1]]]
             elif kind == "interaction":
-                cols[:, 0] = X[:, self.column_index[term[1]]] * X[:, self.column_index[term[2]]]
+                np.multiply(X[:, self.column_index[term[1]]], X[:, self.column_index[term[2]]], out=rows[0])
             elif kind == "square":
-                cols[:, 0] = X[:, self.column_index[term[1]]] ** 2
+                np.square(X[:, self.column_index[term[1]]], out=rows[0])
+            elif kind == "spline":
+                _natural_cubic_basis(X[:, self.column_index[term[1]]], self.knots[pos], out=rows)
             else:
-                basis = _natural_cubic_basis(X[:, self.column_index[term[1]]], self.knots[pos])
-                if kind == "spline":
-                    cols[...] = basis
-                elif term[2] is None:
-                    cols[...] = basis[:, 1:]
-                else:
-                    np.multiply(basis[:, 1:], X[:, self.column_index[term[2]]][:, None], out=cols)
+                _curvature_rows(X[:, self.column_index[term[1]]], self.knots[pos], rows)
+                if term[2] is not None:
+                    np.multiply(rows, X[:, self.column_index[term[2]]], out=rows)
             j += width
 
-    def _term_block(self, X, widths):
-        """The read-only term columns of float matrix X (no dummies).
+    def _design(self, X, out):
+        """Write the design of float matrix X with all-zero dummy columns
+        into the (n, n_columns) matrix `out` and return it."""
+        self._expand(X, out[:, : self._n_terms].T, self._widths)
+        out[:, self._n_terms:] = 0.0
+        return out
 
-        The memo holds the block of the last X expanded if that X is
+    def _template(self, X):
+        """The read-only design of float matrix X with all-zero dummy
+        columns.
+
+        The memo holds the template of the last X expanded if that X is
         read-only and owns its data, so that no view can change it; the
-        block is returned again while the same array object comes back still
-        read-only.  Any other call expands afresh and empties or replaces
-        the memo, so an array flagged writeable in between is expanded anew.
-        (An array flagged writeable, changed and flagged read-only again with
-        no call in between would go unnoticed; a Dataset's arrays are never
-        flagged writeable again.)"""
+        template is returned again while the same array object comes back
+        still read-only.  Any other call expands afresh and empties or
+        replaces the memo, so an array flagged writeable in between is
+        expanded anew.  (An array flagged writeable, changed and flagged
+        read-only again with no call in between would go unnoticed; a
+        Dataset's arrays are never flagged writeable again.)"""
         memo = self._memo
         if memo is not None and memo[0] is X and not X.flags.writeable:
             return memo[1]
-        block = np.empty((X.shape[0], sum(widths)))
-        self._expand(X, block, widths)
-        block.setflags(write=False)
+        template = self._design(X, np.empty((X.shape[0], self.n_columns)))
+        template.setflags(write=False)
         keep = X.flags.owndata and not X.flags.writeable
-        object.__setattr__(self, "_memo", (X, block) if keep else None)
-        return block
+        object.__setattr__(self, "_memo", (X, template) if keep else None)
+        return template
 
-    def blocks(self, X):
-        """The columns of each term, one read-only 2-d block per term, in
-        term order (treatment dummies excluded)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        widths = self._widths()
-        return np.split(self._term_block(X, widths), np.cumsum(widths)[:-1], axis=1)
-
-    def matrix(self, X, t=None):
-        """The design matrix of rows X: the term columns, then the
-        treatment dummies of levels 2..k when the spec includes them.
-
-        Always a fresh, writeable array.  The term columns are copied from
-        the memoized block when X is the read-only, data-owning array this
-        design expanded last (a Dataset's X, say), so a fit and its
-        predictions on the same rows expand them once; the result is bit for
-        bit what a fresh expansion gives."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        widths = self._widths()
-        dummies = self.spec.includes_treatment_dummies
-        if dummies and t is None:
-            raise ValueError("design includes treatment dummies but no t given")
-        q = sum(widths)
-        out = np.empty((X.shape[0], q + (self.k - 1 if dummies else 0)))
-        out[:, :q] = self._term_block(X, widths)
-        if dummies:
+    def _set_dummies(self, out, t):
+        """Set the zero dummy columns of design `out` for treatment codes
+        `t`, or for one level `t` on every row; return `out`."""
+        if not self.spec.includes_treatment_dummies:
+            return out
+        q = self._n_terms
+        if isinstance(t, (int, np.integer)):
+            if 2 <= t <= self.k:
+                out[:, q + t - 2] = 1.0
+        else:
             t = np.asarray(t, dtype=int)
             for j, level in enumerate(range(2, self.k + 1), start=q):
                 out[:, j] = t == level
         return out
 
-    @property
-    def n_columns(self):
-        count = sum(self._widths())
-        if self.spec.includes_treatment_dummies:
-            count += self.k - 1
-        return count
+    def blocks(self, X):
+        """The columns of each term, one read-only (n, width) view of the
+        memoized design per term, in term order (treatment dummies
+        excluded)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        template = self._template(X)
+        return np.split(template[:, : self._n_terms], np.cumsum(self._widths)[:-1], axis=1)
+
+    def matrix(self, X, t=None, out=None):
+        """The design matrix of rows X: the term columns, then the
+        treatment dummies of levels 2..k when the spec includes them.  `t`
+        is each row's treatment code, or one level for every row (a
+        counterfactual prediction), which gives the same matrix as a
+        constant array of that level.
+
+        A writeable, C-ordered array, bit for bit what a fresh expansion
+        gives.  With `out`, a flat float buffer of at least n * n_columns
+        entries, the matrix is expanded into the start of that buffer (a
+        workspace reused across calls) and the memo is left as it is.
+        Otherwise it is a fresh array: a copy of the memoized template when
+        X is the read-only, data-owning array this design expanded last (a
+        Dataset's X, say), so a fit and its predictions on the same rows
+        expand them once, and a fresh expansion for any other X."""
+        if self.spec.includes_treatment_dummies and t is None:
+            raise ValueError("design includes treatment dummies but no t given")
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        n = X.shape[0]
+        if out is not None:
+            design = self._design(X, out[: n * self.n_columns].reshape(n, self.n_columns))
+        elif X.flags.owndata and not X.flags.writeable:
+            design = self._template(X).copy()
+        else:
+            object.__setattr__(self, "_memo", None)
+            design = self._design(X, np.empty((n, self.n_columns)))
+        return self._set_dummies(design, t)
 
 
-def bind_design(data: Dataset, spec: DesignSpec) -> BoundDesign:
+def bind_design(data: Dataset, spec: DesignSpec, sorted_columns=None) -> BoundDesign:
     """Resolve columns and compute spline knots on `data`.
 
     A spline term on a column that cannot carry it in `data` (coinciding
     knots, or fewer distinct values than knots) binds as that column's main
     term, so a design chosen on the full data still binds on a
     cross-validation fold or bootstrap resample that lacks a rare value.
-    A curvature term on such a column is an error."""
+    A curvature term on such a column is an error.
+
+    `sorted_columns`, if given, maps the index j of every column that a
+    spline or curvature term names to column j of `data` sorted ascending,
+    so that a caller holding those values already (the super learner
+    derives every fold's from one argsort per column) binds without
+    sorting again; by default each column is sorted here."""
     spec.validate(data)
     terms, knots = list(spec.terms), {}
     for pos, term in enumerate(spec.terms):
         if term[0] in ("spline", "curvature"):
-            found = _spline_knots(data.X[:, data.column_index(term[1])])
+            j = data.column_index(term[1])
+            found = _knots_of_sorted(np.sort(data.X[:, j]) if sorted_columns is None else sorted_columns[j])
             if found is not None:
                 knots[pos] = found
             elif term[0] == "spline":

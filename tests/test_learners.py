@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from mlte.learners import (
+    _column_orders,
     _cv_folds,
     _nnls,
+    _sorted_outside,
     _stepwise_groups,
     fit_outcome,
     fit_propensity,
@@ -26,7 +28,7 @@ from mlte.simengine import (
 )
 import mlte.learners
 from mlte.glm import fit_multinomial, fit_ols
-from mlte.tabular import Dataset, bind_design, main, spline
+from mlte.tabular import Dataset, DesignSpec, bind_design, curvature, intercept, main, spline
 
 
 def scenario_data(scenario="t-y-", n=800, seed=0, rep=0, regime="correct"):
@@ -389,7 +391,10 @@ def reference_super_learner(data, candidates, folds, seed):
             fit = fit_ols(bound.matrix(sub.X, sub.t), sub.y)
             cv_pred[test, c] = fit.predict(bound.matrix(data.X[test], data.t[test]))
     weights = _nnls(cv_pred, data.y)
-    return weights / weights.sum(), ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
+    coefficients = [
+        fit_ols(bind_design(data, spec).matrix(data.X, data.t), data.y).coefficients for spec in candidates
+    ]
+    return weights / weights.sum(), ((cv_pred - data.y[:, None]) ** 2).mean(axis=0), coefficients
 
 
 def test_super_learner_equals_reference_fold_loop():
@@ -400,9 +405,65 @@ def test_super_learner_equals_reference_fold_loop():
         _additive_spline_spec(data, with_dummies=True),
     )
     sl = fit_super_learner(data, candidates, seed=5)
-    weights, cv_risks = reference_super_learner(data, candidates, 10, 5)
+    weights, cv_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
     np.testing.assert_array_equal(sl.weights, weights)
     np.testing.assert_array_equal(sl.cv_risks, cv_risks)
+    for (_, _, fit), coef in zip(sl.components, coefficients):
+        np.testing.assert_array_equal(fit.coefficients, coef)
+
+
+def tied_column_data(n=400, seed=4):
+    """A spline-eligible column rounded to one decimal, so that most of its
+    values repeat, next to a continuous one."""
+    rng = np.random.default_rng(seed)
+    x, r = rng.normal(size=n), np.round(rng.normal(size=n), 1)
+    t = rng.integers(1, 4, n)
+    y = x + 0.5 * r + t + rng.normal(size=n)
+    return Dataset.from_arrays(np.column_stack([x, r]), t, y, columns=("x", "r"))
+
+
+@pytest.mark.parametrize("make", (ordinal_data, rare_top_value_data, tied_column_data))
+def test_one_sort_fold_knots_equal_binding_each_fold(make):
+    data = make()
+    specs = (_additive_spline_spec(data, True), DesignSpec((intercept(), main("x"), curvature("x")), True))
+    fold_of = _cv_folds(data, 10, 3)
+    ordered = _column_orders(data, specs, fold_of)
+    fallbacks = 0
+    for f in range(-1, 10):  # -1: the full data
+        sub = data.take(np.flatnonzero(fold_of != f))
+        for spec in specs:
+            got, want = bind_design(sub, spec, _sorted_outside(ordered, f)), bind_design(sub, spec)
+            assert got == want
+            assert all(got.knots[pos].tobytes() == want.knots[pos].tobytes() for pos in want.knots)
+            fallbacks += got.spec != spec
+    # the fold without the single 5 binds that column as a main term
+    assert fallbacks == (1 if make is rare_top_value_data else 0)
+
+
+@pytest.mark.parametrize("make", (ordinal_data, rare_top_value_data))
+def test_super_learner_equals_reference_on_low_cardinality_columns(make):
+    data = make()
+    candidates = (
+        _mainterms_spec(data, with_dummies=True),
+        _rich_parametric_spec(data, with_dummies=True),
+        _additive_spline_spec(data, with_dummies=True),
+    )
+    np.testing.assert_array_equal(_cv_folds(data, 10, 5), reference_folds(data.n, 10, 5))
+    sl = fit_super_learner(data, candidates, seed=5)
+    weights, cv_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
+    np.testing.assert_array_equal(sl.weights, weights)
+    np.testing.assert_array_equal(sl.cv_risks, cv_risks)
+    for (_, _, fit), coef in zip(sl.components, coefficients):
+        np.testing.assert_array_equal(fit.coefficients, coef)
+
+
+@pytest.mark.parametrize("regime", ("correct", "ml"))
+def test_predict_rejects_levels_outside_one_to_k(regime):
+    _, data = scenario_data(n=300)
+    out = fit_outcome(data, regime, truth_outcome_spec(), seed=1)
+    for level in (0, data.k + 1):
+        with pytest.raises(ValueError, match=rf"treatment level {level} outside 1\.\.{data.k}"):
+            out.predict(level, data.X)
 
 
 def nnls_problems(seed, count):

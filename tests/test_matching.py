@@ -149,6 +149,20 @@ def test_duplicate_rows_resolve_to_first_donor(m):
         assert_first_duplicates_chosen(data, build_matches(data, m=m))
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_m_nearest_selection_equals_stable_argsort_on_ties(m):
+    rng = np.random.default_rng(m)
+    for _ in range(50):
+        D = rng.integers(0, 4, size=(int(rng.integers(1, 70)), int(rng.integers(m, 60)))).astype(float)
+        D[rng.random(D.shape) < 0.1] = np.inf  # an excluded donor
+        got = matching._m_smallest(D, m, np.empty_like(D))
+        np.testing.assert_array_equal(got, np.argsort(D, axis=1, kind="stable")[:, :m])
+    for seed in range(2):
+        data = discrete_k3(seed=seed)
+        match_indices, _ = reference_matches(data, m, "euclidean-standardized")
+        np.testing.assert_array_equal(build_matches(data, m=m).match_indices, match_indices)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 128, 10**6])
 def test_matches_do_not_depend_on_chunk_size(monkeypatch, chunk):
     data, dup = random_k3(n=500, seed=21), discrete_k3(seed=21)

@@ -8,6 +8,7 @@ from mlte import learners
 from mlte.learners import fit_outcome, fit_propensity
 from mlte.outcome_methods import (
     _bootstrap_resample,
+    _resample_need,
     estimate_crude,
     estimate_tmle,
     stan_bootstrap,
@@ -137,7 +138,7 @@ def test_bootstrap_resample_keeps_every_level():
     t[38:] = 3  # rare level: 2 of 40 rows
     data = Dataset.from_arrays(X, t, rng.normal(size=40))
     for s in range(30):
-        boot = _bootstrap_resample(data, np.random.default_rng(s))
+        boot = _bootstrap_resample(data, np.random.default_rng(s), _resample_need(data))
         assert (np.bincount(boot.t, minlength=4)[1:] >= 2).all()
 
 
@@ -179,7 +180,7 @@ def test_bootstrap_resample_gives_up_eventually():
             return np.zeros(size, dtype=int)
 
     with pytest.raises(RuntimeError, match="fewer than 2 rows"):
-        _bootstrap_resample(data, StuckRng())
+        _bootstrap_resample(data, StuckRng(), _resample_need(data))
 
 
 @pytest.mark.parametrize("pairs", ([(2, 1)], [(2, 1), (3, 1)]))

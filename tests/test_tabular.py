@@ -390,6 +390,44 @@ def test_memoized_matrix_equals_fresh_expansion():
     np.testing.assert_array_equal(bound.matrix(d.X, d.t), bind_design(d, spec).matrix(d.X, d.t))
 
 
+def test_matrix_of_one_level_equals_constant_level_array():
+    d = toy_dataset(n=60)
+    _, bound = memo_design(d)
+    fresh = np.array(d.X)  # writeable: expanded on every call
+    for X in (d.X, fresh):
+        for level in range(0, d.k + 2):  # 0 and k + 1 give no dummy, as a constant array does
+            got = bound.matrix(X, level)
+            want = bound.matrix(X, np.full(d.n, level))
+            assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+            assert bound.matrix(X, np.int64(level)).tobytes() == want.tobytes()
+            assert bound.matrix(X, np.array(level)).tobytes() == want.tobytes()
+
+
+def test_matrix_into_workspace_equals_fresh_matrix_and_keeps_the_memo():
+    d = toy_dataset(n=60)
+    spec, bound = memo_design(d)
+    bound.matrix(d.X, d.t)
+    memo = bound._memo
+    workspace = np.full(bound.n_columns * d.n + 7, np.nan)  # larger than needed, stale values
+    fresh = np.array(d.X)
+    for X, t in ((d.X, d.t), (fresh, d.t), (d.X[:25], d.t[:25]), (d.X, 3)):
+        got = bound.matrix(X, t, out=workspace)
+        want = bind_design(d, spec).matrix(np.array(X), t)
+        assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+        assert np.shares_memory(got, workspace)
+        assert bound._memo is memo
+
+
+def test_unmemoized_matrix_is_its_own_fresh_array():
+    d = toy_dataset(n=60)
+    spec, bound = memo_design(d)
+    X = np.array(d.X)
+    D = bound.matrix(X, d.t)
+    assert D.flags.writeable and D.flags.owndata and bound._memo is None
+    np.testing.assert_array_equal(D, bind_design(d, spec).matrix(d.X, d.t))
+    assert not np.shares_memory(D, bound.matrix(X, d.t))
+
+
 def test_memo_skips_writeable_and_view_matrices():
     d = toy_dataset(n=60)
     _, bound = memo_design(d)
@@ -453,6 +491,33 @@ def test_take_missing_level_error_text():
         d.take(np.flatnonzero(d.t != 2))
     with pytest.raises(ValueError, match=r"^treatment level\(s\) \[2, 3\] have zero rows$"):
         d.take(np.flatnonzero(d.t == 1))
+
+
+def test_take_boolean_mask_selects_true_rows():
+    d = toy_dataset(n=6, k=3)
+    mask = np.array([True, True, False, False, True, True])
+    sub = d.take(mask)
+    assert sub.n == 4
+    for name in ("X", "t", "y"):
+        np.testing.assert_array_equal(getattr(sub, name), getattr(d, name)[mask])
+    with pytest.raises(ValueError, match=r"mask has shape \(5,\), expected \(6,\)"):
+        d.take(mask[:5])
+
+
+@pytest.mark.parametrize("rows", (np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5]), ["0", "1", "2"]))
+def test_take_rejects_non_integer_rows(rows):
+    d = toy_dataset(n=6, k=3)
+    with pytest.raises(TypeError, match=str(np.asarray(rows).dtype)):
+        d.take(rows)
+
+
+def test_take_repeated_and_negative_rows_equal_fancy_indexing():
+    d = toy_dataset(n=30, k=3)
+    for rows in (np.array([0, 0, 1, 1, 2, 2, 2]), np.array([-1, -2, -3, 0, -1]),
+                 np.arange(-30, 30), np.array([5, 4, 3], dtype=np.uint8), [29, -30, 1]):
+        sub = d.take(rows)
+        for name in ("X", "t", "y"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(d, name)[np.asarray(rows)])
 
 
 def test_natural_cubic_basis_column_count():
