@@ -6,10 +6,10 @@ scenario; `plasmode` resamples a source dataset with regenerated
 treatment/outcome; `diagnose` summarizes fitted treatment probabilities
 as a numeric overlap check.
 
-`_FLAGS` defines every flag once (its argparse type, choices and help) and
-`_COMMANDS` gives each command's function, help line and flags; the
-parser, the conversion of values and the provenance keys are built from
-these two tables.  Every
+`_FLAGS` defines every flag once (its argparse type, choices, default and
+help) and `_COMMANDS` gives each command's function, help line, flags and
+defaults of its own; the parser, the resolved configuration and the
+provenance keys are built from these two tables.  Every
 flag can also be supplied through an environment variable with the MLTE_
 prefix (MLTE_SEED for --seed); such values are parsed and checked by
 argparse like flags, and explicit flags win.  Output files embed the tool
@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,39 +47,7 @@ from .simengine import (
 )
 from .tabular import all_pairs, load_csv, load_json
 
-__all__ = ["RunConfig", "main", "cmd_estimate", "cmd_simulate", "cmd_plasmode", "cmd_diagnose"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: defaults, environment, and flags merged."""
-
-    command: str
-    data: str = None
-    treatment: str = None
-    outcome: str = None
-    covariates: tuple = None
-    methods: tuple = METHODS
-    regime: str = "mainterms"
-    scenario: str = None
-    n: int = None
-    reps: int = None
-    m: int = 1
-    bootstrap: int = 200
-    seed: int = 1
-    workers: int = 1
-    out: str = None
-    format: str = "text"
-
-    def provenance(self) -> dict:
-        """The configuration worth embedding in output files: everything
-        that determines the result, nothing that doesn't (worker count,
-        output destination)."""
-        return {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in ((k, getattr(self, k)) for k in _provenance_keys(self.command))
-            if v is not None
-        }
+__all__ = ["main", "cmd_estimate", "cmd_simulate", "cmd_plasmode", "cmd_diagnose"]
 
 
 def _comma_list(text):
@@ -101,32 +68,34 @@ def _count(low):
 
 
 # every flag once, as argparse keyword arguments; a flag's value is the
-# RunConfig field of the same name
+# configuration attribute of the same name, and a command without the flag
+# gets its default
 _FLAGS = {
     "data": dict(help="input dataset (.csv or .json)"),
     "treatment": dict(help="treatment column name (csv input)"),
     "outcome": dict(help="outcome column name (csv input)"),
     "covariates": dict(type=_comma_list, help="comma-separated covariate columns (csv input)"),
-    "methods": dict(type=_comma_list, help="comma-separated subset of " + ", ".join(
+    "methods": dict(type=_comma_list, default=METHODS, help="comma-separated subset of " + ", ".join(
         f"{meth} ({row.estimand})" for meth, row in METHOD_TABLE.items())),
-    "regime": dict(choices=REGIMES),
+    "regime": dict(choices=REGIMES, default="mainterms"),
     "scenario": dict(choices=SCENARIO_NAMES),
     "n": dict(type=_count(1), help="sample size (simulate) / resample size (plasmode)"),
     "reps": dict(type=_count(1), help="number of replications"),
-    "m": dict(type=_count(1), help="matches per unit"),
-    "bootstrap": dict(type=_count(0), help="bootstrap resamples for stan (default 200)"),
-    "seed": dict(type=_count(0)),
-    "workers": dict(type=_count(0), help="parallel workers (0 = one per core)"),
+    "m": dict(type=_count(1), default=1, help="matches per unit"),
+    "bootstrap": dict(type=_count(0), default=200,
+                      help="bootstrap resamples for stan (default %(default)s)"),
+    "seed": dict(type=_count(0), default=1),
+    "workers": dict(type=_count(0), default=1, help="parallel workers (0 = one per core)"),
     "out": dict(help="output file (default: stdout)"),
-    "format": dict(choices=("csv", "json", "text")),
+    "format": dict(choices=("csv", "json", "text"), default="text"),
 }
 
 
 def _provenance_keys(command):
-    """The RunConfig keys embedded in output files, in order: `command`, the
-    command's flags other than the seed and the execution and output
-    settings (workers, out, format), then `seed`, which every command
-    records (the default where the command has no --seed)."""
+    """The configuration keys embedded in output files, in order:
+    `command`, the command's flags other than the seed and the execution
+    and output settings (workers, out, format), then `seed`, which every
+    command records (the default where the command has no --seed)."""
     skip = ("seed", "workers", "out", "format")
     return ("command",) + tuple(f for f in _COMMANDS[command].flags if f not in skip) + ("seed",)
 
@@ -142,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=spec.help)
         for name in spec.flags:
             p.add_argument("--" + name, **_FLAGS[name])
+        p.set_defaults(**spec.defaults)
     return parser
 
 
@@ -163,15 +133,11 @@ def _with_environment(argv):
     return argv[: pos + 1] + env + argv[pos + 1 :]
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    values = {name: value for name, value in vars(args).items() if value is not None}
-    if args.command == "simulate":
-        values.setdefault("n", 1000)
-        values.setdefault("reps", 500)
-    elif args.command == "plasmode":
-        values.setdefault("n", 2000)
-        values.setdefault("reps", 100)
-    cfg = RunConfig(**values)
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed flags, with every flag the command does not take at its
+    `_FLAGS` default."""
+    defaults = {name: flag.get("default") for name, flag in _FLAGS.items()}
+    cfg = argparse.Namespace(**{**defaults, **vars(args)})
     if not cfg.methods:
         raise ValueError(f"--methods names no method; expected a subset of {METHODS}")
     unknown = [m for m in cfg.methods if m not in METHOD_TABLE]
@@ -180,7 +146,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg):
     """The --data file as a Dataset; estimate and diagnose then reject the
     `correct` regime (plasmode rejects it with its own message)."""
     if cfg.data is None:
@@ -196,12 +162,20 @@ def _load_dataset(cfg: RunConfig):
     return data
 
 
-def _provenance_header(cfg: RunConfig) -> str:
-    compact = json.dumps(cfg.provenance(), sort_keys=True, separators=(",", ":"))
+def _provenance(cfg) -> dict:
+    """The configuration worth embedding in output files: everything that
+    determines the result, nothing that doesn't (worker count, output
+    destination)."""
+    values = ((key, getattr(cfg, key)) for key in _provenance_keys(cfg.command))
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values if v is not None}
+
+
+def _provenance_header(cfg) -> str:
+    compact = json.dumps(_provenance(cfg), sort_keys=True, separators=(",", ":"))
     return f"# mlte {__version__}\n# config {compact}\n# seed {cfg.seed}\n"
 
 
-def _emit(content: str, cfg: RunConfig, stdout_summary: str = None) -> None:
+def _emit(content: str, cfg, stdout_summary: str = None) -> None:
     if cfg.out is None or cfg.out == "-":
         sys.stdout.write(content)
         return
@@ -215,7 +189,7 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def cmd_estimate(cfg) -> int:
     data = _load_dataset(cfg)
     methods = [m for m in METHODS if m in cfg.methods]
     pairs = all_pairs(data.k)
@@ -240,7 +214,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     if cfg.format == "json":
         payload = {
             "version": __version__,
-            "config": cfg.provenance(),
+            "config": _provenance(cfg),
             "seed": cfg.seed,
             "failures": failures,
             "tables": [_contrast_payload(t) for t in tables],
@@ -267,7 +241,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-def _finish_report(report, cfg: RunConfig) -> int:
+def _finish_report(report, cfg) -> int:
     content = render_report(report, fmt=cfg.format)
     if cfg.format in ("csv", "text"):
         content = _provenance_header(cfg) + content
@@ -278,7 +252,7 @@ def _finish_report(report, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg) -> int:
     if cfg.scenario is None:
         raise ValueError("simulate requires --scenario")
     scen = ScenarioConfig.named(
@@ -294,7 +268,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return _finish_report(report, cfg)
 
 
-def cmd_plasmode(cfg: RunConfig) -> int:
+def cmd_plasmode(cfg) -> int:
     source = _load_dataset(cfg)
     # before the generator fits, which take seconds
     _check_plasmode_regime(cfg.regime)
@@ -321,7 +295,7 @@ _DIAGNOSE_COLUMNS = (
 )
 
 
-def cmd_diagnose(cfg: RunConfig) -> int:
+def cmd_diagnose(cfg) -> int:
     data = _load_dataset(cfg)
     prop = fit_propensity(data, cfg.regime)
     rows = []
@@ -347,7 +321,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     if cfg.format == "json":
         payload = {
             "version": __version__,
-            "config": cfg.provenance(),
+            "config": _provenance(cfg),
             "seed": cfg.seed,
             "model": prop.description,
             "converged": prop.converged,
@@ -362,12 +336,13 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
 
 class _Command(NamedTuple):
-    """One subcommand: its function, its --help line and its flags in
-    --help order."""
+    """One subcommand: its function, its --help line, its flags in --help
+    order and the defaults it sets in place of `_FLAGS`'."""
 
     run: Callable
     help: str
     flags: tuple
+    defaults: dict = {}
 
 
 _COMMANDS = {
@@ -378,11 +353,11 @@ _COMMANDS = {
     "simulate": _Command(cmd_simulate, "run a synthetic replication study", (
         "scenario", "methods", "regime", "n", "reps", "m", "bootstrap", "seed", "workers",
         "out", "format",
-    )),
+    ), dict(n=1000, reps=500)),
     "plasmode": _Command(cmd_plasmode, "run a plasmode replication study from a source dataset", (
         "data", "treatment", "outcome", "covariates", "methods", "regime", "n", "reps", "m",
         "bootstrap", "seed", "workers", "out", "format",
-    )),
+    ), dict(n=2000, reps=100)),
     "diagnose": _Command(cmd_diagnose, "summarize fitted treatment-probability overlap", (
         "data", "treatment", "outcome", "covariates", "regime", "out", "format",
     )),

@@ -31,9 +31,14 @@ continuous covariates, mains for binary ones, and spline-by-binary
 interactions) by forward stepwise group selection under BIC, in the spirit
 of adaptive polychotomous spline regression.  Every group is a design term,
 so the chosen model is an ordinary bound design, and the search hands over
-its own fit of that design.  A covariate with too few
-distinct values for the spline's knots enters as a main term only, in both
-models.
+its own fit of that design.
+Both models sort each covariate once per fit and read from that one copy
+whether it is binary (at most two distinct values), whether it can carry
+the spline and where its knots lie.  A covariate enters as a main term
+only, in both models, when it cannot carry the spline: it has fewer
+distinct values than the spline's five knots, or two of its quantile knots
+coincide, as they do for a column dominated by a few values however many
+others it takes.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .tabular import (
     BoundDesign,
     Dataset,
     DesignSpec,
-    _spline_eligible,
+    _knots_of_sorted,
     bind_design,
     curvature,
     intercept,
@@ -160,8 +165,17 @@ class PropensityFit:
 # design construction helpers
 
 
-def _is_binary_column(x):
-    return len(np.unique(x)) <= 2
+def _sorted_columns(data: Dataset):
+    """Each covariate of `data` sorted ascending, one sort per column: the
+    ml designs read from these which covariates are binary and which can
+    carry a spline, and bind their knots from them."""
+    return [np.sort(x) for x in data.X.T]
+
+
+def _is_binary_sorted(s):
+    """Whether a column, sorted ascending as `s`, has at most two distinct
+    values (like np.unique, counting -0.0 and 0.0 as one)."""
+    return np.count_nonzero(s[1:] != s[:-1]) <= 1
 
 
 def _mainterms_spec(data: Dataset, with_dummies):
@@ -169,24 +183,26 @@ def _mainterms_spec(data: Dataset, with_dummies):
     return DesignSpec(tuple(terms), includes_treatment_dummies=with_dummies)
 
 
-def _rich_parametric_spec(data: Dataset, with_dummies):
+def _rich_parametric_spec(data: Dataset, with_dummies, sorted_columns):
     """Mains, every pairwise covariate interaction, and squares of the
-    non-binary covariates."""
+    non-binary covariates (read from `_sorted_columns`)."""
     terms = [intercept()] + [main(c) for c in data.columns]
     cols = data.columns
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
             terms.append(interaction(cols[i], cols[j]))
-    for j, c in enumerate(cols):
-        if not _is_binary_column(data.X[:, j]):
+    for c, s in zip(cols, sorted_columns):
+        if not _is_binary_sorted(s):
             terms.append(square(c))
     return DesignSpec(tuple(terms), includes_treatment_dummies=with_dummies)
 
 
-def _additive_spline_spec(data: Dataset, with_dummies):
+def _additive_spline_spec(data: Dataset, with_dummies, sorted_columns):
+    """A spline of every covariate that can carry one (read from
+    `_sorted_columns`), a main term of every other."""
     terms = [intercept()]
-    for j, c in enumerate(data.columns):
-        terms.append(spline(c) if _spline_eligible(data.X[:, j]) else main(c))
+    for c, s in zip(data.columns, sorted_columns):
+        terms.append(spline(c) if _knots_of_sorted(s) is not None else main(c))
     return DesignSpec(tuple(terms), includes_treatment_dummies=with_dummies)
 
 
@@ -384,10 +400,11 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "ml":
+        columns = _sorted_columns(data)
         candidates = (
             _mainterms_spec(data, with_dummies=True),
-            _rich_parametric_spec(data, with_dummies=True),
-            _additive_spline_spec(data, with_dummies=True),
+            _rich_parametric_spec(data, True, columns),
+            _additive_spline_spec(data, True, columns),
         )
         sl = fit_super_learner(data, candidates, seed=seed)
         wtxt = "/".join(f"{w:.2f}" for w in sl.weights)
@@ -405,8 +422,9 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
 # propensity fitting
 
 
-def _stepwise_groups(data: Dataset):
-    """Candidate groups for the stepwise treatment model, as design terms.
+def _stepwise_groups(data: Dataset, sorted_columns):
+    """Candidate groups for the stepwise treatment model, as design terms,
+    read from `_sorted_columns`.
 
     Returns {name: (term, names of the groups it needs)}.  Spline-eligible
     covariates contribute a linear group and a curvature group (the
@@ -419,13 +437,12 @@ def _stepwise_groups(data: Dataset):
     """
     groups = {}
     splined, binaries = [], []
-    for j, name in enumerate(data.columns):
-        x = data.X[:, j]
+    for name, s in zip(data.columns, sorted_columns):
         groups[name] = (main(name), frozenset())
-        if _spline_eligible(x):
+        if _knots_of_sorted(s) is not None:
             splined.append(name)
             groups[f"{name}.curv"] = (curvature(name), frozenset({name}))
-        elif _is_binary_column(x):
+        elif _is_binary_sorted(s):
             binaries.append(name)
     for cname in splined:
         for bname in binaries:
@@ -437,7 +454,7 @@ def _stepwise_groups(data: Dataset):
     return groups
 
 
-def _stepwise_multinomial(data: Dataset):
+def _stepwise_multinomial(data: Dataset, sorted_columns):
     """Forward group selection on the spline basis under BIC.
 
     Starts from the intercept-only model and greedily adds the eligible
@@ -450,9 +467,9 @@ def _stepwise_multinomial(data: Dataset):
     fitted probabilities of the chosen design.
     """
     n, k = data.n, data.k
-    groups = _stepwise_groups(data)
+    groups = _stepwise_groups(data, sorted_columns)
     all_terms = DesignSpec(tuple(term for term, _ in groups.values()))
-    columns = dict(zip(groups, bind_design(data, all_terms).blocks(data.X)))
+    columns = dict(zip(groups, bind_design(data, all_terms, sorted_columns).blocks(data.X)))
     logn = np.log(n)
 
     def scored_fit(D):
@@ -494,8 +511,10 @@ def fit_propensity(data: Dataset, regime, truth_spec: Optional[DesignSpec] = Non
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "ml":
-        groups, chosen, mfit, probs = _stepwise_multinomial(data)
-        bound = bind_design(data, DesignSpec((intercept(),) + tuple(groups[name][0] for name in chosen)))
+        columns = _sorted_columns(data)
+        groups, chosen, mfit, probs = _stepwise_multinomial(data, columns)
+        spec = DesignSpec((intercept(),) + tuple(groups[name][0] for name in chosen))
+        bound = bind_design(data, spec, columns)
         desc = f"stepwise spline multinomial (BIC, {len(chosen)} groups: {', '.join(chosen) or 'intercept only'})"
         return PropensityFit("ml", data.k, probs, desc, bound, mfit)
     bound = bind_design(data, _parametric_spec(data, regime, truth_spec, with_dummies=False))

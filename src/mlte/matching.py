@@ -30,7 +30,7 @@ import numpy as np
 
 from .learners import OutcomeFit
 from .tabular import Dataset
-from .weighting import EffectEstimate, make_estimate
+from .weighting import EffectEstimate, _check_pair, make_estimate
 
 __all__ = ["MatchSets", "build_matches", "estimate_match", "estimate_bcm"]
 
@@ -181,7 +181,7 @@ def _match_variance(data: Dataset, ms: MatchSets, pair, diff: np.ndarray, tau: f
 def _matched_estimate(data: Dataset, ms: MatchSets, pair, method, out: OutcomeFit = None):
     """Contrast of imputed potential-outcome means: each row's donor-outcome
     mean, shifted by `out`'s prediction gap between row and donors if given."""
-    t1, t0 = int(pair[0]), int(pair[1])
+    t1, t0 = _check_pair(pair, data.k)
     imputed = {}
     for lev in (t1, t0):
         idx = ms.match_indices[:, lev - 1, :]

@@ -20,7 +20,7 @@ import numpy as np
 from .glm import expit, fit_logistic, logit
 from .learners import OutcomeFit, PropensityFit
 from .tabular import Dataset
-from .weighting import EffectEstimate, _arms_support_variance, make_estimate
+from .weighting import EffectEstimate, _arms_support_variance, _check_pair, make_estimate
 
 __all__ = [
     "TmleFluctuation",
@@ -37,11 +37,9 @@ _BOOTSTRAP_REDRAW_LIMIT = 10
 def estimate_crude(data: Dataset, pair) -> EffectEstimate:
     """Unadjusted difference of group means with the two-sample variance
     (NaN for a pair with a 1-row arm)."""
-    t1, t0 = int(pair[0]), int(pair[1])
+    t1, t0 = _check_pair(pair, data.k)
     y1 = data.y[data.t == t1]
     y0 = data.y[data.t == t0]
-    if len(y1) == 0 or len(y0) == 0:
-        raise ValueError(f"empty arm in pair {pair}")
     tau = y1.mean() - y0.mean()
     supported = _arms_support_variance(data.t, pair)
     var = y1.var(ddof=1) / len(y1) + y0.var(ddof=1) / len(y0) if supported else np.nan
@@ -121,7 +119,7 @@ def stan_estimates(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
     NaN and the confidence intervals absent, as they are for a pair with a
     1-row arm.  Returns {pair: EffectEstimate}.
     """
-    pairs = [(int(p[0]), int(p[1])) for p in pairs]
+    pairs = [_check_pair(p, data.k) for p in pairs]
     variances = stan_bootstrap(data, out, pairs, bootstrap_reps, seed)
     return {
         p: make_estimate(
@@ -189,7 +187,7 @@ def estimate_tmle(data: Dataset, out: OutcomeFit, prop: PropensityFit, pair) -> 
     updated predictions, and estimates the variance as the sample variance
     of the efficient influence contribution divided by n.
     """
-    t1, t0 = int(pair[0]), int(pair[1])
+    t1, t0 = _check_pair(pair, data.k)
     fl = tmle_fluctuations(data, out, prop, (t1, t0))
     a, b = fl[t1].scale
     span = b - a

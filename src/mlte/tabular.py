@@ -421,16 +421,6 @@ def _knots_of_sorted(s, n_interior=_SPLINE_KNOTS):
     return None
 
 
-def _spline_knots(x, n_interior=_SPLINE_KNOTS):
-    """`_knots_of_sorted` of column `x`, sorted here."""
-    return _knots_of_sorted(np.sort(x), n_interior)
-
-
-def _spline_eligible(x):
-    """Whether column `x` can carry a spline."""
-    return _spline_knots(x) is not None
-
-
 @dataclass(frozen=True)
 class BoundDesign:
     """A DesignSpec bound to training data: spline knots are frozen so the
@@ -590,9 +580,10 @@ def bind_design(data: Dataset, spec: DesignSpec, sorted_columns=None) -> BoundDe
 
     `sorted_columns`, if given, maps the index j of every column that a
     spline or curvature term names to column j of `data` sorted ascending,
-    so that a caller holding those values already (the super learner
-    derives every fold's from one argsort per column) binds without
-    sorting again; by default each column is sorted here."""
+    so that a caller holding those values already (the ml learners sort
+    each covariate once per fit, and the super learner derives every
+    fold's from one argsort per column) binds without sorting again; by
+    default each column is sorted here."""
     spec.validate(data)
     terms, knots = list(spec.terms), {}
     for pos, term in enumerate(spec.terms):

@@ -8,7 +8,7 @@ import pytest
 
 import mlte.learners
 import mlte.simengine
-from mlte.cli import _COMMANDS, _FLAGS, RunConfig, _provenance_keys, main
+from mlte.cli import _provenance_keys, main
 from mlte.outcome_methods import estimate_crude
 from mlte.simengine import PlasmodeConfig, ScenarioConfig, simulate_dataset
 from mlte.tabular import load_csv
@@ -368,13 +368,6 @@ def test_estimate_ml_regime_with_rare_covariate_values(rare_value_csv, capsys):
 
 # ---------------------------------------------------------------------------
 # flag table and environment fallback
-
-
-def test_flag_table_matches_run_config():
-    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
-    assert set(_FLAGS) == fields
-    for spec in _COMMANDS.values():
-        assert set(spec.flags) <= fields
 
 
 def test_provenance_keys_derived_from_command_flags():

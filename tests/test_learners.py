@@ -2,14 +2,19 @@
 
 import dataclasses
 import pickle
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlte.learners import (
     _column_orders,
+    _is_binary_sorted,
     _cv_folds,
     _nnls,
+    _sorted_columns,
     _sorted_outside,
     _stepwise_groups,
     fit_outcome,
@@ -28,12 +33,33 @@ from mlte.simengine import (
 )
 import mlte.learners
 from mlte.glm import fit_multinomial, fit_ols
-from mlte.tabular import Dataset, DesignSpec, bind_design, curvature, intercept, main, spline
+from mlte.tabular import (
+    Dataset,
+    DesignSpec,
+    _knots_of_sorted,
+    bind_design,
+    curvature,
+    intercept,
+    main,
+    spline,
+    square,
+)
+from test_tabular import coincident_knot_column
 
 
 def scenario_data(scenario="t-y-", n=800, seed=0, rep=0, regime="correct"):
     cfg = ScenarioConfig.named(scenario, n=n, reps=1, seed=seed, regime=regime)
     return cfg, simulate_dataset(cfg, rep)
+
+
+def ml_candidates(data):
+    """The three candidates of an ml outcome fit, as `fit_outcome` builds them."""
+    columns = _sorted_columns(data)
+    return (
+        _mainterms_spec(data, with_dummies=True),
+        _rich_parametric_spec(data, True, columns),
+        _additive_spline_spec(data, True, columns),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +144,7 @@ def test_super_learner_prefers_correct_candidate_family():
     t = np.tile([1, 2, 3], n // 3)
     y = 1.0 + 0.8 * X[:, 0] - 0.5 * X[:, 1] + 0.7 * (t == 2) + 1.1 * (t == 3) + 0.05 * rng.normal(size=n)
     data = Dataset.from_arrays(X, t, y)
-    candidates = (
-        _mainterms_spec(data, with_dummies=True),
-        _rich_parametric_spec(data, with_dummies=True),
-        _additive_spline_spec(data, with_dummies=True),
-    )
+    candidates = ml_candidates(data)
     sl = fit_super_learner(data, candidates, seed=3)
     assert np.asarray(sl.weights).argmax() == 0
 
@@ -199,7 +221,7 @@ def test_ml_propensity_keeps_the_fit_of_its_stepwise_search(monkeypatch):
     fit = fit_propensity(data, "ml")
     chosen = fit.description.split(": ")[1].rstrip(")").split(", ")
     assert chosen and chosen != ["intercept only"]
-    groups = _stepwise_groups(data)
+    groups = _stepwise_groups(data, _sorted_columns(data))
     evaluations = 1 + sum(
         sum(1 for name, (_, needs) in groups.items()
             if name not in chosen[:r] and needs.issubset(chosen[:r]))
@@ -269,7 +291,7 @@ def test_ml_regime_enters_low_cardinality_columns_as_main_terms(levels):
     np.testing.assert_allclose(prop.probs.sum(axis=1), 1.0, atol=1e-10)
     chosen = prop.description.split("groups: ")[1].rstrip(")").split(", ")
     assert "o" in chosen  # the ordinal main group is selected
-    groups = _stepwise_groups(data)
+    groups = _stepwise_groups(data, _sorted_columns(data))
     assert [name for name in groups if "o" in name.replace(".curv", "")] == ["o"]
     assert {"x", "x.curv", "b", "x:b", "x.curv:b"} <= set(groups)
 
@@ -293,7 +315,7 @@ def test_ml_outcome_fits_column_with_rare_values(seed):
     out = fit_outcome(data, "ml", seed=seed)
     assert main("g") in out.super_learner.candidates[2].terms
     assert np.all(np.isfinite(out.predict_matrix(data.X)))
-    assert "g.curv" not in _stepwise_groups(data)
+    assert "g.curv" not in _stepwise_groups(data, _sorted_columns(data))
 
 
 def rare_top_value_data(n=300, seed=0):
@@ -366,7 +388,7 @@ def test_cv_folds_reject_a_single_row_level():
 
 def test_sliced_fold_designs_equal_per_fold_expansion():
     data = ordinal_data(n=300)
-    for spec in (_mainterms_spec(data, True), _rich_parametric_spec(data, True)):
+    for spec in ml_candidates(data)[:2]:
         D = bind_design(data, spec).matrix(data.X, data.t)
         fold_of = _cv_folds(data, 10, 1)
         for f in range(10):
@@ -399,11 +421,7 @@ def reference_super_learner(data, candidates, folds, seed):
 
 def test_super_learner_equals_reference_fold_loop():
     data = ordinal_data(n=400, seed=21)
-    candidates = (
-        _mainterms_spec(data, with_dummies=True),
-        _rich_parametric_spec(data, with_dummies=True),
-        _additive_spline_spec(data, with_dummies=True),
-    )
+    candidates = ml_candidates(data)
     sl = fit_super_learner(data, candidates, seed=5)
     weights, cv_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
     np.testing.assert_array_equal(sl.weights, weights)
@@ -425,7 +443,7 @@ def tied_column_data(n=400, seed=4):
 @pytest.mark.parametrize("make", (ordinal_data, rare_top_value_data, tied_column_data))
 def test_one_sort_fold_knots_equal_binding_each_fold(make):
     data = make()
-    specs = (_additive_spline_spec(data, True), DesignSpec((intercept(), main("x"), curvature("x")), True))
+    specs = (ml_candidates(data)[2], DesignSpec((intercept(), main("x"), curvature("x")), True))
     fold_of = _cv_folds(data, 10, 3)
     ordered = _column_orders(data, specs, fold_of)
     fallbacks = 0
@@ -443,11 +461,7 @@ def test_one_sort_fold_knots_equal_binding_each_fold(make):
 @pytest.mark.parametrize("make", (ordinal_data, rare_top_value_data))
 def test_super_learner_equals_reference_on_low_cardinality_columns(make):
     data = make()
-    candidates = (
-        _mainterms_spec(data, with_dummies=True),
-        _rich_parametric_spec(data, with_dummies=True),
-        _additive_spline_spec(data, with_dummies=True),
-    )
+    candidates = ml_candidates(data)
     np.testing.assert_array_equal(_cv_folds(data, 10, 5), reference_folds(data.n, 10, 5))
     sl = fit_super_learner(data, candidates, seed=5)
     weights, cv_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
@@ -511,3 +525,100 @@ def test_nnls_matches_scipy():
         ties += any(np.array_equal(A[:, i], A[:, j]) for i in range(A.shape[1]) for j in range(i))
         single += A.shape[1] == 1
     assert zero_optima > 50 and ties > 150 and single > 100
+
+
+# ---------------------------------------------------------------------------
+# one sort per covariate per ml fit
+
+
+def covariate_column(kind, seed, n=300):
+    """A column of one of the kinds whose binary and spline answers the ml
+    designs read from its sorted copy."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        return rng.integers(-3, 4, n) * rng.uniform(1e-3, 1e3)
+    if kind == "signed zeros":
+        return rng.choice([-0.0, 0.0] + [1.0] * (seed % 2), n)
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "two values":
+        return rng.choice([-7.5, 2.25], n)
+    if kind == "ordinal":
+        return rng.integers(0, 3, n).astype(float)
+    if kind == "coincident knots":
+        return coincident_knot_column()
+    if kind == "rare top value":
+        return rng.permutation(np.concatenate([np.repeat([1.0, 2.0, 3.0, 4.0], [60, 60, 60, n - 181]), [5.0]]))
+    return rng.normal(size=n)
+
+
+KINDS = ("ties", "signed zeros", "constant", "two values", "ordinal", "coincident knots",
+         "rare top value", "continuous")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 2**16)), min_size=1, max_size=4))
+def test_sorted_column_answers_equal_unique_and_sorting_each_column(kinds):
+    X = np.column_stack([covariate_column(kind, seed) for kind, seed in kinds])
+    data = Dataset.from_arrays(X, np.tile([1, 2, 3], 100), np.zeros(300))
+    columns = _sorted_columns(data)
+    binary, eligible = [], []
+    for x, s in zip(X.T, columns):
+        assert _is_binary_sorted(s) == (len(np.unique(x)) <= 2)
+        knots, want = _knots_of_sorted(s), _knots_of_sorted(np.sort(x))
+        if want is None:
+            assert knots is None
+        else:
+            np.testing.assert_array_equal(knots, want)
+            assert knots.tobytes() == want.tobytes()
+        binary.append(len(np.unique(x)) <= 2)
+        eligible.append(want is not None)
+    names = data.columns
+    assert _additive_spline_spec(data, True, columns).terms == (intercept(),) + tuple(
+        spline(c) if ok else main(c) for c, ok in zip(names, eligible))
+    rich = _rich_parametric_spec(data, True, columns).terms
+    assert [term for term in rich if term[0] == "square"] == [
+        square(c) for c, b in zip(names, binary) if not b]
+    splined = [c for c, ok in zip(names, eligible) if ok]
+    binaries = [c for c, ok, b in zip(names, eligible, binary) if b and not ok]
+    assert set(_stepwise_groups(data, columns)) == set(names) | {f"{c}.curv" for c in splined} | {
+        f"{c}{curv}:{b}" for c in splined for b in binaries for curv in ("", ".curv")}
+
+
+def stepwise_data():
+    return scenario_data("t+y+", n=600, seed=17)[1]
+
+
+@pytest.mark.parametrize("make", (ordinal_data, rare_value_data, rare_top_value_data,
+                                  tied_column_data, stepwise_data))
+def test_stepwise_designs_bound_from_shared_sorted_columns_equal_sorting_each(make):
+    data = make()
+    columns = _sorted_columns(data)
+    all_terms = DesignSpec(tuple(term for term, _ in _stepwise_groups(data, columns).values()))
+    chosen = fit_propensity(data, "ml").bound
+    for got, want in ((bind_design(data, all_terms, columns), bind_design(data, all_terms)),
+                      (chosen, bind_design(data, chosen.spec))):
+        assert got == want
+        assert all(got.knots[pos].tobytes() == want.knots[pos].tobytes() for pos in want.knots)
+
+
+def test_ml_fits_sort_each_covariate_once(monkeypatch):
+    # counted by calling module: fit_multinomial's np.unique on the
+    # treatment codes is not a covariate question
+    data = ordinal_data()
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append((name, sys._getframe(1).f_globals["__name__"]))
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "sort", counting("sort", np.sort))
+    monkeypatch.setattr(np, "unique", counting("unique", np.unique))
+    for fit in (lambda: fit_outcome(data, "ml", seed=2), lambda: fit_propensity(data, "ml")):
+        calls.clear()
+        fit()
+        assert ("unique", "mlte.learners") not in calls
+        sorts = [module for name, module in calls if name == "sort" and module.startswith("mlte")]
+        assert len(sorts) <= data.X.shape[1]

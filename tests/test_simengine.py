@@ -293,6 +293,28 @@ def test_every_method_gives_a_pair_with_a_one_row_arm_no_variance():
         assert np.isfinite(both.tau_hat) and np.isfinite(both.variance) and both.variance > 0, meth
 
 
+@pytest.mark.parametrize("pair", [(2, 2), (0, 1), (4, 1)])
+@pytest.mark.parametrize("meth", METHODS)
+def test_every_method_rejects_an_invalid_contrast_pair(meth, pair):
+    # level 0 would index the last level and level 4 past it; (2, 2) is 0
+    data = tiny_k3(n=60)
+    row = METHOD_TABLE[meth]
+    prop = mlte.simengine.fit_propensity(data, "mainterms")
+    inputs = {
+        "outcome": mlte.simengine.fit_outcome(data, "mainterms"),
+        "propensity": prop,
+        "matches": mlte.simengine.build_matches(data, m=1),
+        "overlap": mlte.simengine.compute_overlap_weights(prop, data.t),
+    }
+    entry = getattr(mlte.simengine, row.entry)
+    args = [inputs[name] for name in row.inputs]
+    with pytest.raises(ValueError, match="invalid contrast pair"):
+        if row.batched:
+            entry(data, *args, [(2, 1), pair], 5, 0)
+        else:
+            entry(data, *args, pair)
+
+
 def test_method_table_rows_resolve():
     assert METHODS == tuple(METHOD_TABLE)
     for row in METHOD_TABLE.values():

@@ -24,9 +24,8 @@ from mlte.tabular import (
     recode_treatment,
     spline,
     square,
+    _knots_of_sorted,
     _natural_cubic_basis,
-    _spline_eligible,
-    _spline_knots,
 )
 
 
@@ -248,7 +247,7 @@ def test_spline_on_too_few_values_binds_as_main_term():
 
 def test_spline_needs_enough_distinct_values():
     x = np.array([1.0, 1.0, 2.0, 2.0])
-    assert _spline_knots(x, 3) is None
+    assert _knots_of_sorted(np.sort(x), 3) is None
     d = Dataset.from_arrays(x[:, None], [1, 2, 1, 2], np.zeros(4), columns=("c",))
     with pytest.raises(ValueError, match="cannot carry a spline"):
         bind_design(d, DesignSpec(terms=(curvature("c"),)))
@@ -264,7 +263,7 @@ def coincident_knot_column():
 def test_coincident_knots_make_a_column_spline_ineligible():
     x = coincident_knot_column()
     assert len(np.unique(x)) == 5
-    assert _spline_knots(x) is None and not _spline_eligible(x)
+    assert _knots_of_sorted(np.sort(x)) is None
     d = Dataset.from_arrays(x[:, None], np.tile([1, 2], 150), np.zeros(300), columns=("g",))
     bound = bind_design(d, DesignSpec(terms=(intercept(), spline("g"))))
     assert bound.spec.terms == (intercept(), main("g")) and bound.knots == {}
@@ -300,7 +299,7 @@ def test_spline_knots_equal_numpy_quantiles(values, n_interior, scale, jitter):
     if jitter:
         x = x + np.random.default_rng(len(values)).normal(size=len(values))
     knots, distinct = reference_spline_knots(x, n_interior)
-    got = _spline_knots(x, n_interior)
+    got = _knots_of_sorted(np.sort(x), n_interior)
     if np.all(np.diff(knots) > 0) and distinct >= n_interior + 2:
         np.testing.assert_array_equal(got, knots)
     else:
@@ -312,13 +311,13 @@ def test_distinct_knots_need_as_many_distinct_values():
     x = np.repeat([0.0, 1.0, 2.0], [3, 4, 3])
     qs = np.quantile(x, [0.25, 0.5, 0.75])
     assert np.all(np.diff(np.concatenate([[0.0], qs, [2.0]])) > 0)
-    assert _spline_knots(x) is None
+    assert _knots_of_sorted(np.sort(x)) is None
 
 
 def test_natural_cubic_basis_is_linear_beyond_boundaries():
     rng = np.random.default_rng(0)
     x = rng.normal(size=500)
-    knots = _spline_knots(x, 3)
+    knots = _knots_of_sorted(np.sort(x), 3)
     far = np.linspace(x.max() + 1, x.max() + 9, 9)
     basis = _natural_cubic_basis(far, knots)
     # second differences of each column vanish on an equally spaced grid
@@ -341,7 +340,7 @@ def reference_natural_cubic_basis(x, knots):
 def test_natural_cubic_basis_matches_power_formula(n_interior):
     rng = np.random.default_rng(n_interior)
     x = rng.gamma(2.0, size=400)
-    knots = _spline_knots(x, n_interior)
+    knots = _knots_of_sorted(np.sort(x), n_interior)
     # evaluation points inside the range and beyond both boundary knots
     at = np.concatenate([x, np.linspace(x.min() - 5, x.max() + 5, 101)])
     np.testing.assert_allclose(
@@ -522,7 +521,7 @@ def test_take_repeated_and_negative_rows_equal_fancy_indexing():
 
 def test_natural_cubic_basis_column_count():
     x = np.linspace(0, 1, 100)
-    knots = _spline_knots(x, 3)  # 2 boundary + 3 interior
+    knots = _knots_of_sorted(np.sort(x), 3)  # 2 boundary + 3 interior
     assert len(knots) == 5
     assert _natural_cubic_basis(x, knots).shape[1] == 4
 

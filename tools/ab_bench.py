@@ -12,8 +12,12 @@ workload, `perfbench/run.py --trace 0` then runs N times (10 by default, the
 pairs a claimed gain is judged on) on each side in alternation (base, new,
 new, base, ...), so slow drift of the host's speed falls on both sides
 alike.  Every run lasts the benchmark's `run_seconds` from BENCHMARK.json.
-Each pair's end-to-end metrics and their medians are printed; the temporary
-trees are removed afterwards.
+Each pair's end-to-end metrics are printed, then per metric the two
+medians, the number of pairs in which the new side read better (by the
+metric's `better` direction in BENCHMARK.json; ties count for neither) and
+the interquartile range of the base side's own runs: a gain counts when the
+new side wins at least nine pairs in ten and its median beats the base's by
+more than that range.  The temporary trees are removed afterwards.
 """
 
 import argparse
@@ -27,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in CONTRACT["workloads"]]
+BETTER = {m["name"]: m["better"] for m in CONTRACT["end_to_end"]}
 
 
 def export(rev, into):
@@ -44,6 +49,24 @@ def run(tree, workload, seconds, seed):
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {workload} failed\n{proc.stdout}{proc.stderr}")
     return {k: v["value"] for k, v in json.loads(proc.stdout.splitlines()[-1])["metrics"].items()}
+
+
+def summary(workload, runs):
+    """Per metric: the medians, the pairs the new side won and the base
+    side's interquartile range."""
+    lines = []
+    for m in runs["base"][0]:
+        base, new = [r[m] for r in runs["base"]], [r[m] for r in runs["new"]]
+        line = f"{workload} {m}: median {statistics.median(base):.4g} -> {statistics.median(new):.4g}"
+        if m in BETTER:
+            sign = 1 if BETTER[m] == "higher" else -1
+            wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
+            line += f", new better in {wins}/{len(base)} pairs"
+        if len(base) > 1:
+            q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
+            line += f", base IQR {q3 - q1:.4g}"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def main(argv=None):
@@ -67,10 +90,7 @@ def main(argv=None):
                 pair = "  ".join(f"{m} {runs['base'][i][m]:.4g} -> {runs['new'][i][m]:.4g}"
                                  for m in runs["base"][i])
                 print(f"{workload} pair {i + 1}: {pair}", flush=True)
-            medians = "  ".join(
-                f"{m} {statistics.median(r[m] for r in runs['base']):.4g} -> "
-                f"{statistics.median(r[m] for r in runs['new']):.4g}" for m in runs["base"][0])
-            print(f"{workload} median: {medians}", flush=True)
+            print(summary(workload, runs), flush=True)
     return 0
 
 
