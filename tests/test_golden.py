@@ -2,7 +2,12 @@
 byte, for the cases listed in tests/golden/manifest.json.
 
 Each case runs `cli.main` in-process with tests/golden/ as the working
-directory, so the `--data` paths recorded in the outputs are relative.
+directory, so the `--data` paths recorded in the outputs are relative.  A
+case whose argv has `--out <file>` writes that file into a temporary
+directory, and its bytes must equal `<name>.out`.  A command line that
+argparse rejects exits through `SystemExit`, whose code is the case's exit
+code; `COLUMNS` is pinned because argparse wraps its usage text to the
+terminal width.
 Floating-point output depends on numpy's linear algebra, so the manifest
 records the numpy version the files were made with, and a different
 version fails with both versions named.
@@ -44,17 +49,29 @@ CASES = _load_manifest()["cases"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
-def test_golden_output(case, monkeypatch, capsys):
+def test_golden_output(case, monkeypatch, capsys, tmp_path):
     for name in list(os.environ):
         if name.startswith("MLTE_"):  # flag fallbacks would change the outputs
             monkeypatch.delenv(name)
+    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(GOLDEN)
-    code = main(list(case["argv"]))
+    argv = list(case["argv"])
+    out_file = None
+    if "--out" in argv:
+        pos = argv.index("--out") + 1
+        out_file = tmp_path / argv[pos]
+        argv[pos] = str(out_file)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
-    stdout, stderr = GOLDEN / f"{case['name']}.stdout", GOLDEN / f"{case['name']}.stderr"
+    produced = {"stdout": out.encode(), "stderr": err.encode()}
+    if out_file is not None:
+        produced["out"] = out_file.read_bytes()
     if UPDATE:
-        stdout.write_bytes(out.encode())
-        stderr.write_bytes(err.encode())
+        for suffix, content in produced.items():
+            (GOLDEN / f"{case['name']}.{suffix}").write_bytes(content)
         manifest = _load_manifest()
         manifest["numpy"] = np.__version__
         for entry in manifest["cases"]:
@@ -69,8 +86,8 @@ def test_golden_output(case, monkeypatch, capsys):
             f"{np.__version__}; regenerate them with MLTE_UPDATE_GOLDEN=1 and review the diff"
         )
     assert code == case["exit"]
-    assert out.encode() == stdout.read_bytes()
-    assert err.encode() == stderr.read_bytes()
+    for suffix, content in produced.items():
+        assert content == (GOLDEN / f"{case['name']}.{suffix}").read_bytes(), suffix
 
 
 def test_worker_counts_give_identical_reports():
