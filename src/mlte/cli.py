@@ -30,7 +30,7 @@ import numpy as np
 from ._version import __version__
 from .learners import REGIMES, fit_propensity
 from .reporting import (
-    _contrast_payload, all_pairs_table, render_contrasts, render_report, render_table,
+    _contrast_payload, all_pairs_table, render, render_contrasts, render_table, report_output,
 )
 from .simengine import (
     METHOD_TABLE,
@@ -175,18 +175,33 @@ def _provenance_header(cfg) -> str:
     return f"# mlte {__version__}\n# config {compact}\n# seed {cfg.seed}\n"
 
 
-def _emit(content: str, cfg, stdout_summary: str = None) -> None:
+def _emit(cfg, document, table, text, summary=False) -> int:
+    """Render the command's output (see `reporting.render`) in --format,
+    with the provenance header on csv and text, and write it to stdout or,
+    as UTF-8, to --out; with `summary`, a file output is followed by the
+    text on stdout."""
+    content = render(document, table, text, cfg.format, header=_provenance_header(cfg))
     if cfg.out is None or cfg.out == "-":
         sys.stdout.write(content)
-        return
-    with open(cfg.out, "w") as fh:
+        return 0
+    with open(cfg.out, "w", encoding="utf-8") as fh:
         fh.write(content)
-    if stdout_summary:
-        sys.stdout.write(stdout_summary)
+    if summary:
+        sys.stdout.write(text())
+    return 0
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
+
+
+def _run_document(cfg, **fields) -> dict:
+    """The JSON document of an estimate or diagnose run: the version, the
+    provenance configuration and the seed, then `fields`."""
+    return {"version": __version__, "config": _provenance(cfg), "seed": cfg.seed, **fields}
+
+
+_ESTIMATE_COLUMNS = ("method", "estimand", "label", "estimate", "se", "ci_low", "ci_high", "p", "p_adj")
 
 
 def cmd_estimate(cfg) -> int:
@@ -211,45 +226,10 @@ def cmd_estimate(cfg) -> int:
         )
     for meth, message in failures.items():
         _warn(f"method {meth} failed: {message}")
-    if cfg.format == "json":
-        payload = {
-            "version": __version__,
-            "config": _provenance(cfg),
-            "seed": cfg.seed,
-            "failures": failures,
-            "tables": [_contrast_payload(t) for t in tables],
-        }
-        content = json.dumps(payload, indent=2) + "\n"
-    elif cfg.format == "csv":
-        rows = []
-        for t in tables:
-            for r in t.rows:
-                row = dict(r)
-                row["method"] = t.method
-                row["estimand"] = t.estimand
-                rows.append(row)
-        body = render_table(
-            rows,
-            ("method", "estimand", "label", "estimate", "se", "ci_low", "ci_high", "p", "p_adj"),
-            fmt="csv",
-        )
-        content = _provenance_header(cfg) + body
-    else:
-        sections = [render_contrasts(t) for t in tables]
-        content = _provenance_header(cfg) + "\n".join(sections)
-    _emit(content, cfg)
-    return 0
-
-
-def _finish_report(report, cfg) -> int:
-    content = render_report(report, fmt=cfg.format)
-    if cfg.format in ("csv", "text"):
-        content = _provenance_header(cfg) + content
-    summary = render_report(report, fmt="text") if cfg.out else None
-    _emit(content, cfg, stdout_summary=summary)
-    for meth, info in report.method_failures.items():
-        _warn(f"method {meth} failed in {info['count']} replication(s): {info['example']}")
-    return 0
+    document = _run_document(cfg, failures=failures, tables=[_contrast_payload(t) for t in tables])
+    rows = [{**r, "method": t.method, "estimand": t.estimand} for t in tables for r in t.rows]
+    return _emit(cfg, document, (rows, _ESTIMATE_COLUMNS),
+                 lambda: "\n".join(render_contrasts(t) for t in tables))
 
 
 def cmd_simulate(cfg) -> int:
@@ -265,7 +245,9 @@ def cmd_simulate(cfg) -> int:
         m=cfg.m,
     )
     report = run_scenario(scen, methods=list(cfg.methods), workers=cfg.workers)
-    return _finish_report(report, cfg)
+    for meth, info in report.method_failures.items():
+        _warn(f"method {meth} failed in {info['count']} replication(s): {info['example']}")
+    return _emit(cfg, *report_output(report), summary=True)
 
 
 def cmd_plasmode(cfg) -> int:
@@ -286,7 +268,9 @@ def cmd_plasmode(cfg) -> int:
         m=cfg.m,
     )
     report = run_plasmode(pcfg, methods=list(cfg.methods), workers=cfg.workers)
-    return _finish_report(report, cfg)
+    for meth, info in report.method_failures.items():
+        _warn(f"method {meth} failed in {info['count']} replication(s): {info['example']}")
+    return _emit(cfg, *report_output(report), summary=True)
 
 
 _DIAGNOSE_COLUMNS = (
@@ -318,21 +302,9 @@ def cmd_diagnose(cfg) -> int:
                 "arm_max": float(arm.max()),
             }
         )
-    if cfg.format == "json":
-        payload = {
-            "version": __version__,
-            "config": _provenance(cfg),
-            "seed": cfg.seed,
-            "model": prop.description,
-            "converged": prop.converged,
-            "rows": rows,
-        }
-        content = json.dumps(payload, indent=2) + "\n"
-    else:
-        body = render_table(rows, _DIAGNOSE_COLUMNS, fmt=cfg.format)
-        content = _provenance_header(cfg) + body
-    _emit(content, cfg)
-    return 0
+    document = _run_document(cfg, model=prop.description, converged=prop.converged, rows=rows)
+    return _emit(cfg, document, (rows, _DIAGNOSE_COLUMNS),
+                 lambda: render_table(rows, _DIAGNOSE_COLUMNS, fmt="text"))
 
 
 class _Command(NamedTuple):

@@ -207,31 +207,44 @@ def render_table(rows, columns, fmt: str = "csv", title: str = None) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def render(document, table, text, fmt: str, header: str = "") -> str:
+    """One output in format `fmt`, the only switch on the output format.
+
+    json: `document` with tuples as lists and non-finite numbers as null;
+    csv: `header` and the table `(rows, columns)` at full precision; text:
+    `header` and the string `text()`, which is called only for text.
+    """
+    if fmt == "json":
+        return json.dumps(_jsonify(document), indent=2) + "\n"
+    if fmt == "csv":
+        return header + render_table(*table, fmt="csv")
+    if fmt == "text":
+        return header + text()
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 _REPORT_COLUMNS = ("method", "regime", "parameter", "bias", "std", "rmse", "coverage", "failures")
 
 
-def render_report(report: ScenarioReport, fmt: str = "text") -> str:
-    """Serialize a replication report.
+def report_output(report: ScenarioReport):
+    """A replication report as `render`'s (document, table, text).
 
-    The CSV carries the metric rows only; JSON carries the full report
-    (version, config echo, truths, failure details); text prints a header
+    The JSON carries the full report (version, config echo, truths, failure
+    details); the CSV carries the metric rows only; text prints a header
     block followed by an aligned metric table.
     """
-    if fmt == "json":
-        payload = {
-            "kind": report.kind,
-            "version": report.version,
-            "seed": report.seed,
-            "reps": report.reps,
-            "config": _jsonify(report.config),
-            "truths": _jsonify(report.truths),
-            "method_failures": _jsonify(report.method_failures),
-            "rows": _jsonify([dict(r) for r in report.rows]),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        return render_table(report.rows, _REPORT_COLUMNS, fmt="csv")
-    if fmt == "text":
+    document = {
+        "kind": report.kind,
+        "version": report.version,
+        "seed": report.seed,
+        "reps": report.reps,
+        "config": report.config,
+        "truths": report.truths,
+        "method_failures": report.method_failures,
+        "rows": report.rows,
+    }
+
+    def text():
         head = [
             f"{report.kind} report (version {report.version})",
             f"seed={report.seed} reps={report.reps}",
@@ -249,22 +262,24 @@ def render_report(report: ScenarioReport, fmt: str = "text") -> str:
                 f"{m}: {info['count']}" for m, info in report.method_failures.items()
             )
             head.append(f"failed replications: {fails}")
-        table = render_table(
-            report.rows,
-            _REPORT_COLUMNS + ("reps_used",),
-            fmt="text",
-        )
+        table = render_table(report.rows, _REPORT_COLUMNS + ("reps_used",), fmt="text")
         return "\n".join(head) + "\n\n" + table
-    raise ValueError(f"unknown format {fmt!r}")
+
+    return document, (report.rows, _REPORT_COLUMNS), text
+
+
+def render_report(report: ScenarioReport, fmt: str = "text") -> str:
+    """Serialize a replication report (see `report_output`)."""
+    return render(*report_output(report), fmt)
 
 
 def _contrast_payload(table: ContrastTable) -> dict:
-    """A contrast table as JSON-ready data, non-finite numbers as None."""
+    """A contrast table as a JSON document for `render`."""
     return {
         "method": table.method,
         "estimand": table.estimand,
         "adjustment": _ADJUSTMENT,
-        "rows": _jsonify([dict(r) for r in table.rows]),
+        "rows": table.rows,
     }
 
 

@@ -104,7 +104,7 @@ class Dataset:
     Attributes
     ----------
     X : (n, p) float array of covariates.
-    columns : covariate column names, length p.
+    columns : distinct covariate column names, length p.
     t : (n,) int array with values in {1..k}; every level occurs.
     y : (n,) float outcome vector.
     outcome_kind : "continuous" or "binary".
@@ -132,6 +132,9 @@ class Dataset:
             raise ValueError("X, t, y must have matching row counts")
         if len(self.columns) != X.shape[1]:
             raise ValueError("column name count does not match X")
+        repeated = [c for i, c in enumerate(self.columns) if c in self.columns[:i]]
+        if repeated:
+            raise ValueError(f"column {repeated[0]!r} is named more than once")
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite covariate")
         if not np.all(np.isfinite(y)):
@@ -310,8 +313,14 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
 
     Treatment labels are recoded to 1..k in sorted order and the original
     labels retained.  Binary outcomes are detected from the values.  A cell
-    that parses to a non-finite value is rejected by the Dataset checks.
+    that parses to a non-finite value is rejected by the Dataset checks, and
+    so is a covariate that repeats or names the treatment or outcome column.
     """
+    clash = {treatment_col: "is the treatment column", outcome_col: "is the outcome column"}
+    for col in covariate_cols:
+        if col in clash:
+            raise ValueError(f"covariate {col!r} {clash[col]}")
+        clash[col] = "is listed more than once"
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:

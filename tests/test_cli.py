@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mlte
 import mlte.learners
 import mlte.simengine
 from mlte.cli import _provenance_keys, main
@@ -118,6 +122,40 @@ def test_estimate_rejects_a_nan_cell(demo_csv, tmp_path, capsys, cell, message):
     rc = run_cli(["estimate", "--data", str(path), *DEMO_ARGS, "--methods", "crude"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("covariates, column", (("x1,resp", "resp"), ("x1,trt", "trt"), ("x1,x1,x2", "x1")))
+def test_estimate_rejects_a_covariate_that_repeats_or_names_another_role(
+    demo_csv, capsys, covariates, column
+):
+    rc = run_cli(["estimate", "--data", demo_csv, "--treatment", "trt", "--outcome", "resp",
+                  "--covariates", covariates, "--methods", "ipw,aow", "--bootstrap", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert f"error: covariate {column!r} " in captured.err
+
+
+def test_out_file_is_utf8_in_an_ascii_locale(tmp_path):
+    rng = np.random.default_rng(5)
+    arms = ("contrôle", "traité", "autre")
+    lines = ["arm,y,x1,x2"]
+    for i in range(120):
+        x1, x2, noise = rng.normal(size=3).tolist()
+        lines.append(f"{arms[i % 3]},{x1 + noise!r},{x1!r},{x2!r}")
+    data, out = tmp_path / "arms.csv", tmp_path / "out.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlte.__file__)))
+    env = {key: value for key, value in os.environ.items() if not key.startswith("MLTE_")}
+    env.update(
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+    )
+    argv = ["estimate", "--data", str(data), "--treatment", "arm", "--outcome", "y",
+            "--covariates", "x1,x2", "--methods", "crude", "--format", "csv", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "mlte.cli", *argv], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "traité vs contrôle" in out.read_bytes().decode("utf-8")
 
 
 def test_estimate_warns_when_estimands_mixed(demo_csv, capsys):

@@ -226,3 +226,102 @@ def test_predict_probs_clips_extremes():
     P = predict_probs(fit, D)
     assert P.min() >= 1e-6
     assert P.max() <= 1 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Newton driver and softmax, against the formulas they replace
+
+
+def _reference_damped_newton(X, theta, loglik, derivatives, max_iter):
+    """The driver as it was: the accepted point is evaluated once as the
+    halving loop's trial and once more after it."""
+    scale = max(np.trace(X.T @ X) / X.shape[1], 1.0)
+    ll, state = loglik(theta)
+    for it in range(1, max_iter + 1):
+        grad, neg_hess = derivatives(state)
+        if np.max(np.abs(grad)) < glm._GRAD_TOL:
+            return theta, True, it - 1
+        step = glm._solve_psd(neg_hess, grad, scale).reshape(theta.shape)
+        factor = 1.0
+        for _ in range(30):
+            if loglik(theta + factor * step)[0] >= ll - 1e-12:
+                break
+            factor *= 0.5
+        theta = theta + factor * step
+        ll, state = loglik(theta)
+    return theta, False, max_iter
+
+
+def _newton_fits():
+    """Fits by name, each with whether its Newton path halves a step."""
+    rng, D, beta = design_and_response(n=200, q=3, seed=4)
+    y = (rng.random(200) < expit(D @ beta)).astype(float)
+    separated = (D[:, 1] > 0).astype(float)
+    weights = rng.random(200) + 0.5
+    t3 = rng.integers(1, 4, size=200)
+    t4 = np.concatenate([[1, 2, 3, 4], rng.integers(1, 5, size=196)])
+    return {
+        "logistic": (lambda: fit_logistic(D, y), False),
+        "logistic-separated": (lambda: fit_logistic(D, separated), False),
+        "logistic-weighted": (lambda: fit_logistic(D, y, weights=weights), False),
+        "logistic-offset": (lambda: fit_logistic(D, y, offset=np.full(200, 3.0)), True),
+        "multinomial-3": (lambda: fit_multinomial(D, t3, 3), False),
+        "multinomial-4": (lambda: fit_multinomial(D, t4, 4), False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_newton_fits()))
+def test_newton_evaluates_each_accepted_point_once_and_matches_the_reference(monkeypatch, name):
+    fit_of, halves = _newton_fits()[name]
+
+    def counted_fit(driver):
+        calls = []
+
+        def counting(X, theta, loglik, derivatives, max_iter):
+            def counted(th):
+                calls.append(1)
+                return loglik(th)
+            return driver(X, theta, counted, derivatives, max_iter)
+
+        monkeypatch.setattr(glm, "_damped_newton", counting)
+        return fit_of(), len(calls)
+
+    fit, calls = counted_fit(glm._damped_newton)
+    ref, ref_calls = counted_fit(_reference_damped_newton)
+    np.testing.assert_array_equal(fit.coefficients, ref.coefficients)
+    assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
+    # the reference evaluates every accepted point a second time
+    assert calls == ref_calls - fit.iterations
+    # the start and one trial per iteration, plus the rejected trials
+    assert (calls > 1 + fit.iterations) == halves
+
+
+def test_newton_takes_the_smallest_step_when_every_halving_drops():
+    points = []
+
+    def loglik(theta):  # every move away from 0 drops the log-likelihood
+        points.append(theta.copy())
+        return (0.0 if theta[0] == 0.0 else -1.0), None
+
+    step = np.array([3.0])
+    theta, converged, iterations = glm._damped_newton(
+        np.ones((1, 1)), np.zeros(1), loglik, lambda state: (step, np.eye(1)), 1
+    )
+    assert (converged, iterations) == (False, 1)
+    np.testing.assert_array_equal(theta, 0.5**30 * step)
+    # the start, the 30 rejected trials, then the step taken regardless
+    assert len(points) == 32
+    np.testing.assert_array_equal(points[-1], theta)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("n", (1, 7, 8, 1000))
+def test_softmax_rows_equals_the_axis_reductions(k, n):
+    rng = np.random.default_rng(100 * k + n)
+    for bound in (1.0, 40.0, 700.0):
+        eta = rng.uniform(-bound, bound, size=(n, k))
+        eta[:, 0] = 0.0  # the reference level, as every caller passes it
+        for x in (eta, rng.uniform(-bound, bound, size=(n, k))):
+            shift = x - x.max(axis=1, keepdims=True)
+            ex = np.exp(shift)
+            np.testing.assert_array_equal(glm._softmax_rows(x), ex / ex.sum(axis=1, keepdims=True))

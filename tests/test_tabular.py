@@ -122,6 +122,17 @@ def test_dataset_column_index_unknown_name():
         d.column_index("nope")
 
 
+def test_dataset_rejects_a_repeated_column_name(tmp_path):
+    with pytest.raises(ValueError, match="column 'a' is named more than once"):
+        Dataset.from_arrays(np.zeros((4, 3)), [1, 2, 1, 2], np.arange(4.0), columns=("a", "b", "a"))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(
+        {"columns": ["c", "c"], "X": [[0.0, 1.0]] * 4, "T": [1, 2, 1, 2], "Y": [0.0, 1.0, 2.0, 3.0]}
+    ))
+    with pytest.raises(ValueError, match="column 'c' is named more than once"):
+        load_json(str(path))
+
+
 def test_dataset_owns_its_arrays():
     rng = np.random.default_rng(2)
     big = rng.normal(size=(30, 4))
