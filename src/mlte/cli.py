@@ -30,7 +30,8 @@ import numpy as np
 from ._version import __version__
 from .learners import REGIMES, fit_propensity
 from .reporting import (
-    _contrast_payload, all_pairs_table, render, render_contrasts, render_table, report_output,
+    _CONTRAST_COLUMNS, _contrast_payload, all_pairs_table, render, render_contrasts, render_table,
+    report_output,
 )
 from .simengine import (
     METHOD_TABLE,
@@ -167,20 +168,17 @@ def _provenance(cfg) -> dict:
     determines the result, nothing that doesn't (worker count, output
     destination)."""
     values = ((key, getattr(cfg, key)) for key in _provenance_keys(cfg.command))
-    return {key: list(v) if isinstance(v, tuple) else v for key, v in values if v is not None}
-
-
-def _provenance_header(cfg) -> str:
-    compact = json.dumps(_provenance(cfg), sort_keys=True, separators=(",", ":"))
-    return f"# mlte {__version__}\n# config {compact}\n# seed {cfg.seed}\n"
+    return {key: v for key, v in values if v is not None}
 
 
 def _emit(cfg, document, table, text, summary=False) -> int:
     """Render the command's output (see `reporting.render`) in --format,
-    with the provenance header on csv and text, and write it to stdout or,
+    with a provenance header on csv and text, and write it to stdout or,
     as UTF-8, to --out; with `summary`, a file output is followed by the
     text on stdout."""
-    content = render(document, table, text, cfg.format, header=_provenance_header(cfg))
+    compact = json.dumps(_provenance(cfg), sort_keys=True, separators=(",", ":"))
+    header = f"# mlte {__version__}\n# config {compact}\n# seed {cfg.seed}\n"
+    content = render(document, table, text, cfg.format, header=header)
     if cfg.out is None or cfg.out == "-":
         sys.stdout.write(content)
         return 0
@@ -193,15 +191,6 @@ def _emit(cfg, document, table, text, summary=False) -> int:
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _run_document(cfg, **fields) -> dict:
-    """The JSON document of an estimate or diagnose run: the version, the
-    provenance configuration and the seed, then `fields`."""
-    return {"version": __version__, "config": _provenance(cfg), "seed": cfg.seed, **fields}
-
-
-_ESTIMATE_COLUMNS = ("method", "estimand", "label", "estimate", "se", "ci_low", "ci_high", "p", "p_adj")
 
 
 def cmd_estimate(cfg) -> int:
@@ -226,9 +215,10 @@ def cmd_estimate(cfg) -> int:
         )
     for meth, message in failures.items():
         _warn(f"method {meth} failed: {message}")
-    document = _run_document(cfg, failures=failures, tables=[_contrast_payload(t) for t in tables])
+    document = {"version": __version__, "config": _provenance(cfg), "seed": cfg.seed,
+                "failures": failures, "tables": [_contrast_payload(t) for t in tables]}
     rows = [{**r, "method": t.method, "estimand": t.estimand} for t in tables for r in t.rows]
-    return _emit(cfg, document, (rows, _ESTIMATE_COLUMNS),
+    return _emit(cfg, document, (rows, ("method", "estimand") + _CONTRAST_COLUMNS),
                  lambda: "\n".join(render_contrasts(t) for t in tables))
 
 
@@ -302,7 +292,8 @@ def cmd_diagnose(cfg) -> int:
                 "arm_max": float(arm.max()),
             }
         )
-    document = _run_document(cfg, model=prop.description, converged=prop.converged, rows=rows)
+    document = {"version": __version__, "config": _provenance(cfg), "seed": cfg.seed,
+                "model": prop.description, "converged": prop.converged, "rows": rows}
     return _emit(cfg, document, (rows, _DIAGNOSE_COLUMNS),
                  lambda: render_table(rows, _DIAGNOSE_COLUMNS, fmt="text"))
 

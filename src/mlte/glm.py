@@ -16,6 +16,7 @@ them, so this module needs only numpy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +139,10 @@ def _damped_newton(X, theta, loglik, derivatives, max_iter):
     `loglik(theta)` returns (log-likelihood, fitted state) and
     `derivatives(state)` the flat gradient and the negated Hessian there.
     Converged at gradient max-norm < 1e-8; each step is halved, up to 30
-    times, until the log-likelihood does not drop, and the accepted trial's
-    evaluation is kept; when all 30 trials drop, the step of 0.5**30 is
-    taken anyway.  `X` (the design) sets the scale of the ridge
-    `_solve_psd` falls back on.  Returns (theta, converged, iterations).
+    times, until the log-likelihood does not drop, and the step of 0.5**30
+    is taken whether it drops or not; the accepted trial's evaluation is
+    kept.  `X` (the design) sets the scale of the ridge `_solve_psd` falls
+    back on.  Returns (theta, converged, iterations).
     """
     scale = max(np.trace(X.T @ X) / X.shape[1], 1.0)
     ll, state = loglik(theta)
@@ -151,15 +152,12 @@ def _damped_newton(X, theta, loglik, derivatives, max_iter):
             return theta, True, it - 1
         step = _solve_psd(neg_hess, grad, scale).reshape(theta.shape)
         factor = 1.0
-        for _ in range(30):
+        for _ in range(31):
             trial = theta + factor * step
             trial_ll, trial_state = loglik(trial)
             if trial_ll >= ll - 1e-12:
                 break
             factor *= 0.5
-        else:
-            trial = theta + factor * step
-            trial_ll, trial_state = loglik(trial)
         theta, ll, state = trial, trial_ll, trial_state
     return theta, False, max_iter
 
@@ -199,22 +197,15 @@ def fit_logistic(design, y, weights=None, offset=None):
 
 def _softmax_rows(eta):
     """Row-wise softmax of an (n, k) array, shifted by the row maximum.
-    Below 8 columns numpy's axis-1 sum adds left to right, so the maximum
-    and the sum are taken column by column in that order instead, with the
+    Below 8 columns numpy's axis-1 sum adds left to right, so the row
+    maximum and sum are folded over the columns in that order instead: the
     same bits at a fraction of the cost of the axis-1 reductions."""
-    k = eta.shape[1]
-    if k >= 8:
+    if eta.shape[1] >= 8:
         shift = eta - eta.max(axis=1, keepdims=True)
         ex = np.exp(shift)
         return ex / ex.sum(axis=1, keepdims=True)
-    top = eta[:, 0].copy()
-    for j in range(1, k):
-        np.maximum(top, eta[:, j], out=top)
-    ex = np.exp(eta - top[:, None])
-    total = ex[:, 0].copy()
-    for j in range(1, k):
-        total += ex[:, j]
-    return ex / total[:, None]
+    ex = np.exp(eta - functools.reduce(np.maximum, eta.T)[:, None])
+    return ex / functools.reduce(np.add, ex.T)[:, None]
 
 
 def fit_multinomial(design, t, k):

@@ -313,8 +313,9 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
 
     Treatment labels are recoded to 1..k in sorted order and the original
     labels retained.  Binary outcomes are detected from the values.  A cell
-    that parses to a non-finite value is rejected by the Dataset checks, and
-    so is a covariate that repeats or names the treatment or outcome column.
+    that parses to a non-finite value is rejected by the Dataset checks,
+    and a covariate that repeats or names the treatment or outcome column
+    before the file is read.
     """
     clash = {treatment_col: "is the treatment column", outcome_col: "is the outcome column"}
     for col in covariate_cols:
