@@ -171,7 +171,7 @@ def _provenance(cfg) -> dict:
     return {key: v for key, v in values if v is not None}
 
 
-def _emit(cfg, document, table, text, summary=False) -> int:
+def _emit(cfg, document, table, text, summary=False) -> None:
     """Render the command's output (see `reporting.render`) in --format,
     with a provenance header on csv and text, and write it to stdout or,
     as UTF-8, to --out; with `summary`, a file output is followed by the
@@ -181,12 +181,11 @@ def _emit(cfg, document, table, text, summary=False) -> int:
     content = render(document, table, text, cfg.format, header=header)
     if cfg.out is None or cfg.out == "-":
         sys.stdout.write(content)
-        return 0
+        return
     with open(cfg.out, "w", encoding="utf-8") as fh:
         fh.write(content)
     if summary:
         sys.stdout.write(text())
-    return 0
 
 
 def _warn(message: str) -> None:
@@ -218,8 +217,14 @@ def cmd_estimate(cfg) -> int:
     document = {"version": __version__, "config": _provenance(cfg), "seed": cfg.seed,
                 "failures": failures, "tables": [_contrast_payload(t) for t in tables]}
     rows = [{**r, "method": t.method, "estimand": t.estimand} for t in tables for r in t.rows]
-    return _emit(cfg, document, (rows, ("method", "estimand") + _CONTRAST_COLUMNS),
-                 lambda: "\n".join(render_contrasts(t) for t in tables))
+    _emit(cfg, document, (rows, ("method", "estimand") + _CONTRAST_COLUMNS),
+          lambda: "\n".join(render_contrasts(t) for t in tables))
+    return 0
+
+
+def _warn_failures(report) -> None:
+    for meth, info in report.method_failures.items():
+        _warn(f"method {meth} failed in {info['count']} replication(s): {info['example']}")
 
 
 def cmd_simulate(cfg) -> int:
@@ -235,9 +240,9 @@ def cmd_simulate(cfg) -> int:
         m=cfg.m,
     )
     report = run_scenario(scen, methods=list(cfg.methods), workers=cfg.workers)
-    for meth, info in report.method_failures.items():
-        _warn(f"method {meth} failed in {info['count']} replication(s): {info['example']}")
-    return _emit(cfg, *report_output(report), summary=True)
+    _emit(cfg, *report_output(report), summary=True)
+    _warn_failures(report)
+    return 0
 
 
 def cmd_plasmode(cfg) -> int:
@@ -258,9 +263,9 @@ def cmd_plasmode(cfg) -> int:
         m=cfg.m,
     )
     report = run_plasmode(pcfg, methods=list(cfg.methods), workers=cfg.workers)
-    for meth, info in report.method_failures.items():
-        _warn(f"method {meth} failed in {info['count']} replication(s): {info['example']}")
-    return _emit(cfg, *report_output(report), summary=True)
+    _emit(cfg, *report_output(report), summary=True)
+    _warn_failures(report)
+    return 0
 
 
 _DIAGNOSE_COLUMNS = (
@@ -294,8 +299,9 @@ def cmd_diagnose(cfg) -> int:
         )
     document = {"version": __version__, "config": _provenance(cfg), "seed": cfg.seed,
                 "model": prop.description, "converged": prop.converged, "rows": rows}
-    return _emit(cfg, document, (rows, _DIAGNOSE_COLUMNS),
-                 lambda: render_table(rows, _DIAGNOSE_COLUMNS, fmt="text"))
+    _emit(cfg, document, (rows, _DIAGNOSE_COLUMNS),
+          lambda: render_table(rows, _DIAGNOSE_COLUMNS, fmt="text"))
+    return 0
 
 
 class _Command(NamedTuple):

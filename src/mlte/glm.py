@@ -16,7 +16,6 @@ them, so this module needs only numpy.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,16 +195,9 @@ def fit_logistic(design, y, weights=None, offset=None):
 
 
 def _softmax_rows(eta):
-    """Row-wise softmax of an (n, k) array, shifted by the row maximum.
-    Below 8 columns numpy's axis-1 sum adds left to right, so the row
-    maximum and sum are folded over the columns in that order instead: the
-    same bits at a fraction of the cost of the axis-1 reductions."""
-    if eta.shape[1] >= 8:
-        shift = eta - eta.max(axis=1, keepdims=True)
-        ex = np.exp(shift)
-        return ex / ex.sum(axis=1, keepdims=True)
-    ex = np.exp(eta - functools.reduce(np.maximum, eta.T)[:, None])
-    return ex / functools.reduce(np.add, ex.T)[:, None]
+    shift = eta - eta.max(axis=1, keepdims=True)
+    ex = np.exp(shift)
+    return ex / ex.sum(axis=1, keepdims=True)
 
 
 def fit_multinomial(design, t, k):

@@ -314,14 +314,13 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
     Treatment labels are recoded to 1..k in sorted order and the original
     labels retained.  Binary outcomes are detected from the values.  A cell
     that parses to a non-finite value is rejected by the Dataset checks,
-    and a covariate that repeats or names the treatment or outcome column
-    before the file is read.
+    and a covariate that repeats; a covariate that names the treatment or
+    outcome column is rejected before the file is read.
     """
-    clash = {treatment_col: "is the treatment column", outcome_col: "is the outcome column"}
+    roles = {treatment_col: "treatment", outcome_col: "outcome"}
     for col in covariate_cols:
-        if col in clash:
-            raise ValueError(f"covariate {col!r} {clash[col]}")
-        clash[col] = "is listed more than once"
+        if col in roles:
+            raise ValueError(f"covariate {col!r} is the {roles[col]} column")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:

@@ -312,16 +312,3 @@ def test_newton_takes_the_smallest_step_when_every_halving_drops():
     # the start, the 30 rejected trials, then the step taken regardless
     assert len(points) == 32
     np.testing.assert_array_equal(points[-1], theta)
-
-
-@pytest.mark.parametrize("k", range(2, 10))
-@pytest.mark.parametrize("n", (1, 7, 8, 1000))
-def test_softmax_rows_equals_the_axis_reductions(k, n):
-    rng = np.random.default_rng(100 * k + n)
-    for bound in (1.0, 40.0, 700.0):
-        eta = rng.uniform(-bound, bound, size=(n, k))
-        eta[:, 0] = 0.0  # the reference level, as every caller passes it
-        for x in (eta, rng.uniform(-bound, bound, size=(n, k))):
-            shift = x - x.max(axis=1, keepdims=True)
-            ex = np.exp(shift)
-            np.testing.assert_array_equal(glm._softmax_rows(x), ex / ex.sum(axis=1, keepdims=True))
