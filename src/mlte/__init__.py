@@ -9,7 +9,7 @@ for benchmarking their bias, variance and confidence-interval coverage.
 
 from ._version import __version__
 from .tabular import Dataset, DesignSpec, load_csv, load_json
-from .glm import fit_logistic, fit_multinomial, fit_ols, predict_probs
+from .glm import fit_logistic, fit_multinomial, fit_ols
 from .learners import fit_outcome, fit_propensity, fit_super_learner
 from .weighting import (
     EffectEstimate,
@@ -66,7 +66,6 @@ __all__ = [
     "load_json",
     "make_plasmode_generators",
     "oracle_truth_mc",
-    "predict_probs",
     "render_contrasts",
     "render_report",
     "run_plasmode",

@@ -171,21 +171,33 @@ def _provenance(cfg) -> dict:
     return {key: v for key, v in values if v is not None}
 
 
+def _write_stdout(content: str) -> None:
+    """Write `content` to stdout as UTF-8, whatever the locale's encoding.
+    A stdout without a byte buffer (an in-process capture such as
+    io.StringIO) takes the text as it is."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(content)
+        return
+    sys.stdout.flush()  # text written before goes out first
+    buffer.write(content.encode("utf-8"))
+
+
 def _emit(cfg, document, table, text, summary=False) -> None:
     """Render the command's output (see `reporting.render`) in --format,
-    with a provenance header on csv and text, and write it to stdout or,
-    as UTF-8, to --out; with `summary`, a file output is followed by the
+    with a provenance header on csv and text, and write it as UTF-8 to
+    stdout or to --out; with `summary`, a file output is followed by the
     text on stdout."""
     compact = json.dumps(_provenance(cfg), sort_keys=True, separators=(",", ":"))
     header = f"# mlte {__version__}\n# config {compact}\n# seed {cfg.seed}\n"
     content = render(document, table, text, cfg.format, header=header)
     if cfg.out is None or cfg.out == "-":
-        sys.stdout.write(content)
+        _write_stdout(content)
         return
     with open(cfg.out, "w", encoding="utf-8") as fh:
         fh.write(content)
     if summary:
-        sys.stdout.write(text())
+        _write_stdout(text())
 
 
 def _warn(message: str) -> None:

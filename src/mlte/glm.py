@@ -7,7 +7,8 @@ by the targeting step of the TMLE estimator), and multinomial logistic
 regression via damped Newton for the treatment model.  The two Newton
 fitters share one driver (`_damped_newton`) and supply only their
 log-likelihood, gradient and negated Hessian.  No model-selection or
-inference machinery lives here; callers get coefficients and predictions.
+inference machinery lives here; callers get coefficients and, from each
+fit's `predict(design)`, predictions on the response scale.
 
 The logistic link and its inverse (`logit`, `expit`) are numpy versions of
 the ``scipy.special`` functions of the same names, within a few ulp of
@@ -27,7 +28,6 @@ __all__ = [
     "fit_ols",
     "fit_logistic",
     "fit_multinomial",
-    "predict_probs",
     "expit",
     "logit",
     "PROB_CLIP",
@@ -69,6 +69,7 @@ class LinearFit:
     coefficients: np.ndarray
 
     def predict(self, design):
+        """The fitted means of the rows of `design`."""
         return np.asarray(design, dtype=float) @ self.coefficients
 
 
@@ -79,7 +80,8 @@ class LogisticFit:
     iterations: int
     separation: bool = False
 
-    def predict_prob(self, design):
+    def predict(self, design):
+        """The fitted probabilities of the rows of `design`."""
         return expit(np.asarray(design, dtype=float) @ self.coefficients)
 
 
@@ -91,6 +93,15 @@ class MultinomialFit:
     converged: bool
     iterations: int
     k: int
+
+    def predict(self, design):
+        """Fitted treatment probabilities of the rows of `design`, one column
+        per level, clipped to [PROB_CLIP, 1 - PROB_CLIP] and then
+        renormalized so every row sums to one."""
+        X = np.atleast_2d(np.asarray(design, dtype=float))
+        P = _softmax_rows(np.column_stack([np.zeros(X.shape[0]), X @ self.coefficients.T]))
+        P = np.clip(P, PROB_CLIP, 1.0 - PROB_CLIP)
+        return P / P.sum(axis=1, keepdims=True)
 
 
 def _solve_psd(H, g, scale):
@@ -195,6 +206,8 @@ def fit_logistic(design, y, weights=None, offset=None):
 
 
 def _softmax_rows(eta):
+    """Softmax of each row of eta, shifted by the row maximum so that exp
+    cannot overflow."""
     shift = eta - eta.max(axis=1, keepdims=True)
     ex = np.exp(shift)
     return ex / ex.sum(axis=1, keepdims=True)
@@ -238,13 +251,3 @@ def fit_multinomial(design, t, k):
     )
     return MultinomialFit(coefficients=B, converged=converged, iterations=iters, k=k)
 
-
-def predict_probs(fit: MultinomialFit, design):
-    """Fitted treatment probabilities, clipped to [1e-6, 1-1e-6] and then
-    renormalized so every row sums to one."""
-    X = np.atleast_2d(np.asarray(design, dtype=float))
-    n = X.shape[0]
-    eta = np.column_stack([np.zeros(n), X @ fit.coefficients.T])
-    P = _softmax_rows(eta)
-    P = np.clip(P, PROB_CLIP, 1.0 - PROB_CLIP)
-    return P / P.sum(axis=1, keepdims=True)

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .glm import MultinomialFit, fit_logistic, fit_multinomial, fit_ols, predict_probs
+from .glm import MultinomialFit, fit_logistic, fit_multinomial, fit_ols
 from .tabular import (
     BoundDesign,
     Dataset,
@@ -66,7 +66,6 @@ from .tabular import (
 __all__ = [
     "OutcomeFit",
     "PropensityFit",
-    "SuperLearnerSpec",
     "fit_outcome",
     "fit_propensity",
     "fit_super_learner",
@@ -79,28 +78,14 @@ _SL_FOLDS = 10
 
 
 @dataclass(frozen=True)
-class SuperLearnerSpec:
-    """Result of `_SL_FOLDS`-fold cross-validated stacking.
-
-    `weights` lie on the simplex and align with `candidates`; `components`
-    holds one (weight, bound design, full-data fit) triple per candidate,
-    and `cv_risks` the per-candidate cross-validated mean squared errors.
-    """
-
-    candidates: tuple
-    weights: np.ndarray
-    components: tuple
-    cv_risks: np.ndarray
-
-
-@dataclass(frozen=True)
 class OutcomeFit:
     """Counterfactual outcome predictor Ê(Y | T=t, X).
 
     `components` is a tuple of (weight, BoundDesign, LinearFit or
-    LogisticFit) triples whose weighted sum is the prediction: one triple
-    of weight 1 for the parametric regimes, the stacked candidates for
-    `ml` (whose stacking record is `super_learner`).  ``predict(level, X)``
+    LogisticFit) triples whose weighted sum of predictions is the
+    prediction: one triple of weight 1 for the parametric regimes, the
+    stacked candidates for `ml`, whose cross-validated risks are
+    `cv_risks` (None under the other regimes).  ``predict(level, X)``
     returns one prediction per row of X, on the probability scale for binary
     outcomes.  ``refit(data, seed)`` rebuilds the whole fit (including any
     cross-validation) on new data, which is how the standardization
@@ -113,7 +98,7 @@ class OutcomeFit:
     description: str
     components: tuple
     truth_spec: Optional[DesignSpec] = None
-    super_learner: Optional[SuperLearnerSpec] = None
+    cv_risks: Optional[np.ndarray] = None
 
     def predict(self, level, X):
         if not (1 <= level <= self.k):
@@ -123,8 +108,7 @@ class OutcomeFit:
         for weight, bound, fit in self.components:
             if weight == 0.0:
                 continue
-            D = bound.matrix(X, level)
-            pred += weight * (fit.predict_prob(D) if self.outcome_kind == "binary" else fit.predict(D))
+            pred += weight * fit.predict(bound.matrix(X, level))
         if not np.isfinite(pred).all():
             raise ValueError("non-finite outcome prediction")
         return pred
@@ -158,7 +142,7 @@ class PropensityFit:
         return self.fit.converged
 
     def predict_matrix(self, X):
-        return predict_probs(self.fit, self.bound.matrix(X))
+        return self.fit.predict(self.bound.matrix(X))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +203,8 @@ def _parametric_spec(data: Dataset, regime, truth_spec, with_dummies):
 
 
 def _fit_glm(D, data: Dataset):
-    """GLM of `data`'s outcome on design D (rows aligned with `data`)."""
+    """GLM of `data`'s outcome on design D (rows aligned with `data`): the
+    only place that picks the link, logit for a binary outcome."""
     if data.outcome_kind == "binary":
         return fit_logistic(D, data.y)
     return fit_ols(D, data.y)
@@ -337,6 +322,10 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
 
     The non-negative least squares is `_nnls`, Lawson and Hanson's
     active-set method in numpy.
+
+    Returns (components, cv_risks): one (weight, bound design, full-data
+    fit) triple per candidate, in candidate order, with the weights on the
+    simplex, and each candidate's cross-validated mean squared error.
     """
     n, folds = data.n, _SL_FOLDS
     if n < folds:
@@ -347,7 +336,6 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
 
     ordered = _column_orders(data, candidates, fold_of)
-    binary = data.outcome_kind == "binary"
     everywhere = _sorted_outside(ordered, -1)
     bounds = [bind_design(data, spec, everywhere) for spec in candidates]
     designs = [bound.matrix(data.X, data.t) for bound in bounds]
@@ -363,8 +351,7 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
                     workspace = np.empty(fold_bound.n_columns * n)
                 D = fold_bound.matrix(data.X, data.t, out=workspace)
             D_train, D_test = np.take(D, train, axis=0), np.take(D, test, axis=0)
-            fit = _fit_glm(D_train, sub)
-            cv_pred[test, c] = fit.predict_prob(D_test) if binary else fit.predict(D_test)
+            cv_pred[test, c] = _fit_glm(D_train, sub).predict(D_test)
 
     weights = _nnls(cv_pred, data.y)
     cv_risks = ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
@@ -376,12 +363,7 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     components = tuple(
         (float(w), bound, _fit_glm(D, data)) for w, bound, D in zip(weights, bounds, designs)
     )
-    return SuperLearnerSpec(
-        candidates=tuple(candidates),
-        weights=weights,
-        components=components,
-        cv_risks=cv_risks,
-    )
+    return components, cv_risks
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +388,10 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
             _rich_parametric_spec(data, True, columns),
             _additive_spline_spec(data, True, columns),
         )
-        sl = fit_super_learner(data, candidates, seed=seed)
-        wtxt = "/".join(f"{w:.2f}" for w in sl.weights)
+        components, cv_risks = fit_super_learner(data, candidates, seed=seed)
+        wtxt = "/".join(f"{w:.2f}" for w, _, _ in components)
         desc = f"super learner ({len(candidates)} candidates, {_SL_FOLDS}-fold cv, weights {wtxt})"
-        return OutcomeFit("ml", data.outcome_kind, data.k, desc, sl.components, super_learner=sl)
+        return OutcomeFit("ml", data.outcome_kind, data.k, desc, components, cv_risks=cv_risks)
 
     bound = bind_design(data, _parametric_spec(data, regime, truth_spec, with_dummies=True))
     glm = "logistic" if data.outcome_kind == "binary" else "ols"
@@ -475,7 +457,7 @@ def _stepwise_multinomial(data: Dataset, sorted_columns):
     def scored_fit(D):
         """(BIC, fit, probabilities) of the multinomial model on design D."""
         mfit = fit_multinomial(D, data.t, k)
-        P = predict_probs(mfit, D)
+        P = mfit.predict(D)
         ll = float(np.log(P[np.arange(n), data.t - 1]).sum())
         return -2.0 * ll + (k - 1) * D.shape[1] * logn, mfit, P
 
@@ -522,4 +504,4 @@ def fit_propensity(data: Dataset, regime, truth_spec: Optional[DesignSpec] = Non
     mfit = fit_multinomial(D, data.t, data.k)
     design = "supplied design" if regime == "correct" else "main terms"
     desc = f"multinomial GLM, {design} ({bound.n_columns} columns)"
-    return PropensityFit(regime, data.k, predict_probs(mfit, D), desc, bound, mfit)
+    return PropensityFit(regime, data.k, mfit.predict(D), desc, bound, mfit)

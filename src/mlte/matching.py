@@ -30,7 +30,7 @@ import numpy as np
 
 from .learners import OutcomeFit
 from .tabular import Dataset
-from .weighting import EffectEstimate, _check_pair, make_estimate
+from .weighting import EffectEstimate, _check_pair
 
 __all__ = ["MatchSets", "build_matches", "estimate_match", "estimate_bcm"]
 
@@ -192,7 +192,7 @@ def _matched_estimate(data: Dataset, ms: MatchSets, pair, method, out: OutcomeFi
     diff = imputed[t1] - imputed[t0]
     tau = float(diff.mean())
     var = _match_variance(data, ms, (t1, t0), diff, tau)
-    return make_estimate((t1, t0), tau, var, "population", method, data.n)
+    return EffectEstimate((t1, t0), tau, var, "population", method, data.n)
 
 
 def estimate_match(data: Dataset, ms: MatchSets, pair) -> EffectEstimate:

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simengine import ScenarioReport
-
 __all__ = [
     "ContrastTable",
     "holm_adjust",

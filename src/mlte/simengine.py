@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._version import __version__
+from .glm import _softmax_rows
 from .learners import REGIMES, OutcomeFit, PropensityFit, fit_outcome, fit_propensity
 from .matching import build_matches, estimate_bcm, estimate_match
 from .outcome_methods import estimate_crude, estimate_tmle, stan_estimates
@@ -58,7 +59,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "ScenarioConfig",
     "PlasmodeConfig",
-    "Metrics",
     "ScenarioReport",
     "simulate_dataset",
     "treatment_probabilities",
@@ -199,10 +199,7 @@ def treatment_probabilities(beta, X) -> np.ndarray:
     x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
     feats = np.column_stack([x1, x2, x3, x1 * x3, x1 * x1])
     b = np.asarray(beta, dtype=float)
-    eta = np.column_stack([np.zeros(len(X)), feats @ b[:5], feats @ b[5:]])
-    eta -= eta.max(axis=1, keepdims=True)
-    p = np.exp(eta)
-    return p / p.sum(axis=1, keepdims=True)
+    return _softmax_rows(np.column_stack([np.zeros(len(X)), feats @ b[:5], feats @ b[5:]]))
 
 
 def outcome_mean(gamma, lam, X, t) -> np.ndarray:
@@ -389,24 +386,16 @@ def _scenario_rep(args):
     return rep, results, failures
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Replication summary for one (method, pair) cell.
+def compute_metrics(estimates, truth: float) -> dict:
+    """Replication summary of one (method, pair) cell: the report row's
+    fields bias, std, rmse, coverage and reps_used, in that order.
 
     std is None with fewer than two usable replications; coverage is None
-    when no replication produced a finite confidence interval.
+    when no replication produced a finite confidence interval; all but
+    reps_used are None without estimates.
     """
-
-    bias: float
-    std: float
-    rmse: float
-    coverage: float
-    n_used: int
-
-
-def compute_metrics(estimates, truth: float) -> Metrics:
     if not estimates:
-        return Metrics(bias=None, std=None, rmse=None, coverage=None, n_used=0)
+        return {"bias": None, "std": None, "rmse": None, "coverage": None, "reps_used": 0}
     taus = np.array([e.tau_hat for e in estimates], dtype=float)
     bias = float(taus.mean() - truth)
     std = float(taus.std(ddof=1)) if len(taus) > 1 else None
@@ -415,7 +404,7 @@ def compute_metrics(estimates, truth: float) -> Metrics:
     coverage = (
         float(np.mean([e.covers(truth) for e in with_ci])) if with_ci else None
     )
-    return Metrics(bias=bias, std=std, rmse=rmse, coverage=coverage, n_used=len(taus))
+    return {"bias": bias, "std": std, "rmse": rmse, "coverage": coverage, "reps_used": len(taus)}
 
 
 @dataclass(frozen=True)
@@ -454,7 +443,7 @@ def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truths):
             ests = [res[(meth, pair)] for _, res, _ in per_rep if (meth, pair) in res]
             estimand = METHOD_TABLE[meth].estimand
             truth = truths[(pair, estimand)]
-            mt = compute_metrics(ests, truth)
+            metrics = compute_metrics(ests, truth)
             rows.append(
                 {
                     "method": meth,
@@ -462,12 +451,8 @@ def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truths):
                     "parameter": _pair_label(pair),
                     "estimand": estimand,
                     "truth": truth,
-                    "bias": mt.bias,
-                    "std": mt.std,
-                    "rmse": mt.rmse,
-                    "coverage": mt.coverage,
-                    "reps_used": mt.n_used,
-                    "failures": cfg.reps - mt.n_used,
+                    **metrics,
+                    "failures": cfg.reps - metrics["reps_used"],
                 }
             )
     return ScenarioReport(

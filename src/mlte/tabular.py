@@ -177,8 +177,8 @@ class Dataset:
         loops).
 
         `rows` holds integer row indices (repeats and negative indices
-        allowed, as in numpy indexing) or is a boolean mask of length n
-        selecting its True rows; any other dtype raises TypeError.
+        allowed, as in numpy indexing); any other dtype, boolean included,
+        raises TypeError.
 
         Raises ValueError if a treatment level disappears, as construction
         does.  The other construction checks (finite values, codes in 1..k,
@@ -189,12 +189,8 @@ class Dataset:
         columns it expands from the subset's X (see the module docstring).
         """
         rows = np.asarray(rows)
-        if rows.dtype == bool:
-            if rows.shape != (self.n,):
-                raise ValueError(f"boolean row mask has shape {rows.shape}, expected ({self.n},)")
-            rows = np.flatnonzero(rows)
-        elif rows.dtype.kind not in "iu":
-            raise TypeError(f"rows must be integer indices or a boolean mask, not {rows.dtype}")
+        if rows.dtype.kind not in "iu":
+            raise TypeError(f"rows must be integer indices, not {rows.dtype}")
         t = np.take(self.t, rows)
         _check_levels_present(t, self.k)
         sub = object.__new__(Dataset)
@@ -309,7 +305,8 @@ def detect_outcome_kind(y):
 
 
 def load_csv(path, treatment_col, outcome_col, covariate_cols):
-    """Read an RFC-4180 CSV (header row required) into a Dataset.
+    """Read an RFC-4180 CSV (header row required, UTF-8 with or without a
+    byte-order mark) into a Dataset.
 
     Treatment labels are recoded to 1..k in sorted order and the original
     labels retained.  Binary outcomes are detected from the values.  A cell
@@ -321,7 +318,7 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
     for col in covariate_cols:
         if col in roles:
             raise ValueError(f"covariate {col!r} is the {roles[col]} column")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, header row required")
@@ -387,23 +384,6 @@ def _curvature_rows(x, knots, out):
     np.subtract(d, cubes[-1], out=d)
     np.divide(d, (knots[-1] - knots[:-1])[:, None], out=d)
     np.subtract(d[:-1], d[-1], out=out)
-
-
-def _natural_cubic_basis(x, knots, out=None):
-    """Natural cubic spline basis (linear tails) for one column.
-
-    `knots` are the full knot vector, boundaries included.  Returns K-1
-    columns for K knots: the identity column plus the K-2 curvature columns
-    of `_curvature_rows`, as the (n, K-1) transpose of the term-major
-    (K-1, n) block `out` that holds them row by row (allocated if None).
-    """
-    x = np.asarray(x, dtype=float)
-    knots = np.asarray(knots, dtype=float)
-    if out is None:
-        out = np.empty((len(knots) - 1, x.shape[0]))
-    out[0] = x
-    _curvature_rows(x, knots, out[1:])
-    return out.T
 
 
 def _knots_of_sorted(s, n_interior=_SPLINE_KNOTS):
@@ -491,7 +471,11 @@ class BoundDesign:
             elif kind == "square":
                 np.square(X[:, self.column_index[term[1]]], out=rows[0])
             elif kind == "spline":
-                _natural_cubic_basis(X[:, self.column_index[term[1]]], self.knots[pos], out=rows)
+                # the natural cubic basis (linear tails) on K knots: the
+                # column itself, then its K-2 curvature columns
+                column = X[:, self.column_index[term[1]]]
+                rows[0] = column
+                _curvature_rows(column, self.knots[pos], rows[1:])
             else:
                 _curvature_rows(X[:, self.column_index[term[1]]], self.knots[pos], rows)
                 if term[2] is not None:

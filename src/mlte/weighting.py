@@ -31,7 +31,6 @@ __all__ = [
     "estimate_ipw",
     "estimate_ow",
     "estimate_aow",
-    "make_estimate",
     "ow_influence",
     "aow_influence",
 ]
@@ -47,17 +46,22 @@ class EffectEstimate:
     population effect so the two are never silently mixed in reports.
     A variance of NaN means inference was not requested (for example a
     standardization run with the bootstrap turned off); the CI is NaN then.
+    Construction casts the pair to ints and the other numbers to Python
+    floats and ints.
     """
 
     pair: tuple
     tau_hat: float
     variance: float
-    ci95: tuple
     estimand: str
     method: str
     n_used: int
 
     def __post_init__(self):
+        object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
+        object.__setattr__(self, "tau_hat", float(self.tau_hat))
+        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "n_used", int(self.n_used))
         if self.estimand not in ("population", "overlap"):
             raise ValueError(f"unknown estimand {self.estimand!r}")
         if np.isfinite(self.variance) and self.variance < 0:
@@ -66,6 +70,15 @@ class EffectEstimate:
     @property
     def se(self):
         return float(np.sqrt(self.variance))
+
+    @property
+    def ci95(self):
+        """The 95% Wald interval tau_hat -/+ _Z975 * se, or (nan, nan)
+        without a finite variance."""
+        if not np.isfinite(self.variance):
+            return (float("nan"), float("nan"))
+        half = _Z975 * self.se
+        return (self.tau_hat - half, self.tau_hat + half)
 
     def covers(self, truth):
         lo, hi = self.ci95
@@ -76,25 +89,6 @@ def _arms_support_variance(t, pair):
     """Whether both arms of `pair` hold at least 2 rows of treatment codes
     `t`: no variance formula sees the noise of a 1-row arm's one outcome."""
     return min(np.count_nonzero(t == int(level)) for level in pair) >= 2
-
-
-def make_estimate(pair, tau, variance, estimand, method, n_used):
-    tau = float(tau)
-    variance = float(variance)
-    if np.isfinite(variance) and variance >= 0:
-        half = _Z975 * float(np.sqrt(variance))
-        ci = (tau - half, tau + half)
-    else:
-        ci = (float("nan"), float("nan"))
-    return EffectEstimate(
-        pair=(int(pair[0]), int(pair[1])),
-        tau_hat=tau,
-        variance=variance,
-        ci95=ci,
-        estimand=estimand,
-        method=method,
-        n_used=int(n_used),
-    )
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,7 @@ def estimate_ipw(data: Dataset, prop: PropensityFit, pair) -> EffectEstimate:
     psi = sign * data.y / p_fact
     tau = psi.mean()
     var = float(((psi - tau) ** 2).sum() / n**2) if _arms_support_variance(data.t, pair) else np.nan
-    return make_estimate((t1, t0), tau, var, "population", "ipw", n)
+    return EffectEstimate((t1, t0), tau, var, "population", "ipw", n)
 
 
 def _overlap_arm_means(data: Dataset, ow: OverlapWeights, t1, t0):
@@ -199,7 +193,7 @@ def estimate_ow(data: Dataset, ow: OverlapWeights, pair) -> EffectEstimate:
     """
     tau, D = ow_influence(data, ow, pair)
     var = float((D**2).sum() / data.n**2) if _arms_support_variance(data.t, pair) else np.nan
-    return make_estimate(pair, tau, var, "overlap", "ow", data.n)
+    return EffectEstimate(pair, tau, var, "overlap", "ow", data.n)
 
 
 def aow_influence(
@@ -254,4 +248,4 @@ def estimate_aow(
     """
     tau, D = aow_influence(data, ow, out, prop, pair)
     var = float((D**2).sum() / data.n**2) if _arms_support_variance(data.t, pair) else np.nan
-    return make_estimate(pair, tau, var, "overlap", "aow", data.n)
+    return EffectEstimate(pair, tau, var, "overlap", "aow", data.n)

@@ -11,7 +11,6 @@ from mlte.glm import (
     fit_logistic,
     fit_multinomial,
     fit_ols,
-    predict_probs,
 )
 
 
@@ -148,13 +147,15 @@ def test_logistic_flags_separation():
     assert np.all(np.isfinite(fit.coefficients))
 
 
-def test_logistic_predict_prob_with_offset():
+def test_logistic_predict_with_offset():
     rng, D, beta = design_and_response(seed=7)
     y = (rng.random(len(D)) < expit(D @ beta)).astype(float)
     off = np.full(len(D), 0.3)
     fit = fit_logistic(D, y, offset=off)
     assert fit.converged
     np.testing.assert_allclose(D.T @ (y - expit(D @ fit.coefficients + off)), 0.0, atol=1e-8)
+    # predictions are on the probability scale, without the offset
+    np.testing.assert_array_equal(fit.predict(D), glm.expit(D @ fit.coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +212,19 @@ def test_multinomial_requires_all_levels():
         fit_multinomial(D, np.array([1, 1, 2, 2, 2, 1]), k=3)
 
 
-def test_predict_probs_rows_sum_to_one():
+def test_multinomial_predict_rows_sum_to_one():
     D, t = multinomial_data(seed=11)
     fit = fit_multinomial(D, t, k=3)
-    P = predict_probs(fit, D)
+    P = fit.predict(D)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
     assert P.min() >= 1e-6
 
 
-def test_predict_probs_clips_extremes():
+def test_multinomial_predict_clips_extremes():
     D = np.column_stack([np.ones(4), np.array([-50.0, -40.0, 40.0, 50.0])])
     t = np.array([1, 1, 2, 2])
     fit = fit_multinomial(D, t, k=2)
-    P = predict_probs(fit, D)
+    P = fit.predict(D)
     assert P.min() >= 1e-6
     assert P.max() <= 1 - 1e-6
 

@@ -21,11 +21,14 @@ and review the diff of tests/golden/ before committing it.
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlte
 from mlte.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,3 +100,20 @@ def test_worker_counts_give_identical_reports():
     for study in ("simulate-t-y--correct", "plasmode-mainterms-csv"):
         serial, pooled = (GOLDEN / f"{study}-workers{w}.stdout" for w in (1, 2))
         assert serial.read_bytes() == pooled.read_bytes(), study
+
+
+def test_utf8_labels_case_prints_the_same_bytes_in_an_ascii_locale():
+    # stdout is UTF-8 whatever the locale: run as a program under the C
+    # locale, the case with accented arm labels prints its recorded bytes
+    (case,) = [case for case in CASES if case["name"] == "estimate-utf8-labels-csv"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlte.__file__)))
+    env = {name: value for name, value in os.environ.items() if not name.startswith("MLTE_")}
+    env.update(
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        COLUMNS="80", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlte.cli", *case["argv"]], cwd=GOLDEN, env=env, capture_output=True
+    )
+    assert proc.returncode == case["exit"], proc.stderr
+    assert proc.stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()

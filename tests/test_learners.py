@@ -129,11 +129,11 @@ def test_binary_outcome_predictions_are_probabilities():
 def test_super_learner_weights_on_simplex():
     _, data = scenario_data(n=600, seed=5)
     fit = fit_outcome(data, "ml", seed=11)
-    sl = fit.super_learner
-    w = np.asarray(sl.weights)
+    w = np.array([weight for weight, _, _ in fit.components])
     assert np.all(w >= -1e-12)
     assert w.sum() == pytest.approx(1.0, abs=1e-8)
-    assert len(sl.cv_risks) == len(w)
+    assert len(fit.cv_risks) == len(w)
+    assert fit_outcome(data, "mainterms").cv_risks is None
 
 
 def test_super_learner_prefers_correct_candidate_family():
@@ -145,8 +145,8 @@ def test_super_learner_prefers_correct_candidate_family():
     y = 1.0 + 0.8 * X[:, 0] - 0.5 * X[:, 1] + 0.7 * (t == 2) + 1.1 * (t == 3) + 0.05 * rng.normal(size=n)
     data = Dataset.from_arrays(X, t, y)
     candidates = ml_candidates(data)
-    sl = fit_super_learner(data, candidates, seed=3)
-    assert np.asarray(sl.weights).argmax() == 0
+    components, _ = fit_super_learner(data, candidates, seed=3)
+    assert np.argmax([weight for weight, _, _ in components]) == 0
 
 
 def test_super_learner_seed_reproducible():
@@ -154,7 +154,7 @@ def test_super_learner_seed_reproducible():
     f1 = fit_outcome(data, "ml", seed=42)
     f2 = fit_outcome(data, "ml", seed=42)
     np.testing.assert_array_equal(f1.predict_matrix(data.X), f2.predict_matrix(data.X))
-    np.testing.assert_array_equal(np.asarray(f1.super_learner.weights), np.asarray(f2.super_learner.weights))
+    assert [w for w, _, _ in f1.components] == [w for w, _, _ in f2.components]
 
 
 def test_outcome_refit_runs_full_pipeline():
@@ -285,7 +285,7 @@ def test_ml_regime_enters_low_cardinality_columns_as_main_terms(levels):
     data = ordinal_data(levels=levels)
     out = fit_outcome(data, "ml", seed=2)
     assert np.all(np.isfinite(out.predict_matrix(data.X)))
-    spline_spec = out.super_learner.candidates[2]
+    spline_spec = out.components[2][1].spec
     assert main("o") in spline_spec.terms and spline("x") in spline_spec.terms
     prop = fit_propensity(data, "ml")
     np.testing.assert_allclose(prop.probs.sum(axis=1), 1.0, atol=1e-10)
@@ -313,7 +313,7 @@ def rare_value_data(n=300, seed=0):
 def test_ml_outcome_fits_column_with_rare_values(seed):
     data = rare_value_data()
     out = fit_outcome(data, "ml", seed=seed)
-    assert main("g") in out.super_learner.candidates[2].terms
+    assert main("g") in out.components[2][1].spec.terms
     assert np.all(np.isfinite(out.predict_matrix(data.X)))
     assert "g.curv" not in _stepwise_groups(data, _sorted_columns(data))
 
@@ -334,7 +334,7 @@ def rare_top_value_data(n=300, seed=0):
 def test_ml_outcome_fits_spline_column_whose_folds_cannot_carry_it(seed):
     data = rare_top_value_data()
     out = fit_outcome(data, "ml", seed=seed)
-    assert spline("g") in out.super_learner.candidates[2].terms
+    assert spline("g") in out.components[2][1].spec.terms
     assert np.all(np.isfinite(out.predict_matrix(data.X)))
 
 
@@ -422,11 +422,11 @@ def reference_super_learner(data, candidates, folds, seed):
 def test_super_learner_equals_reference_fold_loop():
     data = ordinal_data(n=400, seed=21)
     candidates = ml_candidates(data)
-    sl = fit_super_learner(data, candidates, seed=5)
-    weights, cv_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
-    np.testing.assert_array_equal(sl.weights, weights)
-    np.testing.assert_array_equal(sl.cv_risks, cv_risks)
-    for (_, _, fit), coef in zip(sl.components, coefficients):
+    components, cv_risks = fit_super_learner(data, candidates, seed=5)
+    want_weights, want_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
+    np.testing.assert_array_equal([w for w, _, _ in components], want_weights)
+    np.testing.assert_array_equal(cv_risks, want_risks)
+    for (_, _, fit), coef in zip(components, coefficients):
         np.testing.assert_array_equal(fit.coefficients, coef)
 
 
@@ -463,11 +463,11 @@ def test_super_learner_equals_reference_on_low_cardinality_columns(make):
     data = make()
     candidates = ml_candidates(data)
     np.testing.assert_array_equal(_cv_folds(data, 10, 5), reference_folds(data.n, 10, 5))
-    sl = fit_super_learner(data, candidates, seed=5)
-    weights, cv_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
-    np.testing.assert_array_equal(sl.weights, weights)
-    np.testing.assert_array_equal(sl.cv_risks, cv_risks)
-    for (_, _, fit), coef in zip(sl.components, coefficients):
+    components, cv_risks = fit_super_learner(data, candidates, seed=5)
+    want_weights, want_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
+    np.testing.assert_array_equal([w for w, _, _ in components], want_weights)
+    np.testing.assert_array_equal(cv_risks, want_risks)
+    for (_, _, fit), coef in zip(components, coefficients):
         np.testing.assert_array_equal(fit.coefficients, coef)
 
 

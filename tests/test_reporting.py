@@ -17,7 +17,7 @@ from mlte.reporting import (
     render_table,
 )
 from mlte.simengine import ScenarioConfig, run_scenario
-from mlte.weighting import make_estimate
+from mlte.weighting import EffectEstimate
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_holm_properties(pvals, rnd):
 
 def pair_estimates(taus_by_pair, variance=0.04, method="crude", estimand="population"):
     return [
-        make_estimate(pair, tau, variance, estimand, method, 100)
+        EffectEstimate(pair, tau, variance, estimand, method, 100)
         for pair, tau in taus_by_pair.items()
     ]
 
@@ -100,9 +100,9 @@ def test_table_two_levels_adjustment_is_identity():
 def test_table_wald_p_edge_cases():
     rows = all_pairs_table(pair_estimates({(2, 1): 0.0})).rows
     assert rows[0]["p"] == 1.0
-    ests = [make_estimate((2, 1), 0.0, 0.0, "population", "crude", 10)]
+    ests = [EffectEstimate((2, 1), 0.0, 0.0, "population", "crude", 10)]
     assert all_pairs_table(ests).rows[0]["p"] == 1.0
-    ests = [make_estimate((2, 1), 0.5, 0.0, "population", "crude", 10)]
+    ests = [EffectEstimate((2, 1), 0.5, 0.0, "population", "crude", 10)]
     assert all_pairs_table(ests).rows[0]["p"] == 0.0
 
 
@@ -149,7 +149,7 @@ def test_wald_p_exact_cases():
 
 def test_table_nan_variance_excluded_from_family():
     ests = pair_estimates({(2, 1): 0.5, (3, 1): 0.5})
-    ests.append(make_estimate((3, 2), 0.5, float("nan"), "population", "crude", 100))
+    ests.append(EffectEstimate((3, 2), 0.5, float("nan"), "population", "crude", 100))
     table = all_pairs_table(ests)
     by_pair = {r["pair"]: r for r in table.rows}
     assert np.isnan(by_pair[(3, 2)]["p"]) and np.isnan(by_pair[(3, 2)]["p_adj"])

@@ -12,7 +12,6 @@ from mlte.simengine import (
     METHOD_TABLE,
     METHODS,
     SCENARIO_NAMES,
-    Metrics,
     PlasmodeConfig,
     ScenarioConfig,
     _apply_methods,
@@ -27,7 +26,7 @@ from mlte.simengine import (
     treatment_probabilities,
 )
 from mlte.tabular import Dataset
-from mlte.weighting import make_estimate
+from mlte.weighting import EffectEstimate
 
 BETA_WEAK = (-0.2, 0.2, 0.2, 0.1, 0.1, 0.2, 0.1, -0.2, 0.1, 0.1)
 BETA_STRONG = (-0.8, 0.8, 0.8, 0.2, 0.2, 0.5, 0.5, -0.8, 0.2, 0.2)
@@ -147,23 +146,25 @@ def test_oracle_truth_mc_equals_level_effects_for_additive_outcome():
 
 
 def fake_estimates(taus, variance=0.04, truth_method="crude"):
-    return [make_estimate((2, 1), t, variance, "population", truth_method, 100) for t in taus]
+    return [EffectEstimate((2, 1), t, variance, "population", truth_method, 100) for t in taus]
 
 
 def test_compute_metrics_all_equal():
     mt = compute_metrics(fake_estimates([2.0] * 5), truth=2.0)
-    assert mt.bias == 0.0
-    assert mt.std == 0.0
-    assert mt.rmse == 0.0
-    assert mt.coverage == 1.0
-    assert mt.n_used == 5
+    assert mt["bias"] == 0.0
+    assert mt["std"] == 0.0
+    assert mt["rmse"] == 0.0
+    assert mt["coverage"] == 1.0
+    assert mt["reps_used"] == 5
+    # the report row's own fields, in report order
+    assert list(mt) == ["bias", "std", "rmse", "coverage", "reps_used"]
 
 
 def test_compute_metrics_alternating():
     mt = compute_metrics(fake_estimates([1.0, -1.0, 1.0, -1.0]), truth=0.0)
-    assert mt.bias == 0.0
-    assert mt.rmse == 1.0
-    assert mt.std == pytest.approx(np.sqrt(4.0 / 3.0))
+    assert mt["bias"] == 0.0
+    assert mt["rmse"] == 1.0
+    assert mt["std"] == pytest.approx(np.sqrt(4.0 / 3.0))
 
 
 def test_compute_metrics_rmse_decomposition():
@@ -171,25 +172,25 @@ def test_compute_metrics_rmse_decomposition():
     taus = rng.normal(0.3, 0.7, 40)
     mt = compute_metrics(fake_estimates(taus), truth=0.1)
     n = len(taus)
-    assert mt.rmse**2 == pytest.approx(mt.bias**2 + mt.std**2 * (n - 1) / n, abs=1e-10)
+    assert mt["rmse"]**2 == pytest.approx(mt["bias"]**2 + mt["std"]**2 * (n - 1) / n, abs=1e-10)
 
 
 def test_compute_metrics_half_coverage():
     half = 1.959963984540054 * 0.2
     ests = fake_estimates([1.0, 1.0 + 2 * half], variance=0.04)
     mt = compute_metrics(ests, truth=1.0)
-    assert mt.coverage == 0.5
+    assert mt["coverage"] == 0.5
 
 
 def test_compute_metrics_degenerate_inputs():
     empty = compute_metrics([], truth=0.0)
-    assert empty == Metrics(bias=None, std=None, rmse=None, coverage=None, n_used=0)
+    assert empty == {"bias": None, "std": None, "rmse": None, "coverage": None, "reps_used": 0}
     single = compute_metrics(fake_estimates([1.5]), truth=1.0)
-    assert single.std is None
-    assert single.bias == pytest.approx(0.5)
+    assert single["std"] is None
+    assert single["bias"] == pytest.approx(0.5)
     no_ci = compute_metrics(fake_estimates([1.0, 2.0], variance=float("nan")), truth=1.0)
-    assert no_ci.coverage is None
-    assert no_ci.rmse is not None
+    assert no_ci["coverage"] is None
+    assert no_ci["rmse"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +353,11 @@ def stub_generators(source, level_shift):
     raw = np.random.default_rng(1).uniform(0.2, 1.0, (source.n, source.k))
     probs = raw / raw.sum(axis=1, keepdims=True)
 
-    def predict_probs(X):
+    def uniform_probs(X):
         m = np.full((X.shape[0], source.k), 1.0 / source.k)
         return m
 
-    gen_trt = StubPropensityFit("mainterms", source.k, probs, "stub", True, predict_probs)
+    gen_trt = StubPropensityFit("mainterms", source.k, probs, "stub", True, uniform_probs)
     return gen_out, gen_trt
 
 

@@ -25,7 +25,6 @@ from mlte.tabular import (
     spline,
     square,
     _knots_of_sorted,
-    _natural_cubic_basis,
 )
 
 
@@ -325,12 +324,19 @@ def test_distinct_knots_need_as_many_distinct_values():
     assert _knots_of_sorted(np.sort(x)) is None
 
 
+def spline_basis(x, knots):
+    """The natural cubic basis of column x on `knots`, as a bound design
+    with those knots expands its spline term."""
+    bound = BoundDesign(DesignSpec((spline("x"),)), {"x": 0}, {0: knots})
+    return bound.matrix(np.asarray(x, dtype=float)[:, None])
+
+
 def test_natural_cubic_basis_is_linear_beyond_boundaries():
     rng = np.random.default_rng(0)
     x = rng.normal(size=500)
     knots = _knots_of_sorted(np.sort(x), 3)
     far = np.linspace(x.max() + 1, x.max() + 9, 9)
-    basis = _natural_cubic_basis(far, knots)
+    basis = spline_basis(far, knots)
     # second differences of each column vanish on an equally spaced grid
     second = np.diff(basis, n=2, axis=0)
     assert np.abs(second).max() < 1e-8
@@ -355,7 +361,7 @@ def test_natural_cubic_basis_matches_power_formula(n_interior):
     # evaluation points inside the range and beyond both boundary knots
     at = np.concatenate([x, np.linspace(x.min() - 5, x.max() + 5, 101)])
     np.testing.assert_allclose(
-        _natural_cubic_basis(at, knots), reference_natural_cubic_basis(at, knots), rtol=1e-12, atol=0
+        spline_basis(at, knots), reference_natural_cubic_basis(at, knots), rtol=1e-12, atol=0
     )
 
 
@@ -503,18 +509,10 @@ def test_take_missing_level_error_text():
         d.take(np.flatnonzero(d.t == 1))
 
 
-def test_take_boolean_mask_selects_true_rows():
-    d = toy_dataset(n=6, k=3)
-    mask = np.array([True, True, False, False, True, True])
-    sub = d.take(mask)
-    assert sub.n == 4
-    for name in ("X", "t", "y"):
-        np.testing.assert_array_equal(getattr(sub, name), getattr(d, name)[mask])
-    with pytest.raises(ValueError, match=r"mask has shape \(5,\), expected \(6,\)"):
-        d.take(mask[:5])
-
-
-@pytest.mark.parametrize("rows", (np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5]), ["0", "1", "2"]))
+@pytest.mark.parametrize("rows", (
+    np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5]), ["0", "1", "2"],
+    np.array([True, True, False, False, True, True]),
+))
 def test_take_rejects_non_integer_rows(rows):
     d = toy_dataset(n=6, k=3)
     with pytest.raises(TypeError, match=str(np.asarray(rows).dtype)):
@@ -534,7 +532,7 @@ def test_natural_cubic_basis_column_count():
     x = np.linspace(0, 1, 100)
     knots = _knots_of_sorted(np.sort(x), 3)  # 2 boundary + 3 interior
     assert len(knots) == 5
-    assert _natural_cubic_basis(x, knots).shape[1] == 4
+    assert spline_basis(x, knots).shape[1] == 4
 
 
 @settings(max_examples=25, deadline=None)
@@ -571,6 +569,20 @@ def test_load_csv_roundtrip(tmp_path):
     assert d.columns == ("a", "b")
     np.testing.assert_allclose(d.y, [1.5, 0.5, 2.5, 1.0])
     assert d.t.tolist() == [1, 3, 2, 1]
+
+
+def test_load_csv_accepts_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with the bytes EF BB BF
+    text = "arm,val,a\ncontrôle,1.5,0.1\ntraité,0.5,-0.2\nautre,2.5,0.3\ncontrôle,1.0,0.4\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = (load_csv(str(path), "arm", "val", ["a"]) for path in (plain, bom))
+    assert got.treatment_labels == ("autre", "contrôle", "traité")
+    for name in ("columns", "outcome_kind", "k", "treatment_labels"):
+        assert getattr(got, name) == getattr(want, name)
+    for name in ("X", "t", "y"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_load_csv_reports_bad_cell_with_line(tmp_path):

@@ -12,7 +12,6 @@ from mlte.weighting import (
     estimate_aow,
     estimate_ipw,
     estimate_ow,
-    make_estimate,
     ow_influence,
 )
 
@@ -155,8 +154,8 @@ def test_aow_reduces_to_ow_for_constant_predictions():
 # EffectEstimate
 
 
-def test_make_estimate_ci_and_coverage():
-    est = make_estimate((2, 1), 1.0, 0.04, "population", "crude", 100)
+def test_effect_estimate_ci_and_coverage():
+    est = EffectEstimate((2, 1), 1.0, 0.04, "population", "crude", 100)
     lo, hi = est.ci95
     assert lo == pytest.approx(1.0 - 1.959963984540054 * 0.2)
     assert hi == pytest.approx(1.0 + 1.959963984540054 * 0.2)
@@ -166,14 +165,27 @@ def test_make_estimate_ci_and_coverage():
     assert not est.covers(hi + 1e-9)
 
 
-def test_make_estimate_nan_variance_gives_nan_ci():
-    est = make_estimate((2, 1), 1.0, float("nan"), "population", "stan", 50)
+def test_effect_estimate_nan_variance_gives_nan_ci():
+    est = EffectEstimate((2, 1), 1.0, float("nan"), "population", "stan", 50)
     assert np.isnan(est.ci95[0]) and np.isnan(est.ci95[1])
     assert not est.covers(1.0)
 
 
 def test_effect_estimate_validation():
     with pytest.raises(ValueError):
-        make_estimate((2, 1), 0.0, -1.0, "population", "crude", 10)
+        EffectEstimate((2, 1), 0.0, -1.0, "population", "crude", 10)
     with pytest.raises(ValueError):
-        EffectEstimate((2, 1), 0.0, 1.0, (-1.0, 1.0), "conditional", "crude", 10)
+        EffectEstimate((2, 1), 0.0, 1.0, "conditional", "crude", 10)
+
+
+def test_effect_estimate_casts_its_numbers_and_derives_its_interval():
+    # estimators hand over numpy scalars; the record holds Python numbers,
+    # and its interval is tau -/+ z * sqrt(variance) to the last bit
+    est = EffectEstimate(
+        (np.int64(3), np.int32(1)), np.float64(0.7), np.float64(0.09), "overlap", "ow", np.intp(40)
+    )
+    assert est.pair == (3, 1) and all(type(c) is int for c in est.pair)
+    assert type(est.tau_hat) is float and type(est.variance) is float and type(est.n_used) is int
+    half = 1.959963984540054 * float(np.sqrt(0.09))
+    assert est.ci95 == (0.7 - half, 0.7 + half)
+    assert EffectEstimate((2, 1), 0.5, float("inf"), "population", "crude", 9).covers(0.5) is False
