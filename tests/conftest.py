@@ -1,13 +1,17 @@
-"""Shared replication fixtures for the acceptance tests.
+"""Shared fixtures: replication studies for the acceptance tests, and the
+environment of a command-line subprocess in an ASCII locale.
 
-Each fixture runs one full replication study once per session; the
+Each study fixture runs one full replication study once per session; the
 acceptance tests read several gated quantities from the same report.
 Everything is deterministic given the pinned seeds, so the asserted
 numbers are stable run to run.
 """
 
+import os
+
 import pytest
 
+import mlte
 from mlte.simengine import ScenarioConfig, run_scenario
 
 
@@ -16,6 +20,20 @@ def scenario_report(scenario, seed, regime, methods=None, n=1000, reps=500, boot
         scenario, n=n, reps=reps, seed=seed, regime=regime, bootstrap_reps=bootstrap_reps
     )
     return run_scenario(cfg, methods=methods)
+
+
+@pytest.fixture
+def ascii_locale_env():
+    """Environment of a `python -m mlte.cli` subprocess under the C locale,
+    with neither UTF-8 mode nor locale coercion: this package first on
+    PYTHONPATH, no MLTE_ flag fallbacks, and COLUMNS=80."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlte.__file__)))
+    env = {name: value for name, value in os.environ.items() if not name.startswith("MLTE_")}
+    env.update(
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        COLUMNS="80", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+    )
+    return env
 
 
 @pytest.fixture(scope="session")

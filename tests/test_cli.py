@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 
@@ -140,7 +139,7 @@ def test_estimate_rejects_a_covariate_that_repeats_or_names_another_role(
     assert captured.err == f"error: {message}\n"
 
 
-def test_out_file_is_utf8_in_an_ascii_locale(tmp_path):
+def test_out_file_is_utf8_in_an_ascii_locale(tmp_path, ascii_locale_env):
     rng = np.random.default_rng(5)
     arms = ("contrôle", "traité", "autre")
     lines = ["arm,y,x1,x2"]
@@ -149,15 +148,11 @@ def test_out_file_is_utf8_in_an_ascii_locale(tmp_path):
         lines.append(f"{arms[i % 3]},{x1 + noise!r},{x1!r},{x2!r}")
     data, out = tmp_path / "arms.csv", tmp_path / "out.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mlte.__file__)))
-    env = {key: value for key, value in os.environ.items() if not key.startswith("MLTE_")}
-    env.update(
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
-    )
     argv = ["estimate", "--data", str(data), "--treatment", "arm", "--outcome", "y",
             "--covariates", "x1,x2", "--methods", "crude", "--format", "csv", "--out", str(out)]
-    proc = subprocess.run([sys.executable, "-m", "mlte.cli", *argv], env=env, capture_output=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlte.cli", *argv], env=ascii_locale_env, capture_output=True
+    )
     assert proc.returncode == 0, proc.stderr
     assert "traité vs contrôle" in out.read_bytes().decode("utf-8")
 

@@ -7,7 +7,8 @@ case whose argv has `--out <file>` writes that file into a temporary
 directory, and its bytes must equal `<name>.out`.  A command line that
 argparse rejects exits through `SystemExit`, whose code is the case's exit
 code; `COLUMNS` is pinned because argparse wraps its usage text to the
-terminal width.
+terminal width.  The case with accented arm labels also runs as a program
+under the C locale, whose stdout must carry the same UTF-8 bytes.
 Floating-point output depends on numpy's linear algebra, so the manifest
 records the numpy version the files were made with, and a different
 version fails with both versions named.
@@ -28,7 +29,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mlte
 from mlte.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,18 +102,13 @@ def test_worker_counts_give_identical_reports():
         assert serial.read_bytes() == pooled.read_bytes(), study
 
 
-def test_utf8_labels_case_prints_the_same_bytes_in_an_ascii_locale():
+def test_utf8_labels_case_prints_the_same_bytes_in_an_ascii_locale(ascii_locale_env):
     # stdout is UTF-8 whatever the locale: run as a program under the C
     # locale, the case with accented arm labels prints its recorded bytes
     (case,) = [case for case in CASES if case["name"] == "estimate-utf8-labels-csv"]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mlte.__file__)))
-    env = {name: value for name, value in os.environ.items() if not name.startswith("MLTE_")}
-    env.update(
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        COLUMNS="80", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
-    )
     proc = subprocess.run(
-        [sys.executable, "-m", "mlte.cli", *case["argv"]], cwd=GOLDEN, env=env, capture_output=True
+        [sys.executable, "-m", "mlte.cli", *case["argv"]],
+        cwd=GOLDEN, env=ascii_locale_env, capture_output=True,
     )
     assert proc.returncode == case["exit"], proc.stderr
     assert proc.stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()
