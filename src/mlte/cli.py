@@ -55,6 +55,22 @@ def _comma_list(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _column_name(text):
+    """A column name as the UTF-8 text of its bytes.  Under a non-UTF-8
+    locale such as C, Python reads arguments and environment variables
+    with surrogate escapes for the bytes it cannot decode; those bytes are
+    decoded again as UTF-8, the encoding of the CSV header.  A value that is
+    not valid UTF-8 stays as it is."""
+    try:
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError:
+        return text
+
+
+def _column_names(text):
+    return _comma_list(_column_name(text))
+
+
 def _count(low):
     """argparse type of a count flag: an int of at least `low`."""
 
@@ -73,9 +89,9 @@ def _count(low):
 # gets its default
 _FLAGS = {
     "data": dict(help="input dataset (.csv or .json)"),
-    "treatment": dict(help="treatment column name (csv input)"),
-    "outcome": dict(help="outcome column name (csv input)"),
-    "covariates": dict(type=_comma_list, help="comma-separated covariate columns (csv input)"),
+    "treatment": dict(type=_column_name, help="treatment column name (csv input)"),
+    "outcome": dict(type=_column_name, help="outcome column name (csv input)"),
+    "covariates": dict(type=_column_names, help="comma-separated covariate columns (csv input)"),
     "methods": dict(type=_comma_list, default=METHODS, help="comma-separated subset of " + ", ".join(
         f"{meth} ({row.estimand})" for meth, row in METHOD_TABLE.items())),
     "regime": dict(choices=REGIMES, default="mainterms"),

@@ -312,27 +312,36 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
     labels retained.  Binary outcomes are detected from the values.  A cell
     that parses to a non-finite value is rejected by the Dataset checks,
     and a covariate that repeats; a covariate that names the treatment or
-    outcome column is rejected before the file is read.
+    outcome column is rejected before the file is read.  A requested column
+    that the header names more than once, and a row whose cell count
+    differs from the header's, are rejected too; blank lines are skipped.
     """
     roles = {treatment_col: "treatment", outcome_col: "outcome"}
     for col in covariate_cols:
         if col in roles:
             raise ValueError(f"covariate {col!r} is the {roles[col]} column")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, header row required")
-        header = reader.fieldnames
         for col in [treatment_col, outcome_col, *covariate_cols]:
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
+            if header.count(col) > 1:
+                raise ValueError(f"{path}: column {col!r} appears more than once in the header")
+        t_at, y_at = header.index(treatment_col), header.index(outcome_col)
+        x_at = [(header.index(c), c) for c in covariate_cols]
         t_raw, y_raw, x_rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            t_raw.append(row[treatment_col])
-            y_raw.append(_parse_cell(row[outcome_col], outcome_col, lineno))
-            x_rows.append(
-                [_parse_cell(row[c], c, lineno) for c in covariate_cols]
-            )
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != len(header):
+                raise ValueError(f"line {lineno}: {len(row)} cells, the header has {len(header)}")
+            t_raw.append(row[t_at])
+            y_raw.append(_parse_cell(row[y_at], outcome_col, lineno))
+            x_rows.append([_parse_cell(row[i], c, lineno) for i, c in x_at])
     if not x_rows:
         raise ValueError(f"{path}: no data rows")
     return Dataset.from_arrays(x_rows, t_raw, y_raw, columns=tuple(covariate_cols))
@@ -341,7 +350,7 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
 def _parse_cell(text, col, lineno):
     try:
         return float(text)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(f"line {lineno}: unparseable cell {text!r} in column {col!r}") from None
 
 

@@ -7,11 +7,11 @@ is about 0.005, which the stated tolerances already absorb.
 """
 
 import numpy as np
-import pytest
-from scipy.spatial.distance import cdist
 
 from mlte.cli import main as cli_main
 from fitstubs import StubOutcomeFit, StubPropensityFit
+from reference_paths import brute_force_matches
+from test_golden import GOLDEN
 from mlte.learners import fit_outcome, fit_propensity
 from mlte.matching import build_matches, estimate_bcm, estimate_match
 from mlte.outcome_methods import tmle_fluctuations
@@ -309,16 +309,10 @@ def test_criterion_7_exact_identities(capsys):
     )
     for metric in ("euclidean-standardized", "mahalanobis"):
         msets = build_matches(mdata, metric=metric)
-        if metric == "euclidean-standardized":
-            dist = cdist(mdata.X / mdata.X.std(axis=0, ddof=1), mdata.X / mdata.X.std(axis=0, ddof=1))
-        else:
-            S = np.cov(mdata.X, rowvar=False) + 1e-8 * np.eye(3)
-            dist = cdist(mdata.X, mdata.X, metric="mahalanobis", VI=np.linalg.inv(S))
+        want, _ = brute_force_matches(mdata, 1, metric)
         for lev in (1, 2, 3):
-            donors = np.flatnonzero(mdata.t == lev)
             for i in np.flatnonzero(mdata.t != lev):
-                want = donors[np.argmin(dist[i, donors])]
-                checks.append(msets.match_indices[i, lev - 1, 0] == want)
+                checks.append(msets.match_indices[i, lev - 1, 0] == want[i, lev - 1, 0])
 
     assert verdict(capsys, "criterion 7 [exact-identity suite]", checks)
 
@@ -327,26 +321,8 @@ def test_criterion_7_exact_identities(capsys):
 # criterion 8: byte-level determinism across worker counts
 
 
-def write_demo_csv(path, binary=False):
-    cfg = ScenarioConfig.named("t-y-", n=200, reps=1, seed=31, regime="mainterms")
-    data = simulate_dataset(cfg, 0)
-    if binary:
-        rng = np.random.default_rng(2)
-        yout = (rng.random(data.n) < 1.0 / (1.0 + np.exp(-0.5 * data.X[:, 0]))).astype(int)
-    else:
-        yout = data.y
-    with open(path, "w") as fh:
-        fh.write("trt,resp,x1,x2,x3\n")
-        for i in range(data.n):
-            cells = [int(data.t[i]), (int(yout[i]) if binary else float(yout[i])), *map(float, data.X[i])]
-            fh.write(",".join(repr(c) for c in cells) + "\n")
-
-
 def test_criterion_8_worker_count_invariance(tmp_path, capsys):
-    demo = tmp_path / "demo.csv"
-    binary = tmp_path / "binary.csv"
-    write_demo_csv(demo)
-    write_demo_csv(binary, binary=True)
+    demo, binary = GOLDEN / "continuous.csv", GOLDEN / "binary.csv"
     source_args = ["--treatment", "trt", "--outcome", "resp", "--covariates", "x1,x2,x3"]
 
     def run(name, argv):

@@ -13,23 +13,12 @@ import mlte.learners
 import mlte.simengine
 from mlte.cli import _provenance_keys, main
 from mlte.outcome_methods import estimate_crude
-from mlte.simengine import PlasmodeConfig, ScenarioConfig, simulate_dataset
-from mlte.tabular import load_csv
+from mlte.simengine import PlasmodeConfig, ScenarioConfig
+from mlte.tabular import Dataset, load_csv
+from test_golden import GOLDEN
+from test_learners import rare_value_data
 
-
-@pytest.fixture(scope="module")
-def demo_csv(tmp_path_factory):
-    cfg = ScenarioConfig.named("t-y-", n=200, reps=1, seed=31, regime="mainterms")
-    data = simulate_dataset(cfg, 0)
-    path = tmp_path_factory.mktemp("data") / "demo.csv"
-    with open(path, "w") as fh:
-        fh.write("trt,resp,x1,x2,x3\n")
-        for i in range(data.n):
-            cells = [int(data.t[i]), float(data.y[i]), *map(float, data.X[i])]
-            fh.write(",".join(repr(c) for c in cells) + "\n")
-    return str(path)
-
-
+DEMO_CSV, BINARY_CSV = str(GOLDEN / "continuous.csv"), str(GOLDEN / "binary.csv")
 DEMO_ARGS = ["--treatment", "trt", "--outcome", "resp", "--covariates", "x1,x2,x3"]
 
 
@@ -37,19 +26,28 @@ def run_cli(argv):
     return main(argv)
 
 
+def write_csv(path, data):
+    """`data` as a CSV file at `path` with columns t, y and its covariates."""
+    with open(path, "w") as fh:
+        fh.write(",".join(("t", "y") + data.columns) + "\n")
+        for t, y, x in zip(data.t, data.y, data.X):
+            fh.write(",".join(repr(c) for c in [int(t), float(y), *map(float, x)]) + "\n")
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
 
-def test_estimate_crude_matches_library(demo_csv, tmp_path, capsys):
+def test_estimate_crude_matches_library(tmp_path, capsys):
     out = tmp_path / "est.json"
     rc = run_cli(
-        ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude",
+        ["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crude",
          "--format", "json", "--out", str(out)]
     )
     assert rc == 0
     payload = json.loads(out.read_text())
-    data = load_csv(demo_csv, "trt", "resp", ["x1", "x2", "x3"])
+    data = load_csv(DEMO_CSV, "trt", "resp", ["x1", "x2", "x3"])
     (table,) = payload["tables"]
     assert table["method"] == "crude"
     for row in table["rows"]:
@@ -59,25 +57,25 @@ def test_estimate_crude_matches_library(demo_csv, tmp_path, capsys):
     assert {r["label"] for r in table["rows"]} == {"2 vs 1", "3 vs 1", "3 vs 2"}
 
 
-def test_estimate_env_fallback_and_flag_priority(demo_csv, capsys, monkeypatch):
+def test_estimate_env_fallback_and_flag_priority(capsys, monkeypatch):
     monkeypatch.setenv("MLTE_METHODS", "crude")
     monkeypatch.setenv("MLTE_SEED", "7")
-    rc = run_cli(["estimate", "--data", demo_csv, *DEMO_ARGS, "--format", "json"])
+    rc = run_cli(["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--format", "json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seed"] == 7
     assert [t["method"] for t in payload["tables"]] == ["crude"]
 
     rc = run_cli(
-        ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "ow", "--format", "json"]
+        ["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "ow", "--format", "json"]
     )
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert [t["method"] for t in payload["tables"]] == ["ow"]
 
 
-def test_estimate_unknown_method_fails(demo_csv, capsys):
-    rc = run_cli(["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crud"])
+def test_estimate_unknown_method_fails(capsys):
+    rc = run_cli(["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crud"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
@@ -88,31 +86,15 @@ def test_estimate_requires_data(capsys):
     assert "requires --data" in capsys.readouterr().err
 
 
-def test_estimate_csv_input_requires_column_flags(demo_csv, capsys):
-    rc = run_cli(["estimate", "--data", demo_csv, "--methods", "crude"])
+def test_estimate_csv_input_requires_column_flags(capsys):
+    rc = run_cli(["estimate", "--data", DEMO_CSV, "--methods", "crude"])
     assert rc == 1
     assert "--covariates" in capsys.readouterr().err
 
 
-def test_estimate_rejects_correct_regime(demo_csv, capsys):
-    rc = run_cli(
-        ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude", "--regime", "correct"]
-    )
-    assert rc == 1
-    assert "simulation engine" in capsys.readouterr().err
-
-
-def test_diagnose_rejects_correct_regime(demo_csv, capsys):
-    rc = run_cli(["diagnose", "--data", demo_csv, *DEMO_ARGS, "--regime", "correct"])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        "error: the 'correct' regime only exists inside the simulation engine\n"
-    )
-
-
 @pytest.mark.parametrize("cell, message", ((2, "non-finite covariate"), (1, "non-finite outcome")))
-def test_estimate_rejects_a_nan_cell(demo_csv, tmp_path, capsys, cell, message):
-    lines = open(demo_csv).read().splitlines()
+def test_estimate_rejects_a_nan_cell(tmp_path, capsys, cell, message):
+    lines = open(DEMO_CSV).read().splitlines()
     cells = lines[3].split(",")
     cells[cell] = "nan"
     lines[3] = ",".join(cells)
@@ -129,9 +111,9 @@ def test_estimate_rejects_a_nan_cell(demo_csv, tmp_path, capsys, cell, message):
     ("x1,x1,x2", "column 'x1' is named more than once"),
 ))
 def test_estimate_rejects_a_covariate_that_repeats_or_names_another_role(
-    demo_csv, capsys, covariates, message
+    capsys, covariates, message
 ):
-    rc = run_cli(["estimate", "--data", demo_csv, "--treatment", "trt", "--outcome", "resp",
+    rc = run_cli(["estimate", "--data", DEMO_CSV, "--treatment", "trt", "--outcome", "resp",
                   "--covariates", covariates, "--methods", "ipw,aow", "--bootstrap", "0"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -140,16 +122,9 @@ def test_estimate_rejects_a_covariate_that_repeats_or_names_another_role(
 
 
 def test_out_file_is_utf8_in_an_ascii_locale(tmp_path, ascii_locale_env):
-    rng = np.random.default_rng(5)
-    arms = ("contrôle", "traité", "autre")
-    lines = ["arm,y,x1,x2"]
-    for i in range(120):
-        x1, x2, noise = rng.normal(size=3).tolist()
-        lines.append(f"{arms[i % 3]},{x1 + noise!r},{x1!r},{x2!r}")
-    data, out = tmp_path / "arms.csv", tmp_path / "out.csv"
-    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    argv = ["estimate", "--data", str(data), "--treatment", "arm", "--outcome", "y",
-            "--covariates", "x1,x2", "--methods", "crude", "--format", "csv", "--out", str(out)]
+    out = tmp_path / "out.csv"
+    argv = ["estimate", "--data", str(GOLDEN / "labels.csv"), "--treatment", "arm", "--outcome",
+            "y", "--covariates", "x1,x2", "--methods", "crude", "--format", "csv", "--out", str(out)]
     proc = subprocess.run(
         [sys.executable, "-m", "mlte.cli", *argv], env=ascii_locale_env, capture_output=True
     )
@@ -157,9 +132,24 @@ def test_out_file_is_utf8_in_an_ascii_locale(tmp_path, ascii_locale_env):
     assert "traité vs contrôle" in out.read_bytes().decode("utf-8")
 
 
-def test_estimate_warns_when_estimands_mixed(demo_csv, capsys):
+def test_column_names_are_utf8_in_an_ascii_locale(tmp_path, capsys, ascii_locale_env):
+    # under the C locale the program reads its arguments and MLTE_ variables
+    # with surrogate escapes; the names must still match the UTF-8 header
+    text = (GOLDEN / "labels.csv").read_text(encoding="utf-8-sig")
+    data = tmp_path / "k2.csv"
+    data.write_text(text.replace("arm,y,x1,x2", "bras_é,résultat,x1,x_ü", 1), encoding="utf-8")
+    argv = ["estimate", "--data", str(data), "--treatment", "bras_é", "--outcome", "résultat",
+            "--methods", "crude", "--format", "csv"]
+    assert main(argv + ["--covariates", "x1,x_ü"]) == 0
+    env = dict(ascii_locale_env, MLTE_COVARIATES="x1,x_ü")
+    proc = subprocess.run([sys.executable, "-m", "mlte.cli", *argv], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+def test_estimate_warns_when_estimands_mixed(capsys):
     rc = run_cli(
-        ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude,ow", "--format", "csv"]
+        ["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crude,ow", "--format", "csv"]
     )
     assert rc == 0
     captured = capsys.readouterr()
@@ -182,6 +172,16 @@ def test_estimate_json_dataset_input(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["tables"][0]["rows"]) == 1  # two levels, one pair
+
+
+def test_estimate_ml_regime_with_rare_covariate_values(tmp_path, capsys):
+    path = write_csv(tmp_path / "rare.csv", rare_value_data())
+    rc = run_cli(["estimate", "--data", path, "--treatment", "t", "--outcome", "y",
+                  "--covariates", "x,g", "--regime", "ml", "--bootstrap", "5", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == {}
+    assert len(payload["tables"]) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +223,10 @@ def test_simulate_requires_scenario(capsys):
     assert "requires --scenario" in capsys.readouterr().err
 
 
-def test_simulate_writes_file_and_prints_summary(tmp_path, capsys):
-    out = tmp_path / "sim.csv"
-    rc = run_cli(
-        ["simulate", "--scenario", "t-y-", "--n", "120", "--reps", "2", "--methods", "crude",
-         "--seed", "5", "--format", "csv", "--out", str(out)]
-    )
-    assert rc == 0
-    assert out.read_text().startswith("# mlte ")
-    # a human-readable summary still lands on stdout
-    assert "scenario report" in capsys.readouterr().out
-
-
-@pytest.fixture(scope="module")
-def binary_csv(tmp_path_factory):
-    """Plasmode sources need a binary outcome for the regeneration step."""
-    cfg = ScenarioConfig.named("t-y-", n=200, reps=1, seed=37, regime="mainterms")
-    data = simulate_dataset(cfg, 0)
-    rng = np.random.default_rng(2)
-    y = (rng.random(data.n) < 1.0 / (1.0 + np.exp(-0.5 * data.X[:, 0]))).astype(int)
-    path = tmp_path_factory.mktemp("data") / "binary.csv"
-    with open(path, "w") as fh:
-        fh.write("trt,resp,x1,x2,x3\n")
-        for i in range(data.n):
-            cells = [int(data.t[i]), int(y[i]), *map(float, data.X[i])]
-            fh.write(",".join(repr(c) for c in cells) + "\n")
-    return str(path)
-
-
-def test_plasmode_runs_from_csv_source(binary_csv, tmp_path, capsys):
+def test_plasmode_runs_from_csv_source(tmp_path, capsys):
     out = tmp_path / "pl.json"
     rc = run_cli(
-        ["plasmode", "--data", binary_csv, *DEMO_ARGS, "--methods", "crude", "--n", "150",
+        ["plasmode", "--data", BINARY_CSV, *DEMO_ARGS, "--methods", "crude", "--n", "150",
          "--reps", "2", "--seed", "11", "--format", "json", "--out", str(out)]
     )
     assert rc == 0
@@ -264,27 +236,27 @@ def test_plasmode_runs_from_csv_source(binary_csv, tmp_path, capsys):
     assert {r["parameter"] for r in payload["rows"]} == {"tau21", "tau31", "tau32"}
 
 
-def test_plasmode_rejects_correct_regime_before_fitting(binary_csv, capsys, monkeypatch):
+def test_plasmode_rejects_correct_regime_before_fitting(capsys, monkeypatch):
     # the ml generator pair takes seconds to fit; a bad regime must not wait for it
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_outcome called for a rejected regime")
 
     monkeypatch.setattr(mlte.learners, "fit_outcome", no_fit)
     monkeypatch.setattr(mlte.simengine, "fit_outcome", no_fit)
-    rc = run_cli(["plasmode", "--data", binary_csv, *DEMO_ARGS, "--regime", "correct"])
+    rc = run_cli(["plasmode", "--data", BINARY_CSV, *DEMO_ARGS, "--regime", "correct"])
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: plasmode regime must be 'mainterms' or 'ml' (no known truth spec)\n"
     )
 
 
-def test_plasmode_rejects_continuous_source_before_fitting(demo_csv, capsys, monkeypatch):
+def test_plasmode_rejects_continuous_source_before_fitting(capsys, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_outcome called for a continuous source")
 
     monkeypatch.setattr(mlte.learners, "fit_outcome", no_fit)
     monkeypatch.setattr(mlte.simengine, "fit_outcome", no_fit)
-    rc = run_cli(["plasmode", "--data", demo_csv, *DEMO_ARGS, "--regime", "ml"])
+    rc = run_cli(["plasmode", "--data", DEMO_CSV, *DEMO_ARGS, "--regime", "ml"])
     assert rc == 1
     assert capsys.readouterr().err == "error: plasmode outcome generator must be binary\n"
 
@@ -296,15 +268,12 @@ def test_plasmode_rejects_continuous_source_before_fitting(demo_csv, capsys, mon
 def test_diagnose_on_unconfounded_assignment(tmp_path, capsys):
     rng = np.random.default_rng(8)
     n = 400
-    path = tmp_path / "flat.csv"
-    with open(path, "w") as fh:
-        fh.write("t,y,x1,x2\n")
-        t = rng.integers(1, 4, n)
-        for i in range(n):
-            draws = [float(rng.normal()) for _ in range(3)]
-            fh.write(f"{t[i]}," + ",".join(repr(v) for v in draws) + "\n")
+    t = rng.integers(1, 4, n)
+    draws = rng.normal(size=(n, 3))
+    path = write_csv(tmp_path / "flat.csv", Dataset.from_arrays(
+        draws[:, 1:], t, draws[:, 0], columns=("x1", "x2")))
     rc = run_cli(
-        ["diagnose", "--data", str(path), "--treatment", "t", "--outcome", "y",
+        ["diagnose", "--data", path, "--treatment", "t", "--outcome", "y",
          "--covariates", "x1,x2", "--format", "json"]
     )
     assert rc == 0
@@ -315,92 +284,6 @@ def test_diagnose_on_unconfounded_assignment(tmp_path, capsys):
         assert 0.2 < row["median"] < 0.45
         assert row["below_1pct"] == 0
         assert row["arm_min"] >= row["min"]
-
-
-def test_diagnose_text_has_provenance_header(demo_csv, capsys):
-    rc = run_cli(["diagnose", "--data", demo_csv, *DEMO_ARGS])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("# mlte ")
-    assert "below_1pct" in out
-
-
-def test_diagnose_json_reports_convergence(demo_csv, capsys):
-    rc = run_cli(["diagnose", "--data", demo_csv, *DEMO_ARGS, "--format", "json"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["converged"] is True
-
-
-# ---------------------------------------------------------------------------
-# ml regime on an ordinal covariate
-
-
-@pytest.fixture(scope="module")
-def ordinal_csv(tmp_path_factory):
-    """x3 is replaced by a 3-valued ordinal column, too few values for a spline."""
-    rng = np.random.default_rng(21)
-    n = 240
-    x1 = rng.normal(size=n)
-    grade = rng.integers(1, 4, n)
-    t = 1 + (rng.random(n) < 0.3 + 0.1 * grade) + (rng.random(n) < 0.4)
-    y = x1 + 0.5 * grade + t + rng.normal(size=n)
-    path = tmp_path_factory.mktemp("ordinal") / "ordinal.csv"
-    with open(path, "w") as fh:
-        fh.write("trt,resp,x1,x2,x3\n")
-        for i in range(n):
-            cells = [int(t[i]), float(y[i]), float(x1[i]), float(rng.normal()), int(grade[i])]
-            fh.write(",".join(repr(c) for c in cells) + "\n")
-    return str(path)
-
-
-def test_estimate_ml_regime_with_ordinal_covariate(ordinal_csv, capsys):
-    rc = run_cli(["estimate", "--data", ordinal_csv, *DEMO_ARGS, "--regime", "ml",
-                  "--bootstrap", "5", "--format", "json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["failures"] == {}
-    assert len(payload["tables"]) == 8
-    for table in payload["tables"]:
-        for row in table["rows"]:
-            assert np.isfinite(row["estimate"]) and np.isfinite(row["se"])
-
-
-def test_diagnose_ml_regime_with_ordinal_covariate(ordinal_csv, capsys):
-    rc = run_cli(["diagnose", "--data", ordinal_csv, *DEMO_ARGS, "--regime", "ml", "--format", "json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "stepwise" in payload["model"]
-    for row in payload["rows"]:
-        assert all(np.isfinite(row[key]) for key in ("min", "median", "max"))
-
-
-@pytest.fixture(scope="module")
-def rare_value_csv(tmp_path_factory):
-    """x3 holds 1/2/3 about 100 times each plus one row each of 4 and 5: five
-    distinct values, but its quantile knots coincide, so it is a main term."""
-    rng = np.random.default_rng(5)
-    n = 300
-    grade = np.concatenate([np.repeat([1, 2, 3], [100, 99, n - 201]), [4, 5]])
-    rng.shuffle(grade)
-    x1 = rng.normal(size=n)
-    t = rng.integers(1, 4, n)
-    y = x1 + 0.3 * grade + t + rng.normal(size=n)
-    path = tmp_path_factory.mktemp("rare") / "rare.csv"
-    with open(path, "w") as fh:
-        fh.write("trt,resp,x1,x2,x3\n")
-        for i in range(n):
-            cells = [int(t[i]), float(y[i]), float(x1[i]), float(rng.normal()), int(grade[i])]
-            fh.write(",".join(repr(c) for c in cells) + "\n")
-    return str(path)
-
-
-def test_estimate_ml_regime_with_rare_covariate_values(rare_value_csv, capsys):
-    rc = run_cli(["estimate", "--data", rare_value_csv, *DEMO_ARGS, "--regime", "ml",
-                  "--bootstrap", "5", "--format", "json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["failures"] == {}
-    assert len(payload["tables"]) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +324,7 @@ def _study_config(argv, monkeypatch, runner):
     return exc.value.args[0]
 
 
-def test_every_study_setting_comes_from_a_flag(binary_csv, monkeypatch):
+def test_every_study_setting_comes_from_a_flag(monkeypatch):
     # a config field that no flag sets or derives is a knob only tests turn
     flags = ["--regime", "ml", "--n", "150", "--reps", "3", "--m", "2", "--bootstrap", "4",
              "--seed", "5"]
@@ -458,7 +341,7 @@ def test_every_study_setting_comes_from_a_flag(binary_csv, monkeypatch):
         return made[-1][2]
 
     monkeypatch.setattr(mlte.cli, "make_plasmode_generators", generators)
-    plas = _study_config(["plasmode", "--data", binary_csv, *DEMO_ARGS, *flags], monkeypatch,
+    plas = _study_config(["plasmode", "--data", BINARY_CSV, *DEMO_ARGS, *flags], monkeypatch,
                          "run_plasmode")
     by_flag = dict(common, resample_size=150)
     derived = {"source", "generator_outcome", "generator_treatment"}  # from --data and --seed
@@ -467,12 +350,12 @@ def test_every_study_setting_comes_from_a_flag(binary_csv, monkeypatch):
     (source, seed, (gen_out, gen_trt)), = made
     assert seed == 5 and plas.source is source
     assert plas.generator_outcome is gen_out and plas.generator_treatment is gen_trt
-    np.testing.assert_array_equal(source.X, load_csv(binary_csv, "trt", "resp", ["x1", "x2", "x3"]).X)
+    np.testing.assert_array_equal(source.X, load_csv(BINARY_CSV, "trt", "resp", ["x1", "x2", "x3"]).X)
 
 
 @pytest.mark.parametrize("flag,value", [("regime", "bogus"), ("format", "xml"), ("m", "two")])
-def test_environment_values_are_validated_like_flags(demo_csv, capsys, monkeypatch, flag, value):
-    argv = ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude"]
+def test_environment_values_are_validated_like_flags(capsys, monkeypatch, flag, value):
+    argv = ["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crude"]
     with pytest.raises(SystemExit) as by_flag:
         main(argv + [f"--{flag}", value])
     flag_err = capsys.readouterr()
@@ -485,10 +368,10 @@ def test_environment_values_are_validated_like_flags(demo_csv, capsys, monkeypat
     assert f"argument --{flag}" in env_err.err
 
 
-def test_environment_ignores_flags_the_command_does_not_take(demo_csv, capsys, monkeypatch):
+def test_environment_ignores_flags_the_command_does_not_take(capsys, monkeypatch):
     monkeypatch.setenv("MLTE_SCENARIO", "bogus")
     monkeypatch.setenv("MLTE_REPS", "not a number")
-    rc = run_cli(["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude",
+    rc = run_cli(["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crude",
                   "--format", "json"])
     assert rc == 0
     config = json.loads(capsys.readouterr().out)["config"]
@@ -508,9 +391,9 @@ def test_environment_value_starting_with_dash_reaches_flag(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ("estimate", "simulate", "plasmode"))
 @pytest.mark.parametrize("source", ("flag", "env"))
-def test_empty_method_list_is_an_error(demo_csv, capsys, monkeypatch, command, source):
+def test_empty_method_list_is_an_error(capsys, monkeypatch, command, source):
     argv = [command, "--reps", "1"] if command != "estimate" else [command]
-    argv += ["--scenario", "t-y-"] if command == "simulate" else ["--data", demo_csv, *DEMO_ARGS]
+    argv += ["--scenario", "t-y-"] if command == "simulate" else ["--data", DEMO_CSV, *DEMO_ARGS]
     if source == "flag":
         argv += ["--methods", ""]
     else:
@@ -527,11 +410,11 @@ def test_empty_method_list_is_an_error(demo_csv, capsys, monkeypatch, command, s
     ("n", "0", "simulate"), ("reps", "0", "simulate"), ("seed", "-3", "simulate"),
 ])
 @pytest.mark.parametrize("source", ("flag", "env"))
-def test_out_of_range_counts_exit_2(demo_csv, capsys, monkeypatch, flag, value, command, source):
+def test_out_of_range_counts_exit_2(capsys, monkeypatch, flag, value, command, source):
     if command == "simulate":
         argv = [command, "--scenario", "t-y-", "--n", "50", "--reps", "1", "--methods", "crude"]
     else:
-        argv = [command, "--data", demo_csv, *DEMO_ARGS, "--methods", "crude"]
+        argv = [command, "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crude"]
     if source == "flag":
         argv += [f"--{flag}", value]
     else:
@@ -544,9 +427,9 @@ def test_out_of_range_counts_exit_2(demo_csv, capsys, monkeypatch, flag, value, 
     assert f"argument --{flag}: must be at least" in captured.err
 
 
-def test_estimate_has_no_workers_flag(demo_csv, capsys):
+def test_estimate_has_no_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude", "--workers", "2"])
+        main(["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crude", "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
 
@@ -556,8 +439,8 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("bootstrap", ("0", "1"))
-def test_estimate_json_writes_null_without_bootstrap_variance(demo_csv, capsys, bootstrap):
-    argv = ["estimate", "--data", demo_csv, *DEMO_ARGS, "--methods", "crude,stan",
+def test_estimate_json_writes_null_without_bootstrap_variance(capsys, bootstrap):
+    argv = ["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crude,stan",
             "--bootstrap", bootstrap]
     assert main(argv + ["--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)

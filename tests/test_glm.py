@@ -12,6 +12,7 @@ from mlte.glm import (
     fit_multinomial,
     fit_ols,
 )
+from reference_paths import reference_damped_newton
 
 
 def design_and_response(n=300, q=4, seed=1):
@@ -233,26 +234,6 @@ def test_multinomial_predict_clips_extremes():
 # Newton driver and softmax, against the formulas they replace
 
 
-def _reference_damped_newton(X, theta, loglik, derivatives, max_iter):
-    """The driver as it was: the accepted point is evaluated once as the
-    halving loop's trial and once more after it."""
-    scale = max(np.trace(X.T @ X) / X.shape[1], 1.0)
-    ll, state = loglik(theta)
-    for it in range(1, max_iter + 1):
-        grad, neg_hess = derivatives(state)
-        if np.max(np.abs(grad)) < glm._GRAD_TOL:
-            return theta, True, it - 1
-        step = glm._solve_psd(neg_hess, grad, scale).reshape(theta.shape)
-        factor = 1.0
-        for _ in range(30):
-            if loglik(theta + factor * step)[0] >= ll - 1e-12:
-                break
-            factor *= 0.5
-        theta = theta + factor * step
-        ll, state = loglik(theta)
-    return theta, False, max_iter
-
-
 def _newton_fits():
     """Fits by name, each with whether its Newton path halves a step."""
     rng, D, beta = design_and_response(n=200, q=3, seed=4)
@@ -288,7 +269,7 @@ def test_newton_evaluates_each_accepted_point_once_and_matches_the_reference(mon
         return fit_of(), len(calls)
 
     fit, calls = counted_fit(glm._damped_newton)
-    ref, ref_calls = counted_fit(_reference_damped_newton)
+    ref, ref_calls = counted_fit(reference_damped_newton)
     np.testing.assert_array_equal(fit.coefficients, ref.coefficients)
     assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
     # the reference evaluates every accepted point a second time

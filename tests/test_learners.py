@@ -32,7 +32,7 @@ from mlte.simengine import (
     truth_propensity_spec,
 )
 import mlte.learners
-from mlte.glm import fit_multinomial, fit_ols
+from mlte.glm import fit_multinomial
 from mlte.tabular import (
     Dataset,
     DesignSpec,
@@ -44,6 +44,7 @@ from mlte.tabular import (
     spline,
     square,
 )
+from reference_paths import reference_folds, reference_super_learner
 from test_tabular import coincident_knot_column
 
 
@@ -342,15 +343,6 @@ def test_ml_outcome_fits_spline_column_whose_folds_cannot_carry_it(seed):
 # cross-validation folds and their designs
 
 
-def reference_folds(n, folds, seed):
-    """Round-robin fold assignment over a seeded permutation, as a loop."""
-    perm = np.random.default_rng(seed).permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    for i in range(folds):
-        fold_of[perm[i::folds]] = i
-    return fold_of
-
-
 def test_cv_folds_keep_the_permutation_when_every_training_fold_has_every_level():
     _, data = scenario_data(n=300, seed=3)
     for seed in range(5):
@@ -398,25 +390,6 @@ def test_sliced_fold_designs_equal_per_fold_expansion():
             assert not bound.knots
             np.testing.assert_array_equal(D[train], bound.matrix(sub.X, sub.t))
             np.testing.assert_array_equal(D[test], bound.matrix(data.X[test], data.t[test]))
-
-
-def reference_super_learner(data, candidates, folds, seed):
-    """Cross-validated predictions by binding and expanding every candidate
-    on every training fold, then the same stacking."""
-    fold_of = reference_folds(data.n, folds, seed)
-    cv_pred = np.zeros((data.n, len(candidates)))
-    for c, spec in enumerate(candidates):
-        for f in range(folds):
-            train, test = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
-            sub = data.take(train)
-            bound = bind_design(sub, spec)
-            fit = fit_ols(bound.matrix(sub.X, sub.t), sub.y)
-            cv_pred[test, c] = fit.predict(bound.matrix(data.X[test], data.t[test]))
-    weights = _nnls(cv_pred, data.y)
-    coefficients = [
-        fit_ols(bind_design(data, spec).matrix(data.X, data.t), data.y).coefficients for spec in candidates
-    ]
-    return weights / weights.sum(), ((cv_pred - data.y[:, None]) ** 2).mean(axis=0), coefficients
 
 
 def test_super_learner_equals_reference_fold_loop():

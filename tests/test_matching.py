@@ -4,12 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from fitstubs import StubOutcomeFit
 from mlte import matching
 from mlte.matching import METRICS, build_matches, estimate_bcm, estimate_match
 from mlte.tabular import Dataset
+from reference_paths import brute_force_matches, reference_matches
 
 
 def outcome_stub(data, fn):
@@ -60,42 +60,9 @@ def test_tied_donors_resolve_to_lowest_row_index():
 def test_match_sets_agree_with_brute_force(metric, m):
     data = random_k3()
     ms = build_matches(data, m=m, metric=metric)
-    if metric == "euclidean-standardized":
-        Z = data.X / data.X.std(axis=0, ddof=1)
-        dist = cdist(Z, Z)
-    else:
-        S = np.cov(data.X, rowvar=False) + 1e-8 * np.eye(data.X.shape[1])
-        dist = cdist(data.X, data.X, metric="mahalanobis", VI=np.linalg.inv(S))
-    for lev in (1, 2, 3):
-        donors = np.flatnonzero(data.t == lev)
-        for i in range(data.n):
-            if data.t[i] == lev:
-                np.testing.assert_array_equal(ms.match_indices[i, lev - 1], np.full(m, i))
-                others = donors[donors != i]
-                want_nn = others[np.argmin(dist[i, others])]
-                assert ms.nn_same[i] == want_nn
-            else:
-                want = donors[np.argsort(dist[i, donors], kind="stable")[:m]]
-                np.testing.assert_array_equal(np.sort(ms.match_indices[i, lev - 1]), np.sort(want))
-
-
-def reference_matches(data, m, metric):
-    """The search without chunking: every query-donor squared distance in
-    one full matrix, summed column by column as sum_j (q_j - d_j)^2."""
-    Z = matching._whiten(data.X, metric)
-    n, k = data.n, data.k
-    match_indices = np.empty((n, k, m), dtype=np.intp)
-    nn_same = np.empty(n, dtype=np.intp)
-    for lev in range(1, k + 1):
-        donors = np.flatnonzero(data.t == lev)
-        D = (Z[:, None, 0] - Z[None, donors, 0]) ** 2
-        for j in range(1, Z.shape[1]):
-            D = D + (Z[:, None, j] - Z[None, donors, j]) ** 2
-        match_indices[:, lev - 1] = donors[np.argsort(D, axis=1, kind="stable")[:, :m]]
-        match_indices[donors, lev - 1] = donors[:, None]
-        D[donors, np.arange(len(donors))] = np.inf
-        nn_same[donors] = donors[D[donors].argmin(axis=1)]
-    return match_indices, nn_same
+    match_indices, nn_same = brute_force_matches(data, m, metric)
+    np.testing.assert_array_equal(np.sort(ms.match_indices, axis=2), np.sort(match_indices, axis=2))
+    np.testing.assert_array_equal(ms.nn_same, nn_same)
 
 
 @pytest.mark.parametrize("metric", METRICS)

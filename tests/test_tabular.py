@@ -26,6 +26,7 @@ from mlte.tabular import (
     square,
     _knots_of_sorted,
 )
+from reference_paths import reference_natural_cubic_basis, reference_spline_knots
 
 
 def toy_dataset(n=40, k=3, p=3, seed=0, binary_y=False):
@@ -290,12 +291,6 @@ def test_no_bound_spline_basis_is_rank_deficient_on_coincident_knot_column():
         assert np.linalg.matrix_rank(D) == D.shape[1]
 
 
-def reference_spline_knots(x, n_interior):
-    """Range and np.quantile knots, and the distinct-value count."""
-    qs = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
-    return np.concatenate([[x.min()], np.quantile(x, qs), [x.max()]]), len(np.unique(x))
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60),
@@ -340,17 +335,6 @@ def test_natural_cubic_basis_is_linear_beyond_boundaries():
     # second differences of each column vanish on an equally spaced grid
     second = np.diff(basis, n=2, axis=0)
     assert np.abs(second).max() < 1e-8
-
-
-def reference_natural_cubic_basis(x, knots):
-    """The basis written term by term with `** 3`."""
-    K = len(knots)
-
-    def d(k):
-        num = np.maximum(x - knots[k], 0.0) ** 3 - np.maximum(x - knots[-1], 0.0) ** 3
-        return num / (knots[-1] - knots[k])
-
-    return np.column_stack([x] + [d(k) - d(K - 2) for k in range(K - 2)])
 
 
 @pytest.mark.parametrize("n_interior", (1, 3, 5))
@@ -590,6 +574,19 @@ def test_load_csv_reports_bad_cell_with_line(tmp_path):
     path.write_text("t,y,x\n1,2.0,0.5\n2,oops,0.1\n")
     with pytest.raises(ValueError, match="line 3"):
         load_csv(str(path), "t", "y", ["x"])
+
+
+@pytest.mark.parametrize("text, message", (
+    ("trt,resp,x1,x2\n1,0,5,1.5\n2,0,5\n", "line 3: 3 cells, the header has 4"),
+    # a decimal comma splits a cell in two
+    ("trt,resp,x1,x2\n1,0,5,1.5\n2,0,5,1.5,0.25\n", "line 3: 5 cells, the header has 4"),
+    ("trt,resp,x1,x1\n1,0,5,100\n2,1,6,101\n", "column 'x1' appears more than once in the header"),
+), ids=("short row", "long row", "repeated name"))
+def test_load_csv_rejects_a_row_or_header_that_misplaces_cells(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_csv(str(path), "trt", "resp", ["x1"])
 
 
 def test_load_csv_missing_column(tmp_path):

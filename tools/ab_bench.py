@@ -8,12 +8,16 @@ Usage, from the repository root:
 Each revision is exported with `git archive` into a temporary directory
 (nothing under .git changes) and byte-compiled there with compileall, so
 neither side pays for compiling its modules inside a timed run.  For every
-workload, `perfbench/run.py --trace 0` then runs N times (10 by default, the
-pairs a claimed gain is judged on) on each side in alternation (base, new,
-new, base, ...), so slow drift of the host's speed falls on both sides
-alike.  Every run lasts the benchmark's `run_seconds` from BENCHMARK.json.
-Each pair's end-to-end metrics are printed, then per metric the two
-medians, the number of pairs in which the new side read better (by the
+workload, `perfbench/setup_probe.py` first times one set-up per side per
+pair, in the same alternation as the runs, before any timed run: run.py's
+own `setup_s` probes follow the other side's 50-s run and read biased.
+`perfbench/run.py --trace 0` then runs N times (10 by default, the pairs a
+claimed gain is judged on) on each side in alternation (base, new, new,
+base, ...), so slow drift of the host's speed falls on both sides alike.
+Every run lasts the benchmark's `run_seconds` from BENCHMARK.json.  Each
+pair's end-to-end metrics are printed, then per metric the two
+medians (for `setup_s` also the medians of the probes taken before the
+timed runs), the number of pairs in which the new side read better (by the
 metric's `better` direction in BENCHMARK.json; ties count for neither) and
 the interquartile range of the base side's own runs: a gain counts when the
 new side wins at least nine pairs in ten and its median beats the base's by
@@ -51,13 +55,28 @@ def run(tree, workload, seconds, seed):
     return {k: v["value"] for k, v in json.loads(proc.stdout.splitlines()[-1])["metrics"].items()}
 
 
-def summary(workload, runs):
+def probe(tree, workload, seed, workdir):
+    """Seconds of one set-up of `workload` in a fresh interpreter, timed by
+    the tree's own perfbench/setup_probe.py."""
+    params = json.loads((tree / "perfbench" / "workloads.json").read_text())["workloads"][workload]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/setup_probe.py", workload, str(seed), str(workdir),
+         json.dumps(params)],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    return float(proc.stdout.splitlines()[-1])
+
+
+def summary(workload, runs, probes):
     """Per metric: the medians, the pairs the new side won and the base
-    side's interquartile range."""
+    side's interquartile range; `setup_s` also gets the probes' medians."""
     lines = []
     for m in runs["base"][0]:
         base, new = [r[m] for r in runs["base"]], [r[m] for r in runs["new"]]
         line = f"{workload} {m}: median {statistics.median(base):.4g} -> {statistics.median(new):.4g}"
+        if m == "setup_s":
+            line += (f" (fresh probes {statistics.median(probes['base']):.4g}"
+                     f" -> {statistics.median(probes['new']):.4g})")
         if m in BETTER:
             sign = 1 if BETTER[m] == "higher" else -1
             wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
@@ -82,15 +101,21 @@ def main(argv=None):
         for side, rev in (("base", args.base), ("new", args.new)):
             trees[side].mkdir()
             export(rev, trees[side])
+        workdir = Path(tmp) / "probe"
+        workdir.mkdir()
+        order = [("base", "new") if i % 2 == 0 else ("new", "base") for i in range(args.pairs)]
         for workload in args.workload or WORKLOADS:
-            runs = {"base": [], "new": []}
-            for i in range(args.pairs):
-                for side in ("base", "new") if i % 2 == 0 else ("new", "base"):
+            runs, probes = {"base": [], "new": []}, {"base": [], "new": []}
+            for sides in order:
+                for side in sides:
+                    probes[side].append(probe(trees[side], workload, args.seed, workdir))
+            for i, sides in enumerate(order):
+                for side in sides:
                     runs[side].append(run(trees[side], workload, CONTRACT["run_seconds"], args.seed))
                 pair = "  ".join(f"{m} {runs['base'][i][m]:.4g} -> {runs['new'][i][m]:.4g}"
                                  for m in runs["base"][i])
                 print(f"{workload} pair {i + 1}: {pair}", flush=True)
-            print(summary(workload, runs), flush=True)
+            print(summary(workload, runs, probes), flush=True)
     return 0
 
 
