@@ -32,10 +32,9 @@ from .simengine import (
     run_scenario,
     simulate_dataset,
 )
-from .reporting import ContrastTable, all_pairs_table, holm_adjust, render_contrasts, render_report
+from .reporting import all_pairs_table, holm_adjust, render_contrasts, render_report
 
 __all__ = [
-    "ContrastTable",
     "Dataset",
     "DesignSpec",
     "EffectEstimate",

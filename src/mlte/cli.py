@@ -30,8 +30,7 @@ import numpy as np
 from ._version import __version__
 from .learners import REGIMES, fit_propensity
 from .reporting import (
-    _CONTRAST_COLUMNS, _contrast_payload, all_pairs_table, render, render_contrasts, render_table,
-    report_output,
+    _CONTRAST_COLUMNS, all_pairs_table, render, render_contrasts, render_table, report_output,
 )
 from .simengine import (
     METHOD_TABLE,
@@ -234,7 +233,7 @@ def cmd_estimate(cfg) -> int:
         ests = [results[(meth, p)] for p in pairs if (meth, p) in results]
         if len(ests) == len(pairs):
             tables.append(all_pairs_table(ests, labels=labels))
-    estimands = {t.estimand for t in tables}
+    estimands = {t["estimand"] for t in tables}
     if len(estimands) > 1:
         _warn(
             "results mix estimands: ow/aow target the overlap population, "
@@ -243,8 +242,8 @@ def cmd_estimate(cfg) -> int:
     for meth, message in failures.items():
         _warn(f"method {meth} failed: {message}")
     document = {"version": __version__, "config": _provenance(cfg), "seed": cfg.seed,
-                "failures": failures, "tables": [_contrast_payload(t) for t in tables]}
-    rows = [{**r, "method": t.method, "estimand": t.estimand} for t in tables for r in t.rows]
+                "failures": failures, "tables": tables}
+    rows = [{**r, "method": t["method"], "estimand": t["estimand"]} for t in tables for r in t["rows"]]
     _emit(cfg, document, (rows, ("method", "estimand") + _CONTRAST_COLUMNS),
           lambda: "\n".join(render_contrasts(t) for t in tables))
     return 0
@@ -328,7 +327,7 @@ def cmd_diagnose(cfg) -> int:
     document = {"version": __version__, "config": _provenance(cfg), "seed": cfg.seed,
                 "model": prop.description, "converged": prop.converged, "rows": rows}
     _emit(cfg, document, (rows, _DIAGNOSE_COLUMNS),
-          lambda: render_table(rows, _DIAGNOSE_COLUMNS, fmt="text"))
+          lambda: render_table(rows, _DIAGNOSE_COLUMNS))
     return 0
 
 

@@ -92,7 +92,6 @@ class MultinomialFit:
     coefficients: np.ndarray
     converged: bool
     iterations: int
-    k: int
 
     def predict(self, design):
         """Fitted treatment probabilities of the rows of `design`, one column
@@ -249,5 +248,5 @@ def fit_multinomial(design, t, k):
     B, converged, iters = _damped_newton(
         X, np.zeros((k - 1, q)), loglik, derivatives, _MAX_ITER_MULTINOMIAL
     )
-    return MultinomialFit(coefficients=B, converged=converged, iterations=iters, k=k)
+    return MultinomialFit(coefficients=B, converged=converged, iterations=iters)
 

@@ -137,6 +137,11 @@ class PropensityFit:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         self.probs.setflags(write=False)
 
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable
+        self.__dict__.update(state)
+        self.probs.setflags(write=False)
+
     @property
     def converged(self):
         return self.fit.converged

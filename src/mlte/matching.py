@@ -192,7 +192,7 @@ def _matched_estimate(data: Dataset, ms: MatchSets, pair, method, out: OutcomeFi
     diff = imputed[t1] - imputed[t0]
     tau = float(diff.mean())
     var = _match_variance(data, ms, (t1, t0), diff, tau)
-    return EffectEstimate((t1, t0), tau, var, "population", method, data.n)
+    return EffectEstimate((t1, t0), tau, var, "population", method)
 
 
 def estimate_match(data: Dataset, ms: MatchSets, pair) -> EffectEstimate:

@@ -43,7 +43,7 @@ def estimate_crude(data: Dataset, pair) -> EffectEstimate:
     tau = y1.mean() - y0.mean()
     supported = _arms_support_variance(data.t, pair)
     var = y1.var(ddof=1) / len(y1) + y0.var(ddof=1) / len(y0) if supported else np.nan
-    return EffectEstimate((t1, t0), tau, var, "population", "crude", len(y1) + len(y0))
+    return EffectEstimate((t1, t0), tau, var, "population", "crude")
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +122,7 @@ def stan_estimates(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
     pairs = [_check_pair(p, data.k) for p in pairs]
     variances = stan_bootstrap(data, out, pairs, bootstrap_reps, seed)
     return {
-        p: EffectEstimate(
-            p, _plugin_contrast(out, data.X, p), variances[p], "population", "stan", data.n
-        )
+        p: EffectEstimate(p, _plugin_contrast(out, data.X, p), variances[p], "population", "stan")
         for p in pairs
     }
 
@@ -204,4 +202,4 @@ def estimate_tmle(data: Dataset, out: OutcomeFit, prop: PropensityFit, pair) -> 
         - tau
     )
     var = float(D.var(ddof=1) / data.n) if _arms_support_variance(data.t, pair) else np.nan
-    return EffectEstimate((t1, t0), tau, var, "population", "tmle", data.n)
+    return EffectEstimate((t1, t0), tau, var, "population", "tmle")

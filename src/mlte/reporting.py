@@ -15,15 +15,15 @@ below that double.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 __all__ = [
-    "ContrastTable",
     "holm_adjust",
     "all_pairs_table",
     "render_report",
@@ -41,35 +41,13 @@ def holm_adjust(pvalues) -> np.ndarray:
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1:
         raise ValueError("pvalues must be one-dimensional")
-    if len(p) == 0:
-        return p.copy()
     if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("p-values must lie in [0, 1]")
     m = len(p)
     order = np.argsort(p, kind="stable")
     adjusted = np.empty(m)
-    running = 0.0
-    for pos, idx in enumerate(order):
-        running = max(running, min(1.0, (m - pos) * p[idx]))
-        adjusted[idx] = running
+    adjusted[order] = np.maximum.accumulate(np.minimum(1.0, (m - np.arange(m)) * p[order]))
     return adjusted
-
-
-# the multiplicity adjustment of every contrast table, named in its outputs
-_ADJUSTMENT = "holm"
-
-
-@dataclass(frozen=True)
-class ContrastTable:
-    """All-pairs contrast table for a single method, Holm-adjusted.
-
-    rows: one dict per unordered treatment pair with keys pair, label,
-    estimate, se, ci_low, ci_high, p, p_adj (the Holm-adjusted p).
-    """
-
-    method: str
-    estimand: str
-    rows: tuple
 
 
 _SQRT_HALF = 0.7071067811865476
@@ -87,9 +65,13 @@ def _wald_p(tau: float, se: float) -> float:
     return math.erfc(-x)
 
 
-def all_pairs_table(estimates, labels=None) -> ContrastTable:
+def all_pairs_table(estimates, labels=None) -> dict:
     """Assemble one estimate per unordered treatment pair into a table with
     two-sided Wald p-values, Holm-adjusted over the table's pairs.
+
+    The table is its JSON document: a dict of method, estimand, adjustment
+    ("holm") and rows, one dict per pair with keys pair, label, estimate,
+    se, ci_low, ci_high, p and p_adj (the Holm-adjusted p).
 
     `labels` optionally maps level codes to display names.  Estimates with
     non-finite variance get NaN p-values and are excluded from the Holm
@@ -145,7 +127,8 @@ def all_pairs_table(estimates, labels=None) -> ContrastTable:
                 "p_adj": float(q),
             }
         )
-    return ContrastTable(method=next(iter(methods)), estimand=next(iter(estimands)), rows=tuple(rows))
+    return {"method": next(iter(methods)), "estimand": next(iter(estimands)),
+            "adjustment": "holm", "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -177,32 +160,29 @@ def _jsonify(obj):
     return obj
 
 
-def render_table(rows, columns, fmt: str = "csv", title: str = None) -> str:
-    """Render a list of row dicts with a fixed column order.
+def _csv_table(rows, columns) -> str:
+    """A list of row dicts as CSV with a header row, floats at full
+    precision; a cell holding a comma, a quote or a line break is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(r.get(c), text=False) for c in columns] for r in rows)
+    return buf.getvalue()
 
-    csv: full precision; text: aligned, floats to three decimals, under
-    `title` if given.
-    """
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        for r in rows:
-            buf.write(",".join(_cell(r.get(c), text=False) for c in columns) + "\n")
-        return buf.getvalue()
-    if fmt == "text":
-        cells = [[_cell(r.get(c), text=True) for c in columns] for r in rows]
-        widths = [
-            max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
-            for i, col in enumerate(columns)
-        ]
-        lines = []
-        if title:
-            lines.append(title)
-        lines.append("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip())
-        for row in cells:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+
+def render_table(rows, columns, title: str = None) -> str:
+    """A list of row dicts as aligned text with a fixed column order, floats
+    to three decimals, under `title` if given."""
+    cells = [[_cell(r.get(c), text=True) for c in columns] for r in rows]
+    widths = [
+        max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
+        for i, col in enumerate(columns)
+    ]
+    lines = [title] if title else []
+    lines.append("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip())
+    for row in cells:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def render(document, table, text, fmt: str, header: str = "") -> str:
@@ -215,7 +195,7 @@ def render(document, table, text, fmt: str, header: str = "") -> str:
     if fmt == "json":
         return json.dumps(_jsonify(document), indent=2) + "\n"
     if fmt == "csv":
-        return header + render_table(*table, fmt="csv")
+        return header + _csv_table(*table)
     if fmt == "text":
         return header + text()
     raise ValueError(f"unknown format {fmt!r}")
@@ -227,20 +207,10 @@ _REPORT_COLUMNS = ("method", "regime", "parameter", "bias", "std", "rmse", "cove
 def report_output(report: ScenarioReport):
     """A replication report as `render`'s (document, table, text).
 
-    The JSON carries the full report (version, config echo, truths, failure
-    details); the CSV carries the metric rows only; text prints a header
-    block followed by an aligned metric table.
+    The JSON carries the full report, field for field (version, config
+    echo, truths, failure details); the CSV carries the metric rows only;
+    text prints a header block followed by an aligned metric table.
     """
-    document = {
-        "kind": report.kind,
-        "version": report.version,
-        "seed": report.seed,
-        "reps": report.reps,
-        "config": report.config,
-        "truths": report.truths,
-        "method_failures": report.method_failures,
-        "rows": report.rows,
-    }
 
     def text():
         head = [
@@ -260,10 +230,10 @@ def report_output(report: ScenarioReport):
                 f"{m}: {info['count']}" for m, info in report.method_failures.items()
             )
             head.append(f"failed replications: {fails}")
-        table = render_table(report.rows, _REPORT_COLUMNS + ("reps_used",), fmt="text")
+        table = render_table(report.rows, _REPORT_COLUMNS + ("reps_used",))
         return "\n".join(head) + "\n\n" + table
 
-    return document, (report.rows, _REPORT_COLUMNS), text
+    return asdict(report), (report.rows, _REPORT_COLUMNS), text
 
 
 def render_report(report: ScenarioReport, fmt: str = "text") -> str:
@@ -271,21 +241,12 @@ def render_report(report: ScenarioReport, fmt: str = "text") -> str:
     return render(*report_output(report), fmt)
 
 
-def _contrast_payload(table: ContrastTable) -> dict:
-    """A contrast table as a JSON document for `render`."""
-    return {
-        "method": table.method,
-        "estimand": table.estimand,
-        "adjustment": _ADJUSTMENT,
-        "rows": table.rows,
-    }
-
-
 _CONTRAST_COLUMNS = ("label", "estimate", "se", "ci_low", "ci_high", "p", "p_adj")
 
 
-def render_contrasts(table: ContrastTable) -> str:
-    """An all-pairs contrast table as an aligned text section under a
-    title line naming its method, estimand and adjustment."""
-    title = f"method={table.method} estimand={table.estimand} adjustment={_ADJUSTMENT}"
-    return render_table(table.rows, _CONTRAST_COLUMNS, fmt="text", title=title)
+def render_contrasts(table: dict) -> str:
+    """An all-pairs contrast table (see `all_pairs_table`) as an aligned
+    text section under a title line naming its method, estimand and
+    adjustment."""
+    title = f"method={table['method']} estimand={table['estimand']} adjustment={table['adjustment']}"
+    return render_table(table["rows"], _CONTRAST_COLUMNS, title=title)

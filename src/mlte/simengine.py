@@ -177,10 +177,6 @@ class ScenarioConfig:
         object.__setattr__(self, "lam", _LAM)
         object.__setattr__(self, "metric", _MATCH_METRIC)
 
-    @property
-    def scenario(self) -> str:
-        return self.treatment_strength + self.outcome_strength
-
     @staticmethod
     def named(scenario: str, n: int, reps: int, seed: int, regime: str, **knobs):
         return ScenarioConfig(
@@ -409,7 +405,8 @@ def compute_metrics(estimates, truth: float) -> dict:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Aggregated replication results, ready for serialization."""
+    """Aggregated replication results, ready for serialization; the fields
+    are in the order of the report's JSON document."""
 
     kind: str
     version: str
@@ -417,8 +414,8 @@ class ScenarioReport:
     reps: int
     config: dict
     truths: dict
-    rows: tuple
     method_failures: dict
+    rows: tuple
 
 
 def _pair_label(pair) -> str:
@@ -465,8 +462,8 @@ def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truths):
             _pair_label(pair): {est: truths[(pair, est)] for est in ("population", "overlap")}
             for pair in pairs
         },
-        rows=tuple(rows),
         method_failures=method_failures,
+        rows=tuple(rows),
     )
 
 

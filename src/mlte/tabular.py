@@ -158,6 +158,11 @@ class Dataset:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable
+        self.__dict__.update(state)
+        self._set_arrays(self.X, self.t, self.y)
+
     @property
     def n(self):
         return self.X.shape[0]
@@ -249,15 +254,8 @@ class DesignSpec:
         object.__setattr__(self, "terms", terms)
 
     def referenced_columns(self):
-        cols = []
-        for term in self.terms:
-            if term[0] in ("main", "square", "spline"):
-                cols.append(term[1])
-            elif term[0] == "interaction":
-                cols.extend(term[1:3])
-            elif term[0] == "curvature":
-                cols.extend(c for c in term[1:3] if c is not None)
-        return cols
+        # every field of a term after its kind is a column name or None
+        return [c for term in self.terms for c in term[1:] if c is not None]
 
     def validate(self, data: Dataset):
         for name in self.referenced_columns():
@@ -278,14 +276,29 @@ def recode_treatment(values):
     """Map arbitrary treatment labels to consecutive codes 1..k.
 
     Labels are ordered by sorted(label) so the coding is reproducible no
-    matter the row order; numeric-looking labels sort numerically.
+    matter the row order; numeric-looking labels sort numerically.  A
+    missing label (None, a float NaN, or a string that is empty or all
+    blank) raises ValueError naming the first such data row, counted from
+    1, and the number of such rows.
     Returns (codes array, tuple of original labels indexed by code-1).
     """
     raw = list(values)
-    uniq = sorted(set(raw), key=_label_sort_key)
+    distinct = set(raw)
+    if any(map(_is_missing_label, distinct)):
+        missing = [i for i, v in enumerate(raw) if _is_missing_label(v)]
+        raise ValueError(
+            f"missing treatment label in {len(missing)} row(s), first in data row {missing[0] + 1}"
+        )
+    uniq = sorted(distinct, key=_label_sort_key)
     code_of = {lab: i + 1 for i, lab in enumerate(uniq)}
     codes = np.array([code_of[v] for v in raw], dtype=int)
     return codes, tuple(uniq)
+
+
+def _is_missing_label(label):
+    if isinstance(label, str):
+        return not label.strip()
+    return label is None or (isinstance(label, (float, np.floating)) and np.isnan(label))
 
 
 def _label_sort_key(label):
@@ -535,12 +548,11 @@ class BoundDesign:
         return out
 
     def blocks(self, X):
-        """The columns of each term, one read-only (n, width) view of the
-        memoized design per term, in term order (treatment dummies
-        excluded)."""
+        """The columns of each term, one (n, width) view of a fresh design
+        per term, in term order (treatment dummies excluded)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        template = self._template(X)
-        return np.split(template[:, : self._n_terms], np.cumsum(self._widths)[:-1], axis=1)
+        design = self._design(X, np.empty((X.shape[0], self.n_columns)))
+        return np.split(design[:, : self._n_terms], np.cumsum(self._widths)[:-1], axis=1)
 
     def matrix(self, X, t=None, out=None):
         """The design matrix of rows X: the term columns, then the

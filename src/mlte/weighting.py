@@ -47,7 +47,7 @@ class EffectEstimate:
     A variance of NaN means inference was not requested (for example a
     standardization run with the bootstrap turned off); the CI is NaN then.
     Construction casts the pair to ints and the other numbers to Python
-    floats and ints.
+    floats.
     """
 
     pair: tuple
@@ -55,13 +55,11 @@ class EffectEstimate:
     variance: float
     estimand: str
     method: str
-    n_used: int
 
     def __post_init__(self):
         object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
         object.__setattr__(self, "tau_hat", float(self.tau_hat))
         object.__setattr__(self, "variance", float(self.variance))
-        object.__setattr__(self, "n_used", int(self.n_used))
         if self.estimand not in ("population", "overlap"):
             raise ValueError(f"unknown estimand {self.estimand!r}")
         if np.isfinite(self.variance) and self.variance < 0:
@@ -155,7 +153,7 @@ def estimate_ipw(data: Dataset, prop: PropensityFit, pair) -> EffectEstimate:
     psi = sign * data.y / p_fact
     tau = psi.mean()
     var = float(((psi - tau) ** 2).sum() / n**2) if _arms_support_variance(data.t, pair) else np.nan
-    return EffectEstimate((t1, t0), tau, var, "population", "ipw", n)
+    return EffectEstimate((t1, t0), tau, var, "population", "ipw")
 
 
 def _overlap_arm_means(data: Dataset, ow: OverlapWeights, t1, t0):
@@ -193,7 +191,7 @@ def estimate_ow(data: Dataset, ow: OverlapWeights, pair) -> EffectEstimate:
     """
     tau, D = ow_influence(data, ow, pair)
     var = float((D**2).sum() / data.n**2) if _arms_support_variance(data.t, pair) else np.nan
-    return EffectEstimate(pair, tau, var, "overlap", "ow", data.n)
+    return EffectEstimate(pair, tau, var, "overlap", "ow")
 
 
 def aow_influence(
@@ -248,4 +246,4 @@ def estimate_aow(
     """
     tau, D = aow_influence(data, ow, out, prop, pair)
     var = float((D**2).sum() / data.n**2) if _arms_support_variance(data.t, pair) else np.nan
-    return EffectEstimate(pair, tau, var, "overlap", "aow", data.n)
+    return EffectEstimate(pair, tau, var, "overlap", "aow")

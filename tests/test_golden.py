@@ -8,7 +8,9 @@ directory, and its bytes must equal `<name>.out`.  A command line that
 argparse rejects exits through `SystemExit`, whose code is the case's exit
 code; `COLUMNS` is pinned because argparse wraps its usage text to the
 terminal width.  The case with accented arm labels also runs as a program
-under the C locale, whose stdout must carry the same UTF-8 bytes.
+under the C locale, whose stdout must carry the same UTF-8 bytes.  The
+recorded table of every case with `--format csv` must have as many cells
+in each row as in its header.
 Floating-point output depends on numpy's linear algebra, so the manifest
 records the numpy version the files were made with, and a different
 version fails with both versions named.
@@ -20,6 +22,8 @@ To accept an intended change of output, regenerate the files with
 and review the diff of tests/golden/ before committing it.
 """
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -91,6 +95,20 @@ def test_golden_output(case, monkeypatch, capsys, tmp_path):
     assert code == case["exit"]
     for suffix, content in produced.items():
         assert content == (GOLDEN / f"{case['name']}.{suffix}").read_bytes(), suffix
+
+
+CSV_CASES = [case for case in CASES if ("--format", "csv") in zip(case["argv"], case["argv"][1:])]
+
+
+@pytest.mark.parametrize("case", CSV_CASES, ids=[case["name"] for case in CSV_CASES])
+def test_csv_output_has_fixed_width(case):
+    # every row of a recorded CSV table, read by csv.reader, has as many
+    # cells as its header: a label holding a comma or a quote is quoted
+    suffix = "out" if "--out" in case["argv"] else "stdout"
+    text = (GOLDEN / f"{case['name']}.{suffix}").read_text(encoding="utf-8")
+    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    rows = list(csv.reader(io.StringIO(body)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
 
 
 def test_worker_counts_give_identical_reports():

@@ -263,6 +263,17 @@ def test_fits_pickle_and_predict_identically(regime):
     np.testing.assert_array_equal(pickle.loads(pickle.dumps(prop)).probs, prop.probs)
 
 
+def test_unpickled_data_and_probabilities_stay_read_only():
+    # plasmode workers receive their data and fits as pickles
+    _, data = scenario_data("t+y-", n=200, seed=15)
+    prop = fit_propensity(data, "mainterms")
+    copy, prop_copy = pickle.loads(pickle.dumps((data, prop)))
+    for array in (copy.X, copy.t, copy.y, prop_copy.probs):
+        assert not array.flags.writeable
+    np.testing.assert_array_equal(copy.X, data.X)
+    np.testing.assert_array_equal(prop_copy.probs, prop.probs)
+
+
 # ---------------------------------------------------------------------------
 # low-cardinality covariates
 

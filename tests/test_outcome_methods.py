@@ -44,7 +44,6 @@ def test_crude_hand_computed():
     assert est.tau_hat == pytest.approx(10.0)
     # per-arm sample variances over arm sizes: 1/3 + 8/2
     assert est.variance == pytest.approx(1.0 / 3.0 + 4.0)
-    assert est.n_used == 5
 
 
 def test_crude_ignores_other_arms():
@@ -52,7 +51,6 @@ def test_crude_ignores_other_arms():
     data = Dataset.from_arrays(X, [1, 1, 2, 2, 3, 3], [0.0, 2.0, 50.0, 60.0, 4.0, 6.0])
     est = estimate_crude(data, (3, 1))
     assert est.tau_hat == pytest.approx(4.0)
-    assert est.n_used == 4
 
 
 def test_crude_missing_level_raises():

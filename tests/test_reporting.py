@@ -1,5 +1,7 @@
 """Holm adjustment, all-pairs contrast tables, and rendering."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -8,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlte.reporting import (
-    _contrast_payload,
     _wald_p,
     all_pairs_table,
     holm_adjust,
+    render,
     render_contrasts,
     render_report,
     render_table,
@@ -72,7 +74,7 @@ def test_holm_properties(pvals, rnd):
 
 def pair_estimates(taus_by_pair, variance=0.04, method="crude", estimand="population"):
     return [
-        EffectEstimate(pair, tau, variance, estimand, method, 100)
+        EffectEstimate(pair, tau, variance, estimand, method)
         for pair, tau in taus_by_pair.items()
     ]
 
@@ -80,37 +82,37 @@ def pair_estimates(taus_by_pair, variance=0.04, method="crude", estimand="popula
 def test_table_orders_rows_and_labels():
     ests = pair_estimates({(3, 2): 0.5, (2, 1): 1.0, (3, 1): 1.5})
     table = all_pairs_table(ests, labels={1: "ctrl", 2: "low", 3: "high"})
-    assert [r["pair"] for r in table.rows] == [(2, 1), (3, 1), (3, 2)]
-    assert [r["label"] for r in table.rows] == ["low vs ctrl", "high vs ctrl", "high vs low"]
-    assert table.method == "crude"
-    assert _contrast_payload(table)["adjustment"] == "holm"
+    assert [r["pair"] for r in table["rows"]] == [(2, 1), (3, 1), (3, 2)]
+    assert [r["label"] for r in table["rows"]] == ["low vs ctrl", "high vs ctrl", "high vs low"]
+    assert table["method"] == "crude"
+    assert table["adjustment"] == "holm"
 
 
 def test_table_complete_five_levels():
     pairs = {(b, a): 0.1 * (a + b) for a in range(1, 6) for b in range(a + 1, 6)}
     table = all_pairs_table(pair_estimates(pairs))
-    assert len(table.rows) == 10
+    assert len(table["rows"]) == 10
 
 
 def test_table_two_levels_adjustment_is_identity():
     table = all_pairs_table(pair_estimates({(2, 1): 0.3}))
-    assert table.rows[0]["p_adj"] == pytest.approx(table.rows[0]["p"])
+    assert table["rows"][0]["p_adj"] == pytest.approx(table["rows"][0]["p"])
 
 
 def test_table_wald_p_edge_cases():
-    rows = all_pairs_table(pair_estimates({(2, 1): 0.0})).rows
+    rows = all_pairs_table(pair_estimates({(2, 1): 0.0}))["rows"]
     assert rows[0]["p"] == 1.0
-    ests = [EffectEstimate((2, 1), 0.0, 0.0, "population", "crude", 10)]
-    assert all_pairs_table(ests).rows[0]["p"] == 1.0
-    ests = [EffectEstimate((2, 1), 0.5, 0.0, "population", "crude", 10)]
-    assert all_pairs_table(ests).rows[0]["p"] == 0.0
+    ests = [EffectEstimate((2, 1), 0.0, 0.0, "population", "crude")]
+    assert all_pairs_table(ests)["rows"][0]["p"] == 1.0
+    ests = [EffectEstimate((2, 1), 0.5, 0.0, "population", "crude")]
+    assert all_pairs_table(ests)["rows"][0]["p"] == 0.0
 
 
 def test_table_p_matches_normal_tail():
     table = all_pairs_table(pair_estimates({(2, 1): 0.392}, variance=0.04))
     from scipy.stats import norm
 
-    assert table.rows[0]["p"] == pytest.approx(2 * norm.sf(0.392 / 0.2))
+    assert table["rows"][0]["p"] == pytest.approx(2 * norm.sf(0.392 / 0.2))
 
 
 def test_wald_p_matches_scipy_normal_tail():
@@ -149,9 +151,9 @@ def test_wald_p_exact_cases():
 
 def test_table_nan_variance_excluded_from_family():
     ests = pair_estimates({(2, 1): 0.5, (3, 1): 0.5})
-    ests.append(EffectEstimate((3, 2), 0.5, float("nan"), "population", "crude", 100))
+    ests.append(EffectEstimate((3, 2), 0.5, float("nan"), "population", "crude"))
     table = all_pairs_table(ests)
-    by_pair = {r["pair"]: r for r in table.rows}
+    by_pair = {r["pair"]: r for r in table["rows"]}
     assert np.isnan(by_pair[(3, 2)]["p"]) and np.isnan(by_pair[(3, 2)]["p_adj"])
     # family of two finite p-values, both equal: Holm doubles the smaller
     assert by_pair[(2, 1)]["p_adj"] == pytest.approx(min(1.0, 2 * by_pair[(2, 1)]["p"]))
@@ -186,28 +188,30 @@ def small_report():
 
 
 def test_render_table_csv_full_precision_round_trip():
-    rows = [{"a": 0.1 + 0.2, "b": None, "c": float("nan"), "d": "x"}]
-    out = render_table(rows, ("a", "b", "c", "d"), fmt="csv")
-    header, line = out.strip().split("\n")
-    assert header == "a,b,c,d"
-    a, b, c, d = line.split(",")
+    # a cell is quoted only when it holds a comma, a quote or a line break
+    rows = [{"a": 0.1 + 0.2, "b": None, "c": float("nan"), "d": "x", "e": 'say "hi",\nbye'}]
+    out = render(None, (rows, ("a", "b", "c", "d", "e")), None, "csv")
+    assert out.split("\n")[:2] == ["a,b,c,d,e", f'{0.1 + 0.2!r},,,x,"say ""hi"",']
+    header, line = csv.reader(io.StringIO(out))
+    assert header == ["a", "b", "c", "d", "e"]
+    a, b, c, d, e = line
     assert float(a) == 0.1 + 0.2  # repr round-trips exactly
-    assert b == "" and c == "" and d == "x"
+    assert b == "" and c == "" and d == "x" and e == rows[0]["e"]
 
 
 def test_render_table_text_alignment_and_rounding():
     rows = [{"name": "crude", "bias": 0.123456}, {"name": "aow", "bias": -1.5}]
-    out = render_table(rows, ("name", "bias"), fmt="text", title="metrics")
+    out = render_table(rows, ("name", "bias"), title="metrics")
     lines = out.strip().split("\n")
     assert lines[0] == "metrics"
     assert "0.123" in lines[2] and "0.123456" not in out
     assert lines[2].startswith("crude")
 
 
-def test_render_table_unknown_format():
-    for fmt in ("json", "yaml"):
-        with pytest.raises(ValueError):
-            render_table([], ("a",), fmt=fmt)
+def test_render_unknown_format():
+    for fmt in ("yaml", "md"):
+        with pytest.raises(ValueError, match="unknown format"):
+            render({}, ([], ("a",)), lambda: "", fmt)
 
 
 def test_render_report_json_payload():
@@ -235,8 +239,8 @@ def test_render_report_csv_and_text():
 
 
 def test_render_contrasts_formats():
-    # text only: the json and csv outputs of `estimate` come from
-    # _contrast_payload and render_table
+    # text only: the json and csv outputs of `estimate` come from the
+    # table document and `render`
     ests = pair_estimates({(2, 1): 0.4, (3, 1): 0.9, (3, 2): 0.5})
     text_out = render_contrasts(all_pairs_table(ests))
     lines = text_out.splitlines()

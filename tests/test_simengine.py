@@ -50,7 +50,7 @@ def test_named_scenarios_pin_coefficient_tables():
         cfg = ScenarioConfig.named(name, n=100, reps=1, seed=0, regime="mainterms")
         assert cfg.beta == beta
         assert cfg.gamma == gamma
-        assert cfg.scenario == name
+        assert cfg.treatment_strength + cfg.outcome_strength == name
         assert cfg.lam == (1.0, 1.5)
         assert cfg.metric == "euclidean-standardized"
 
@@ -146,7 +146,7 @@ def test_oracle_truth_mc_equals_level_effects_for_additive_outcome():
 
 
 def fake_estimates(taus, variance=0.04, truth_method="crude"):
-    return [EffectEstimate((2, 1), t, variance, "population", truth_method, 100) for t in taus]
+    return [EffectEstimate((2, 1), t, variance, "population", truth_method) for t in taus]
 
 
 def test_compute_metrics_all_equal():

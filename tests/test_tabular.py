@@ -459,15 +459,6 @@ def test_memo_misses_an_array_flagged_writeable_again():
     np.testing.assert_array_equal(bound.matrix(X, d.t), after)
 
 
-def test_blocks_share_the_memo():
-    d = toy_dataset(n=60)
-    _, bound = memo_design(d)
-    D = bound.matrix(d.X, d.t)
-    blocks = bound.blocks(d.X)
-    assert all(np.shares_memory(b, bound._memo[1]) and not b.flags.writeable for b in blocks)
-    np.testing.assert_array_equal(np.column_stack(blocks), D[:, :-2])
-
-
 def test_take_equals_checked_constructor():
     d = toy_dataset(n=30, binary_y=True)
     rows = np.random.default_rng(3).integers(0, d.n, 45)
@@ -616,6 +607,33 @@ def test_load_json_roundtrip(tmp_path):
     assert d.outcome_kind == "binary"
     assert d.columns == ("a", "b")
     assert d.k == 3
+
+
+def _missing_label_csv(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("trt,y,x\na,0.5,1.0\n,1.5,2.0\nb,2.5,3.0\n  ,3.5,4.0\nc,4.5,5.0\n")
+    return load_csv(str(path), "trt", "y", ["x"])
+
+
+def _missing_label_json(tmp_path):
+    path = tmp_path / "d.json"
+    payload = {"columns": ["x"], "X": [[1.0], [2.0], [3.0], [4.0], [5.0]],
+               "T": ["a", None, "b", None, "c"], "Y": [0.5, 1.5, 2.5, 3.5, 4.5]}
+    path.write_text(json.dumps(payload))
+    return load_json(str(path))
+
+
+def _missing_label_arrays(tmp_path):
+    t = np.array([1.0, np.nan, 2.0, np.nan, 3.0])
+    return Dataset.from_arrays(np.arange(5.0)[:, None], t, np.arange(5.0))
+
+
+@pytest.mark.parametrize("load", (_missing_label_csv, _missing_label_json, _missing_label_arrays),
+                         ids=("csv blank cells", "json nulls", "array nans"))
+def test_missing_treatment_label_is_rejected(tmp_path, load):
+    # rows 2 and 4 lack a label; none of them may become an arm of its own
+    with pytest.raises(ValueError, match=r"missing treatment label in 2 row\(s\), first in data row 2"):
+        load(tmp_path)
 
 
 def test_load_json_outcome_kind_override(tmp_path):

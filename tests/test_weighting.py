@@ -52,7 +52,6 @@ def test_ipw_hand_computed():
     assert est.variance == pytest.approx(436.75 / 16)
     assert est.method == "ipw"
     assert est.estimand == "population"
-    assert est.n_used == 4
 
 
 def test_ipw_uniform_probs_balanced_equals_mean_difference():
@@ -155,7 +154,7 @@ def test_aow_reduces_to_ow_for_constant_predictions():
 
 
 def test_effect_estimate_ci_and_coverage():
-    est = EffectEstimate((2, 1), 1.0, 0.04, "population", "crude", 100)
+    est = EffectEstimate((2, 1), 1.0, 0.04, "population", "crude")
     lo, hi = est.ci95
     assert lo == pytest.approx(1.0 - 1.959963984540054 * 0.2)
     assert hi == pytest.approx(1.0 + 1.959963984540054 * 0.2)
@@ -166,26 +165,26 @@ def test_effect_estimate_ci_and_coverage():
 
 
 def test_effect_estimate_nan_variance_gives_nan_ci():
-    est = EffectEstimate((2, 1), 1.0, float("nan"), "population", "stan", 50)
+    est = EffectEstimate((2, 1), 1.0, float("nan"), "population", "stan")
     assert np.isnan(est.ci95[0]) and np.isnan(est.ci95[1])
     assert not est.covers(1.0)
 
 
 def test_effect_estimate_validation():
     with pytest.raises(ValueError):
-        EffectEstimate((2, 1), 0.0, -1.0, "population", "crude", 10)
+        EffectEstimate((2, 1), 0.0, -1.0, "population", "crude")
     with pytest.raises(ValueError):
-        EffectEstimate((2, 1), 0.0, 1.0, "conditional", "crude", 10)
+        EffectEstimate((2, 1), 0.0, 1.0, "conditional", "crude")
 
 
 def test_effect_estimate_casts_its_numbers_and_derives_its_interval():
     # estimators hand over numpy scalars; the record holds Python numbers,
     # and its interval is tau -/+ z * sqrt(variance) to the last bit
     est = EffectEstimate(
-        (np.int64(3), np.int32(1)), np.float64(0.7), np.float64(0.09), "overlap", "ow", np.intp(40)
+        (np.int64(3), np.int32(1)), np.float64(0.7), np.float64(0.09), "overlap", "ow"
     )
     assert est.pair == (3, 1) and all(type(c) is int for c in est.pair)
-    assert type(est.tau_hat) is float and type(est.variance) is float and type(est.n_used) is int
+    assert type(est.tau_hat) is float and type(est.variance) is float
     half = 1.959963984540054 * float(np.sqrt(0.09))
     assert est.ci95 == (0.7 - half, 0.7 + half)
-    assert EffectEstimate((2, 1), 0.5, float("inf"), "population", "crude", 9).covers(0.5) is False
+    assert EffectEstimate((2, 1), 0.5, float("inf"), "population", "crude").covers(0.5) is False
