@@ -27,7 +27,6 @@ from .simengine import (
     ScenarioReport,
     compute_metrics,
     make_plasmode_generators,
-    oracle_truth_mc,
     run_plasmode,
     run_scenario,
     simulate_dataset,
@@ -64,7 +63,6 @@ __all__ = [
     "load_csv",
     "load_json",
     "make_plasmode_generators",
-    "oracle_truth_mc",
     "render_contrasts",
     "render_report",
     "run_plasmode",

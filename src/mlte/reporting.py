@@ -23,6 +23,8 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .simengine import ScenarioReport
+
 __all__ = [
     "holm_adjust",
     "all_pairs_table",

@@ -12,8 +12,8 @@ the same effect for the population and the overlap population alike.
 The plasmode harness resamples rows of a real dataset, regenerates the
 treatment from a fitted assignment model and a binary outcome from a
 fitted outcome model, so the true effects are known functionals of the
-generator fits.  Scenario data and the Monte Carlo oracle share one
-covariate draw, scenario and plasmode data one treatment-level draw.
+generator fits.  Scenario truths are exact because the treatment enters
+additively.  Scenario and plasmode data share one treatment-level draw.
 
 Replications draw from per-replication RNG substreams spawned off the
 master seed with a purpose tag, so results are bit-identical regardless
@@ -63,7 +63,6 @@ __all__ = [
     "simulate_dataset",
     "treatment_probabilities",
     "outcome_mean",
-    "oracle_truth_mc",
     "truth_outcome_spec",
     "truth_propensity_spec",
     "run_scenario",
@@ -246,42 +245,6 @@ def truth_propensity_spec() -> DesignSpec:
     return DesignSpec(
         terms=(intercept(), main("x1"), main("x2"), main("x3"), interaction("x1", "x3"), square("x1"))
     )
-
-
-def oracle_truth_mc(
-    cfg: ScenarioConfig,
-    pairs=((2, 1), (3, 1)),
-    draws: int = 10**6,
-    seed: int = 0,
-    weighting: str = "population",
-    prob_fn=None,
-):
-    """Monte Carlo counterfactual oracle for the true contrasts.
-
-    Draws covariates from the generating distribution and averages the
-    treatment-effect field, optionally reweighted by the harmonic overlap
-    weight h(X) built from `prob_fn` (defaults to the true assignment
-    probabilities).  Supplying a fitted, deliberately wrong model as
-    prob_fn yields the estimand that overlap-weight estimators target
-    under that model.  Returns {pair: truth}.
-    """
-    X = _draw_covariates(np.random.default_rng(seed), draws)
-    if weighting == "population":
-        w = np.ones(draws)
-    elif weighting == "overlap":
-        probs = treatment_probabilities(cfg.beta, X) if prob_fn is None else prob_fn(X)
-        w = _overlap_tilt(probs)
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-    wsum = w.sum()
-    out = {}
-    for pair in pairs:
-        t1, t0 = int(pair[0]), int(pair[1])
-        effect = outcome_mean(cfg.gamma, cfg.lam, X, np.full(draws, t1)) - outcome_mean(
-            cfg.gamma, cfg.lam, X, np.full(draws, t0)
-        )
-        out[(t1, t0)] = float((w * effect).sum() / wsum)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,9 +278,9 @@ def recode_treatment(values):
 
     Labels are ordered by sorted(label) so the coding is reproducible no
     matter the row order; numeric-looking labels sort numerically.  A
-    missing label (None, a float NaN, or a string that is empty or all
-    blank) raises ValueError naming the first such data row, counted from
-    1, and the number of such rows.
+    missing label (None, a float NaN, or a string that is blank, `NA`, or
+    parses as a float NaN such as `NaN`) raises ValueError naming the first
+    such data row, counted from 1, and the number of such rows.
     Returns (codes array, tuple of original labels indexed by code-1).
     """
     raw = list(values)
@@ -297,7 +298,13 @@ def recode_treatment(values):
 
 def _is_missing_label(label):
     if isinstance(label, str):
-        return not label.strip()
+        label = label.strip()
+        if label in ("", "NA"):
+            return True
+        try:
+            return math.isnan(float(label))
+        except ValueError:
+            return False
     return label is None or (isinstance(label, (float, np.floating)) and np.isnan(label))
 
 
@@ -323,11 +330,12 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
 
     Treatment labels are recoded to 1..k in sorted order and the original
     labels retained.  Binary outcomes are detected from the values.  A cell
-    that parses to a non-finite value is rejected by the Dataset checks,
-    and a covariate that repeats; a covariate that names the treatment or
-    outcome column is rejected before the file is read.  A requested column
-    that the header names more than once, and a row whose cell count
-    differs from the header's, are rejected too; blank lines are skipped.
+    that parses to a non-finite value is rejected with its line and column,
+    a covariate that repeats by the Dataset checks, and a covariate that
+    names the treatment or outcome column before the file is read.  A
+    requested column that the header names more than once, and a row whose
+    cell count differs from the header's, are rejected too; blank lines are
+    skipped.
     """
     roles = {treatment_col: "treatment", outcome_col: "outcome"}
     for col in covariate_cols:
@@ -362,9 +370,12 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
 
 def _parse_cell(text, col, lineno):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"line {lineno}: unparseable cell {text!r} in column {col!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: non-finite cell {text!r} in column {col!r}")
+    return value
 
 
 def load_json(path):

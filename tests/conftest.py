@@ -1,10 +1,11 @@
 """Shared fixtures: replication studies for the acceptance tests, and the
 environment of a command-line subprocess in an ASCII locale.
 
-Each study fixture runs one full replication study once per session; the
-acceptance tests read several gated quantities from the same report.
-Everything is deterministic given the pinned seeds, so the asserted
-numbers are stable run to run.
+Each study fixture runs one full replication study once per session, on a
+process pool of one worker per core; the acceptance tests read several
+gated quantities from the same report.  Everything is deterministic given
+the pinned seeds, and reports are identical across worker counts, so the
+asserted numbers are stable run to run.
 """
 
 import os
@@ -19,7 +20,7 @@ def scenario_report(scenario, seed, regime, methods=None, n=1000, reps=500, boot
     cfg = ScenarioConfig.named(
         scenario, n=n, reps=reps, seed=seed, regime=regime, bootstrap_reps=bootstrap_reps
     )
-    return run_scenario(cfg, methods=methods)
+    return run_scenario(cfg, methods=methods, workers=0)
 
 
 @pytest.fixture

@@ -20,6 +20,11 @@ slow way, for the differential tests that pin the fast path to it.
 - `brute_force_matches`: `matching.build_matches` with its whitening,
   pinned by test_matching.py's test_match_sets_agree_with_brute_force and
   by test_acceptance.py's test_criterion_7_exact_identities.
+- `reference_oracle_truth`: the Monte Carlo counterfactual oracle behind
+  the scenario truths of `simengine.run_scenario`, pinned by
+  test_simengine.py's test_scenario_truths_equal_the_monte_carlo_oracle; it
+  also gives test_acceptance.py's test_criterion_6_robustness_limits the
+  estimand of overlap weights built from a wrong treatment model.
 
 The scipy oracles (expit, logit, nnls, norm.sf, minimize) are imported
 directly by the tests that use them.
@@ -31,7 +36,9 @@ from scipy.spatial.distance import cdist
 from mlte import glm, matching
 from mlte.glm import fit_ols
 from mlte.learners import _nnls
+from mlte.simengine import _draw_covariates, outcome_mean, treatment_probabilities
 from mlte.tabular import bind_design
+from mlte.weighting import _overlap_tilt
 
 
 def reference_damped_newton(X, theta, loglik, derivatives, max_iter):
@@ -140,3 +147,39 @@ def brute_force_matches(data, m=1, metric="euclidean-standardized"):
         np.fill_diagonal(same, np.inf)
         nn_same[donors] = donors[same.argmin(axis=1)]
     return match_indices, nn_same
+
+
+def reference_oracle_truth(
+    cfg,
+    pairs=((2, 1), (3, 1)),
+    draws=10**6,
+    seed=0,
+    weighting="population",
+    prob_fn=None,
+):
+    """Monte Carlo counterfactual oracle for the true contrasts.
+
+    Draws covariates from the generating distribution and averages the
+    treatment-effect field, optionally reweighted by the harmonic overlap
+    weight h(X) built from `prob_fn` (defaults to the true assignment
+    probabilities).  Supplying a fitted, deliberately wrong model as
+    prob_fn yields the estimand that overlap-weight estimators target
+    under that model.  Returns {pair: truth}.
+    """
+    X = _draw_covariates(np.random.default_rng(seed), draws)
+    if weighting == "population":
+        w = np.ones(draws)
+    elif weighting == "overlap":
+        probs = treatment_probabilities(cfg.beta, X) if prob_fn is None else prob_fn(X)
+        w = _overlap_tilt(probs)
+    else:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    wsum = w.sum()
+    out = {}
+    for pair in pairs:
+        t1, t0 = int(pair[0]), int(pair[1])
+        effect = outcome_mean(cfg.gamma, cfg.lam, X, np.full(draws, t1)) - outcome_mean(
+            cfg.gamma, cfg.lam, X, np.full(draws, t0)
+        )
+        out[(t1, t0)] = float((w * effect).sum() / wsum)
+    return out

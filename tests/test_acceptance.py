@@ -10,14 +10,13 @@ import numpy as np
 
 from mlte.cli import main as cli_main
 from fitstubs import StubOutcomeFit, StubPropensityFit
-from reference_paths import brute_force_matches
+from reference_paths import brute_force_matches, reference_oracle_truth
 from test_golden import GOLDEN
 from mlte.learners import fit_outcome, fit_propensity
 from mlte.matching import build_matches, estimate_bcm, estimate_match
 from mlte.outcome_methods import tmle_fluctuations
 from mlte.simengine import (
     ScenarioConfig,
-    oracle_truth_mc,
     simulate_dataset,
     truth_outcome_spec,
     truth_propensity_spec,
@@ -212,7 +211,7 @@ def test_criterion_6_robustness_limits(capsys):
         ScenarioConfig.named("t+y+", n=100000, reps=1, seed=7, regime="mainterms"), 0
     )
     bigfit = fit_propensity(big, "mainterms")
-    oracle = oracle_truth_mc(
+    oracle = reference_oracle_truth(
         cfg, weighting="overlap", prob_fn=bigfit.predict_matrix, draws=10**6, seed=3
     )
     checks.append(abs(np.mean(taus[(2, 1)]) - oracle[(2, 1)]) <= 0.02)

@@ -92,17 +92,18 @@ def test_estimate_csv_input_requires_column_flags(capsys):
     assert "--covariates" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cell, message", ((2, "non-finite covariate"), (1, "non-finite outcome")))
-def test_estimate_rejects_a_nan_cell(tmp_path, capsys, cell, message):
+@pytest.mark.parametrize("cell, text, column", ((2, "nan", "x1"), (1, "nan", "resp"), (4, "inf", "x3")),
+                         ids=("nan covariate", "nan outcome", "inf covariate"))
+def test_estimate_rejects_a_nan_cell(tmp_path, capsys, cell, text, column):
     lines = open(DEMO_CSV).read().splitlines()
     cells = lines[3].split(",")
-    cells[cell] = "nan"
+    cells[cell] = text
     lines[3] = ",".join(cells)
     path = tmp_path / "nan.csv"
     path.write_text("\n".join(lines) + "\n")
     rc = run_cli(["estimate", "--data", str(path), *DEMO_ARGS, "--methods", "crude"])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: line 4: non-finite cell {text!r} in column {column!r}\n"
 
 
 @pytest.mark.parametrize("covariates, message", (

@@ -1,11 +1,14 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
-no command or code path loads scipy, which only the tests use."""
+every annotation resolves; no command or code path loads scipy, which only
+the tests use."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -21,6 +24,22 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     for export in getattr(module, "__all__", ()):
         assert hasattr(module, export), f"{name}.__all__ lists missing {export!r}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_type_hints_resolve(name):
+    # annotations are strings under `from __future__ import annotations`, so
+    # a name used only in an annotation must still be imported
+    module = importlib.import_module(name)
+    defined = [obj for obj in vars(module).values()
+               if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == name]
+    unresolved = []
+    for obj in defined:
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{obj.__qualname__}: {exc}")
+    assert not unresolved, unresolved
 
 
 def test_pyproject_reads_the_version_from_the_package():

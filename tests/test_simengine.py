@@ -6,6 +6,7 @@ import pytest
 from scipy.special import expit
 
 from fitstubs import StubOutcomeFit, StubPropensityFit
+from reference_paths import reference_oracle_truth
 import mlte.simengine
 from mlte.reporting import render_report
 from mlte.simengine import (
@@ -18,7 +19,6 @@ from mlte.simengine import (
     _plasmode_truths,
     compute_metrics,
     make_plasmode_generators,
-    oracle_truth_mc,
     outcome_mean,
     run_plasmode,
     run_scenario,
@@ -131,14 +131,15 @@ def test_simulate_dataset_reproducible_per_replication():
     assert a.k == 3
 
 
-def test_oracle_truth_mc_equals_level_effects_for_additive_outcome():
+def test_scenario_truths_equal_the_monte_carlo_oracle():
+    # the treatment enters additively, so the closed-form truths are the
+    # oracle's average of the effect field under either weighting
     cfg = ScenarioConfig.named("t+y+", n=100, reps=1, seed=0, regime="mainterms")
+    truths = run_scenario(cfg, methods=["crude"]).truths
     for weighting in ("population", "overlap"):
-        truths = oracle_truth_mc(cfg, draws=10**4, weighting=weighting)
-        assert truths[(2, 1)] == pytest.approx(1.0, abs=1e-12)
-        assert truths[(3, 1)] == pytest.approx(1.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        oracle_truth_mc(cfg, draws=100, weighting="matched")
+        oracle = reference_oracle_truth(cfg, draws=10**4, weighting=weighting)
+        assert truths["tau21"][weighting] == pytest.approx(oracle[(2, 1)], abs=1e-12)
+        assert truths["tau31"][weighting] == pytest.approx(oracle[(3, 1)], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

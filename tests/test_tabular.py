@@ -1,5 +1,6 @@
 """Data model, treatment recoding, design expansion, file loading."""
 
+import functools
 import json
 
 import numpy as np
@@ -590,7 +591,7 @@ def test_load_csv_missing_column(tmp_path):
 def test_load_csv_rejects_nonfinite_covariate(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("t,y,x\n1,2.0,inf\n2,1.0,0.1\n")
-    with pytest.raises(ValueError, match="non-finite covariate"):
+    with pytest.raises(ValueError, match=r"^line 2: non-finite cell 'inf' in column 'x'$"):
         load_csv(str(path), "t", "y", ["x"])
 
 
@@ -609,9 +610,9 @@ def test_load_json_roundtrip(tmp_path):
     assert d.k == 3
 
 
-def _missing_label_csv(tmp_path):
+def _missing_label_csv(tmp_path, first="", second="  "):
     path = tmp_path / "d.csv"
-    path.write_text("trt,y,x\na,0.5,1.0\n,1.5,2.0\nb,2.5,3.0\n  ,3.5,4.0\nc,4.5,5.0\n")
+    path.write_text(f"trt,y,x\na,0.5,1.0\n{first},1.5,2.0\nb,2.5,3.0\n{second},3.5,4.0\nc,4.5,5.0\n")
     return load_csv(str(path), "trt", "y", ["x"])
 
 
@@ -628,10 +629,21 @@ def _missing_label_arrays(tmp_path):
     return Dataset.from_arrays(np.arange(5.0)[:, None], t, np.arange(5.0))
 
 
-@pytest.mark.parametrize("load", (_missing_label_csv, _missing_label_json, _missing_label_arrays),
-                         ids=("csv blank cells", "json nulls", "array nans"))
+def _missing_label_strings(tmp_path):
+    t = np.array(["a", "NAN", "b", " NA", "c"])
+    return Dataset.from_arrays(np.arange(5.0)[:, None], t, np.arange(5.0))
+
+
+@pytest.mark.parametrize("load", (
+    _missing_label_csv, _missing_label_json, _missing_label_arrays,
+    functools.partial(_missing_label_csv, first="NA", second="NaN"),
+    functools.partial(_missing_label_csv, first=" nan ", second="NA"),
+    _missing_label_strings,
+), ids=("csv blank cells", "json nulls", "array nans", "csv NA and NaN", "csv nan and NA",
+        "array NAN and NA strings"))
 def test_missing_treatment_label_is_rejected(tmp_path, load):
-    # rows 2 and 4 lack a label; none of them may become an arm of its own
+    # rows 2 and 4 lack a label, written blank, as null or NaN, or as the
+    # `NA`/`NaN` strings R and many exports write; none may become an arm
     with pytest.raises(ValueError, match=r"missing treatment label in 2 row\(s\), first in data row 2"):
         load(tmp_path)
 
