@@ -45,7 +45,7 @@ from .simengine import (
     run_plasmode,
     run_scenario,
 )
-from .tabular import all_pairs, load_csv, load_json
+from .tabular import _quantiles_of_sorted, all_pairs, load_csv, load_json
 
 __all__ = ["main", "cmd_estimate", "cmd_simulate", "cmd_plasmode", "cmd_diagnose"]
 
@@ -308,7 +308,7 @@ def cmd_diagnose(cfg) -> int:
     for lev in range(1, data.k + 1):
         col = prop.probs[:, lev - 1]
         arm = col[data.t == lev]
-        qs = np.quantile(col, (0.0, 0.25, 0.5, 0.75, 1.0))
+        qs = _quantiles_of_sorted(np.sort(col), np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
         rows.append(
             {
                 "level": lev,

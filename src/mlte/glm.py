@@ -130,14 +130,14 @@ def fit_ols(design, y):
     b = X.T @ y
     try:
         coef = np.linalg.solve(G, b)
-        if not np.all(np.isfinite(coef)):
+        if not np.isfinite(coef).all():
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         lam = 1e-8 * np.trace(G) / q
         if lam <= 0:
             raise ValueError("degenerate all-zero design")
         coef = np.linalg.solve(G + lam * np.eye(q), b)
-        if not np.all(np.isfinite(coef)):
+        if not np.isfinite(coef).all():
             raise ValueError("design rank-deficient beyond ridge fallback")
     return LinearFit(coefficients=coef)
 
@@ -224,8 +224,7 @@ def fit_multinomial(design, t, k):
     X = np.asarray(design, dtype=float)
     t = np.asarray(t, dtype=int)
     n, q = X.shape
-    present = np.unique(t)
-    if len(present) != k or present[0] != 1 or present[-1] != k:
+    if t.min() < 1 or t.max() > k or not np.bincount(t, minlength=k + 1)[1:].all():
         raise ValueError("all treatment levels 1..k must be present")
     Yind = np.zeros((n, k))
     Yind[np.arange(n), t - 1] = 1.0

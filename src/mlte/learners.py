@@ -103,13 +103,12 @@ class OutcomeFit:
     def predict(self, level, X):
         if not (1 <= level <= self.k):
             raise ValueError(f"treatment level {level} outside 1..{self.k}")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        pred = np.zeros(X.shape[0])
+        pred = None
         for weight, bound, fit in self.components:
-            if weight == 0.0:
-                continue
-            pred += weight * fit.predict(bound.matrix(X, level))
-        if not np.isfinite(pred).all():
+            if weight != 0.0:
+                term = weight * fit.predict(bound.matrix(X, level))
+                pred = term if pred is None else pred + term
+        if not np.logical_and.reduce(np.isfinite(pred)):
             raise ValueError("non-finite outcome prediction")
         return pred
 

@@ -30,7 +30,6 @@ it takes, and its entry point.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -433,10 +432,13 @@ def _collect_report(kind, cfg, cfg_echo, methods, pairs, per_rep, truths):
 def _run_replications(rep_fn, jobs, workers):
     """Run `rep_fn` on every job, serially or on a pool of `workers`
     processes (0 means one per core), and return the (rep, results,
-    failures) outputs in job order."""
+    failures) outputs in job order.  The pool module is imported only for a
+    pool, so a serial run does not load it."""
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(rep_fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
     return [rep_fn(job) for job in jobs]
@@ -543,7 +545,7 @@ def _plasmode_rep(args):
         rows = rng.integers(0, cfg.source.n, size)
         X = cfg.source.X[rows]
         t = _draw_levels(rng, cfg.generator_treatment.predict_matrix(X))
-        if len(np.unique(t)) != cfg.source.k:
+        if not np.bincount(t, minlength=cfg.source.k + 1)[1:].all():
             continue
         mu_all = cfg.generator_outcome.predict_matrix(X)
         p_y = mu_all[np.arange(size), t - 1]

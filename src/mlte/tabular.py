@@ -197,12 +197,11 @@ class Dataset:
         rows = np.asarray(rows)
         if rows.dtype.kind not in "iu":
             raise TypeError(f"rows must be integer indices, not {rows.dtype}")
-        t = np.take(self.t, rows)
+        t = self.t.take(rows)
         _check_levels_present(t, self.k)
         sub = object.__new__(Dataset)
-        for name in ("columns", "outcome_kind", "k", "treatment_labels"):
-            object.__setattr__(sub, name, getattr(self, name))
-        sub._set_arrays(np.take(self.X, rows, axis=0), t, np.take(self.y, rows))
+        sub.__dict__.update(self.__dict__)
+        sub._set_arrays(self.X.take(rows, axis=0), t, self.y.take(rows))
         return sub
 
     @staticmethod
@@ -257,10 +256,6 @@ class DesignSpec:
     def referenced_columns(self):
         # every field of a term after its kind is a column name or None
         return [c for term in self.terms for c in term[1:] if c is not None]
-
-    def validate(self, data: Dataset):
-        for name in self.referenced_columns():
-            data.column_index(name)
 
 
 def all_pairs(k):
@@ -419,6 +414,16 @@ def _curvature_rows(x, knots, out):
     np.subtract(d[:-1], d[-1], out=out)
 
 
+def _quantiles_of_sorted(s, probs):
+    """Quantiles at `probs` of a column whose values, sorted ascending, are
+    `s`, by np.quantile's default (linear) rule, bit for bit.  np.quantile
+    itself calls np.unique, which loads numpy.ma."""
+    at = (len(s) - 1) * probs
+    lo = at.astype(np.intp)
+    a, b, g = s[lo], s[np.minimum(lo + 1, len(s) - 1)], at - lo
+    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
+
+
 def _knots_of_sorted(s, n_interior=_SPLINE_KNOTS):
     """Knots of a spline with `n_interior` interior knots on a column whose
     values, sorted ascending, are `s`: boundary knots at the data range,
@@ -429,12 +434,9 @@ def _knots_of_sorted(s, n_interior=_SPLINE_KNOTS):
     knots of a 3-valued column).
 
     The sorted values give the range, the distinct-value count and the
-    quantiles, which follow np.quantile's default (linear) rule bit for bit.
+    quantiles (`_quantiles_of_sorted`).
     """
-    at = (len(s) - 1) * (np.arange(1, n_interior + 1) * (1.0 / (n_interior + 1)))
-    lo = at.astype(np.intp)
-    a, b, g = s[lo], s[np.minimum(lo + 1, len(s) - 1)], at - lo
-    interior = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
+    interior = _quantiles_of_sorted(s, np.arange(1, n_interior + 1) * (1.0 / (n_interior + 1)))
     # sorting leaves -0.0 and 0.0 in either order, so a knot at zero could
     # carry either sign; adding 0.0 makes it 0.0 and changes no other value
     knots = np.concatenate([s[:1], interior, s[-1:]]) + 0.0
@@ -452,7 +454,7 @@ class BoundDesign:
     Column counts are fixed at binding: `_n_terms` term columns (each
     term's count in `_widths`) and `n_columns` with the dummies.  Each
     instance keeps one private memo, the design of the last read-only,
-    data-owning matrix it expanded (see `_template`).  The memo takes no
+    data-owning matrix it expanded (see `matrix`).  The memo takes no
     part in equality or repr and is dropped on pickling, so fits sent to
     worker processes carry no cached arrays."""
 
@@ -522,27 +524,6 @@ class BoundDesign:
         out[:, self._n_terms:] = 0.0
         return out
 
-    def _template(self, X):
-        """The read-only design of float matrix X with all-zero dummy
-        columns.
-
-        The memo holds the template of the last X expanded if that X is
-        read-only and owns its data, so that no view can change it; the
-        template is returned again while the same array object comes back
-        still read-only.  Any other call expands afresh and empties or
-        replaces the memo, so an array flagged writeable in between is
-        expanded anew.  (An array flagged writeable, changed and flagged
-        read-only again with no call in between would go unnoticed; a
-        Dataset's arrays are never flagged writeable again.)"""
-        memo = self._memo
-        if memo is not None and memo[0] is X and not X.flags.writeable:
-            return memo[1]
-        template = self._design(X, np.empty((X.shape[0], self.n_columns)))
-        template.setflags(write=False)
-        keep = X.flags.owndata and not X.flags.writeable
-        object.__setattr__(self, "_memo", (X, template) if keep else None)
-        return template
-
     def _set_dummies(self, out, t):
         """Set the zero dummy columns of design `out` for treatment codes
         `t`, or for one level `t` on every row; return `out`."""
@@ -576,10 +557,16 @@ class BoundDesign:
         gives.  With `out`, a flat float buffer of at least n * n_columns
         entries, the matrix is expanded into the start of that buffer (a
         workspace reused across calls) and the memo is left as it is.
-        Otherwise it is a fresh array: a copy of the memoized template when
-        X is the read-only, data-owning array this design expanded last (a
-        Dataset's X, say), so a fit and its predictions on the same rows
-        expand them once, and a fresh expansion for any other X."""
+        Otherwise it is a fresh array.  When X is read-only and owns its
+        data (a Dataset's X, say), so that no view can change it, the memo
+        keeps X and its read-only design with all-zero dummies, and the
+        matrix is a copy of that design for as long as the same array
+        object comes back still read-only; so a fit and its predictions on
+        the same rows expand them once.  Any other X is expanded afresh and
+        empties the memo, so an array flagged writeable in between is
+        expanded anew.  (An array flagged writeable, changed and flagged
+        read-only again with no call in between would go unnoticed; a
+        Dataset's arrays are never flagged writeable again.)"""
         if self.spec.includes_treatment_dummies and t is None:
             raise ValueError("design includes treatment dummies but no t given")
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -587,7 +574,13 @@ class BoundDesign:
         if out is not None:
             design = self._design(X, out[: n * self.n_columns].reshape(n, self.n_columns))
         elif X.flags.owndata and not X.flags.writeable:
-            design = self._template(X).copy()
+            memo = self._memo
+            if memo is None or memo[0] is not X:
+                template = self._design(X, np.empty((n, self.n_columns)))
+                template.setflags(write=False)
+                memo = (X, template)
+                object.__setattr__(self, "_memo", memo)
+            design = memo[1].copy()
         else:
             object.__setattr__(self, "_memo", None)
             design = self._design(X, np.empty((n, self.n_columns)))
@@ -609,11 +602,14 @@ def bind_design(data: Dataset, spec: DesignSpec, sorted_columns=None) -> BoundDe
     each covariate once per fit, and the super learner derives every
     fold's from one argsort per column) binds without sorting again; by
     default each column is sorted here."""
-    spec.validate(data)
+    index = {name: j for j, name in enumerate(data.columns)}
+    for name in spec.referenced_columns():
+        if name not in index:
+            raise KeyError(f"unknown covariate column {name!r}")
     terms, knots = list(spec.terms), {}
     for pos, term in enumerate(spec.terms):
         if term[0] in ("spline", "curvature"):
-            j = data.column_index(term[1])
+            j = index[term[1]]
             found = _knots_of_sorted(np.sort(data.X[:, j]) if sorted_columns is None else sorted_columns[j])
             if found is not None:
                 knots[pos] = found
@@ -626,5 +622,4 @@ def bind_design(data: Dataset, spec: DesignSpec, sorted_columns=None) -> BoundDe
                 )
     if tuple(terms) != spec.terms:
         spec = DesignSpec(tuple(terms), spec.includes_treatment_dummies)
-    index = {name: j for j, name in enumerate(data.columns)}
     return BoundDesign(spec=spec, column_index=index, knots=knots, k=data.k)

@@ -1,6 +1,7 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
 every annotation resolves; no command or code path loads scipy, which only
-the tests use."""
+the tests use, or numpy.ma, and only a study on more than one worker loads
+the process-pool module."""
 
 import importlib
 import inspect
@@ -53,10 +54,19 @@ def test_pyproject_reads_the_version_from_the_package():
     assert config["project"]["version"] == mlte.__version__ == "0.1.0"
 
 
-def _scipy_modules_after(code):
-    """Run `code` in a fresh interpreter; return the scipy modules it loaded."""
+# packages no serial run needs: scipy, numpy.ma (np.unique and np.quantile
+# load it, about 1.5 MB resident) and the process-pool module
+_UNNEEDED = ("scipy", "numpy.ma", "concurrent.futures")
+
+
+def _unneeded_modules_after(code):
+    """Run `code` in a fresh interpreter; return the modules it loaded under
+    the packages in `_UNNEEDED`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mlte.__file__)))
-    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += (
+        "\nimport sys\nprint(sorted(m for m in sys.modules"
+        f" if any(m == p or m.startswith(p + '.') for p in {_UNNEEDED!r})))"
+    )
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
@@ -66,12 +76,14 @@ def _scipy_modules_after(code):
 
 
 def test_import_loads_no_scipy():
-    # scipy.special alone costs about 0.3 s of start-up and 18 MB resident
-    assert _scipy_modules_after("import mlte, mlte.cli") == "[]"
+    # scipy.special alone costs about 0.3 s of start-up and 18 MB resident;
+    # the process-pool module 5-7.5 ms and 0.3 MB
+    assert _unneeded_modules_after("import mlte, mlte.cli") == "[]"
 
 
 @pytest.mark.parametrize("regime", ["correct", "mainterms"])
 def test_simulation_without_ml_loads_no_scipy(regime):
+    # a serial study, whose first multinomial fit used to load numpy.ma
     code = (
         "from mlte.simengine import METHODS, ScenarioConfig, run_scenario\n"
         f"cfg = ScenarioConfig.named('t-y-', n=200, reps=1, seed=3, regime={regime!r},"
@@ -79,12 +91,13 @@ def test_simulation_without_ml_loads_no_scipy(regime):
         "report = run_scenario(cfg, methods=list(METHODS))\n"
         "assert len(METHODS) == 8 and not report.method_failures, report.method_failures"
     )
-    assert _scipy_modules_after(code) == "[]"
+    assert _unneeded_modules_after(code) == "[]"
 
 
 def test_ml_commands_load_no_scipy():
     # together these reach every p-value and every super-learner stacking in
-    # mlte; loading scipy.special and scipy.optimize for them costs 48 MB
+    # mlte; loading scipy.special and scipy.optimize for them costs 48 MB.
+    # diagnose reads quantiles, and the one plasmode replication runs serially
     golden = Path(__file__).parent / "golden"
     columns = ["--treatment", "trt", "--outcome", "resp", "--covariates", "x1,x2,x3"]
     runs = [
@@ -105,4 +118,4 @@ def test_ml_commands_load_no_scipy():
         "        payload = json.loads(out.getvalue())\n"
         "        assert not payload['failures'] and len(payload['tables']) == 8, payload\n"
     )
-    assert _scipy_modules_after(code) == "[]"
+    assert _unneeded_modules_after(code) == "[]"

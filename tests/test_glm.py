@@ -208,9 +208,11 @@ def test_multinomial_matches_direct_minimizer():
 
 
 def test_multinomial_requires_all_levels():
+    # a missing level, a code 0 and a code k + 1
     D = np.ones((6, 1))
-    with pytest.raises(ValueError):
-        fit_multinomial(D, np.array([1, 1, 2, 2, 2, 1]), k=3)
+    for t in ([1, 1, 2, 2, 2, 1], [0, 1, 2, 3, 2, 1], [1, 2, 3, 4, 2, 1]):
+        with pytest.raises(ValueError, match=r"all treatment levels 1\.\.k must be present"):
+            fit_multinomial(D, np.array(t), k=3)
 
 
 def test_multinomial_predict_rows_sum_to_one():

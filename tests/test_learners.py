@@ -32,7 +32,7 @@ from mlte.simengine import (
     truth_propensity_spec,
 )
 import mlte.learners
-from mlte.glm import fit_multinomial
+from mlte.glm import LinearFit, fit_multinomial
 from mlte.tabular import (
     Dataset,
     DesignSpec,
@@ -109,6 +109,28 @@ def test_outcome_predict_rejects_bad_level():
     fit = fit_outcome(data, "mainterms")
     with pytest.raises(ValueError):
         fit.predict(4, data.X)
+
+
+def test_ml_outcome_prediction_is_the_weighted_sum_of_its_components():
+    # weights 0, 0.78 and 0.22: the zero-weight candidate is skipped and
+    # the other two are summed in component order
+    _, data = scenario_data()
+    fit = fit_outcome(data, "ml", seed=42)
+    assert [w == 0.0 for w, _, _ in fit.components] == [True, False, False]
+    for level in range(1, data.k + 1):
+        want = sum(w * glm.predict(bound.matrix(data.X, level))
+                   for w, bound, glm in fit.components if w != 0.0)
+        np.testing.assert_array_equal(fit.predict(level, data.X), want)
+
+
+def test_outcome_predict_rejects_an_overflowing_prediction():
+    _, data = scenario_data(n=300)
+    fit = fit_outcome(data, "mainterms")
+    (_, bound, _), = fit.components
+    huge = dataclasses.replace(fit, components=((1.0, bound, LinearFit(np.full(bound.n_columns, 1e308))),))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite outcome prediction"):
+        # every coefficient 1e308 on covariates of 10: the sum overflows to inf
+        huge.predict(1, np.full((2, data.X.shape[1]), 10.0))
 
 
 def test_binary_outcome_predictions_are_probabilities():
@@ -587,8 +609,8 @@ def test_stepwise_designs_bound_from_shared_sorted_columns_equal_sorting_each(ma
 
 
 def test_ml_fits_sort_each_covariate_once(monkeypatch):
-    # counted by calling module: fit_multinomial's np.unique on the
-    # treatment codes is not a covariate question
+    # counted by calling module, so that the sorts numpy makes inside its
+    # own routines do not count
     data = ordinal_data()
     calls = []
 

@@ -17,15 +17,20 @@ base, ...), so slow drift of the host's speed falls on both sides alike.
 Every run lasts the benchmark's `run_seconds` from BENCHMARK.json.  Each
 pair's end-to-end metrics are printed, then per metric the two
 medians (for `setup_s` also the medians of the probes taken before the
-timed runs), the number of pairs in which the new side read better (by the
-metric's `better` direction in BENCHMARK.json; ties count for neither) and
-the interquartile range of the base side's own runs: a gain counts when the
-new side wins at least nine pairs in ten and its median beats the base's by
-more than that range.  The temporary trees are removed afterwards.
+timed runs), the median over pairs of the new/base ratio with a 95%
+percentile-bootstrap interval (2000 resamples of the pairs, fixed seed;
+left out when a base run reads 0), the number of pairs in which the new
+side read better (by the metric's `better` direction in BENCHMARK.json;
+ties count for neither) and the interquartile range of the base side's own
+runs: a gain counts when the new side wins at least nine pairs in ten and
+its median beats the base's by more than that range.  The ratio's interval
+shows how far the pairs agree: one that excludes 1 is a change this host
+resolves.  The temporary trees are removed afterwards.
 """
 
 import argparse
 import json
+import random
 import statistics
 import subprocess
 import sys
@@ -67,9 +72,19 @@ def probe(tree, workload, seed, workdir):
     return float(proc.stdout.splitlines()[-1])
 
 
+def ratio_interval(ratios, resamples=2000, seed=0):
+    """The median of the per-pair new/base `ratios` and a 95% percentile
+    bootstrap interval for it, from `resamples` resamples of the pairs."""
+    rng = random.Random(seed)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(resamples)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return statistics.median(ratios), cuts[0], cuts[-1]
+
+
 def summary(workload, runs, probes):
-    """Per metric: the medians, the pairs the new side won and the base
-    side's interquartile range; `setup_s` also gets the probes' medians."""
+    """Per metric: the medians, the median per-pair ratio with its interval,
+    the pairs the new side won and the base side's interquartile range;
+    `setup_s` also gets the probes' medians."""
     lines = []
     for m in runs["base"][0]:
         base, new = [r[m] for r in runs["base"]], [r[m] for r in runs["new"]]
@@ -77,6 +92,9 @@ def summary(workload, runs, probes):
         if m == "setup_s":
             line += (f" (fresh probes {statistics.median(probes['base']):.4g}"
                      f" -> {statistics.median(probes['new']):.4g})")
+        if all(base):
+            mid, lo, hi = ratio_interval([n / b for b, n in zip(base, new)])
+            line += f", new/base ratio {mid:.4f} [95% {lo:.4f}, {hi:.4f}]"
         if m in BETTER:
             sign = 1 if BETTER[m] == "higher" else -1
             wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
