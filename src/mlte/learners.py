@@ -18,14 +18,18 @@ pairwise interactions and squares; additive natural cubic splines) with
 non-negative-least-squares weights on 10-fold cross-validated predictions;
 the non-negative least squares is Lawson and Hanson's active-set method,
 written in numpy (`_nnls`).
-A candidate without spline knots is expanded once on the full data and its
-fold designs are row gathers of that expansion, bit for bit what expanding
-each fold gives.  The spline candidate is bound on each training fold,
-because its quantile knots depend on the fold, but each spline column is
-sorted once per fit: every fold's knots come from that one order, and each
-fold's design is expanded once, on all rows, into a buffer reused across
-folds, from which its training and held-out rows are gathered.  Folds keep
-every treatment level in every training fold.
+Every design of one fit is expanded into one float buffer that the fit
+owns.  A candidate without spline knots is expanded there once on the full
+data, and each fold's training and held-out rows are gathered from that
+expansion into the same buffer, bit for bit what expanding each fold gives.
+The spline candidate is bound on each training fold, because its quantile
+knots depend on the fold, but each spline column is sorted once per fit:
+every fold's knots come from that one order, and each fold's design is
+expanded once, on all rows, into a workspace in the buffer, from which its
+rows are gathered; its full-data design is expanded there after the folds,
+for its final fit only.  The fit keeps none of these designs: a bound
+design's memo (see `tabular`) comes from the first prediction on the same
+rows.  Folds keep every treatment level in every training fold.
 The ml treatment model searches a natural-spline basis (spline mains for
 continuous covariates, mains for binary ones, and spline-by-binary
 interactions) by forward stepwise group selection under BIC, in the spirit
@@ -54,6 +58,7 @@ from .tabular import (
     Dataset,
     DesignSpec,
     _knots_of_sorted,
+    _most_columns,
     bind_design,
     curvature,
     intercept,
@@ -303,6 +308,13 @@ def _sorted_outside(ordered, f):
     return {j: values[fold != f] for j, (values, fold) in ordered.items()}
 
 
+def _gather(D, rows, into):
+    """Rows `rows` of design D, gathered into the start of the flat buffer
+    `into`.  `mode="clip"` because numpy buffers `out` under the default
+    "raise"; the rows come from `flatnonzero`, so none is clipped."""
+    return np.take(D, rows, axis=0, out=into[: len(rows) * D.shape[1]].reshape(len(rows), -1), mode="clip")
+
+
 def fit_super_learner(data: Dataset, candidates, seed=0):
     """Stack candidate outcome designs by `_SL_FOLDS`-fold cross-validation.
 
@@ -314,15 +326,20 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     cross-validated risk.  Squared-error loss is used for both outcome kinds
     (binary outcomes are stacked on the probability scale).
 
-    A candidate whose design binds without spline knots is expanded once on
-    the full data and its fold rows are gathered from that; expansion is row
-    by row, so this is exactly the per-fold expansion.  A candidate with
-    knots is bound on each training fold, with one sort per spline column
-    per fit: the full data's and every fold's knots come from that order
-    (`_column_orders`, `_sorted_outside`, once per fold).  Each fold's
-    design is expanded once on all n rows, through `matrix(..., out=)`,
-    into a workspace reused across folds, and its training and held-out
-    rows are gathered from it.
+    Every design is expanded, through `matrix(..., out=)`, into one float
+    buffer that the fit allocates and owns.  The buffer holds the full-data
+    design of each candidate that binds without spline knots, expanded
+    once; a workspace for a knotted candidate's expansion; and the current
+    fold's training and held-out rows of one candidate, gathered from its
+    design.  Expansion is row by row, so a gathered row is exactly the
+    per-fold expansion.  A knotted candidate is bound on each training
+    fold, with one sort per spline column per fit: the full data's and
+    every fold's knots come from that order (`_column_orders`,
+    `_sorted_outside`, once per fold), and each fold's design is expanded
+    on all n rows into the workspace.  Its full-data design is expanded
+    into the workspace after the folds, for its final fit only.  No bound
+    design keeps a memo of the fit's designs: the first `predict` on the
+    same rows expands them again.
 
     The non-negative least squares is `_nnls`, Lawson and Hanson's
     active-set method in numpy.
@@ -337,24 +354,34 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     if not candidates:
         raise ValueError("need at least one candidate")
     fold_of = _cv_folds(data, folds, seed)
-    splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
-
     ordered = _column_orders(data, candidates, fold_of)
-    everywhere = _sorted_outside(ordered, -1)
-    bounds = [bind_design(data, spec, everywhere) for spec in candidates]
-    designs = [bound.matrix(data.X, data.t) for bound in bounds]
+    bounds = [bind_design(data, spec, _sorted_outside(ordered, -1)) for spec in candidates]
+
+    # the knot-free designs, a workspace as wide as any binding of a knotted
+    # candidate (a fold may bind one wider than the full data does), and
+    # one fold's gathered rows of the widest design
+    fixed = [b.n_columns for b in bounds if not b.knots]
+    spare = max((_most_columns(spec, data.k) for spec, b in zip(candidates, bounds) if b.knots), default=0)
+    buffer = np.empty(n * (sum(fixed) + spare + max(fixed + [spare])))
+    designs, at = [], 0
+    for bound in bounds:
+        if bound.knots:
+            designs.append(None)
+        else:
+            designs.append(bound.matrix(data.X, data.t, out=buffer[at:]))
+            at += n * bound.n_columns
+    workspace, rows = buffer[at: at + n * spare], buffer[at + n * spare:]
+
     cv_pred = np.zeros((n, len(candidates)))
-    workspace = np.empty(0)
-    for f, (train, test) in enumerate(splits):
+    for f in range(folds):
+        train, test = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
         outside = _sorted_outside(ordered, f)
-        for c, (spec, bound, D) in enumerate(zip(candidates, bounds, designs)):
+        for c, (spec, D) in enumerate(zip(candidates, designs)):
             sub = data.take(train)
-            if bound.knots:
-                fold_bound = bind_design(sub, spec, outside)
-                if workspace.size < fold_bound.n_columns * n:
-                    workspace = np.empty(fold_bound.n_columns * n)
-                D = fold_bound.matrix(data.X, data.t, out=workspace)
-            D_train, D_test = np.take(D, train, axis=0), np.take(D, test, axis=0)
+            if D is None:
+                D = bind_design(sub, spec, outside).matrix(data.X, data.t, out=workspace)
+            D_train = _gather(D, train, rows)
+            D_test = _gather(D, test, rows[D_train.size:])
             cv_pred[test, c] = _fit_glm(D_train, sub).predict(D_test)
 
     weights = _nnls(cv_pred, data.y)
@@ -364,10 +391,12 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
         weights[int(np.argmin(cv_risks))] = 1.0
     weights = weights / weights.sum()
 
-    components = tuple(
-        (float(w), bound, _fit_glm(D, data)) for w, bound, D in zip(weights, bounds, designs)
-    )
-    return components, cv_risks
+    components = []
+    for w, bound, D in zip(weights, bounds, designs):
+        if D is None:
+            D = bound.matrix(data.X, data.t, out=workspace)
+        components.append((float(w), bound, _fit_glm(D, data)))
+    return tuple(components), cv_risks
 
 
 # ---------------------------------------------------------------------------

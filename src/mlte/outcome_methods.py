@@ -106,6 +106,7 @@ def stan_bootstrap(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
         refit = out.refit(boot, seed=refit_seed)
         for p in live:
             draws[p][b] = _plugin_contrast(refit, boot.X, p)
+        del boot, refit  # free this resample and its refit before the next is drawn and fitted
     variances.update({p: float(np.var(draws[p], ddof=1)) for p in live})
     return variances
 

@@ -19,12 +19,16 @@ design matrix handed to a fitter.
 
 A bound design keeps the design of the last matrix it expanded, with
 all-zero treatment dummies, when that matrix is read-only and owns its
-data, as the X of every ``Dataset`` does: a fit's design and the
+data, as the X of every ``Dataset`` does: a parametric fit's design and the
 counterfactual predictions on the same rows then expand the covariates
 once, and each later call copies the kept design and sets its dummies.  A
-writeable matrix or a view is expanded on every call.  The kept design is
-reused only for the identical array object, so results are bit-identical to
-expanding afresh.
+writeable matrix or a view is expanded on every call, and so is a matrix
+expanded into a caller's buffer (``out=``), which leaves the kept design as
+it is: a super-learner fit expands its designs into one buffer it owns and
+gathers each fold's rows there, so its bound designs keep the design of
+their first prediction, not of the fit.  The kept design is reused only
+for the identical array object, so results are bit-identical to expanding
+afresh.
 """
 
 from __future__ import annotations
@@ -129,6 +133,8 @@ class Dataset:
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array")
         n = X.shape[0]
+        if n == 0:
+            raise ValueError("no data rows")
         if t.shape != (n,) or y.shape != (n,):
             raise ValueError("X, t, y must have matching row counts")
         if len(self.columns) != X.shape[1]:
@@ -212,7 +218,9 @@ class Dataset:
         sorted-label order.  `outcome_kind=None` triggers binary detection
         (binary iff the observed value set is a subset of {0, 1}).
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        if X.ndim < 2:  # a flat X is one row, an empty one no rows
+            X = X.reshape(1 if X.size else 0, X.size)
         y = np.asarray(y, dtype=float)
         codes, labels = recode_treatment(t)
         if columns is None:
@@ -352,45 +360,59 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
         for row in reader:
             if not row:
                 continue
-            lineno = reader.line_num
+            where = f"line {reader.line_num}"
             if len(row) != len(header):
-                raise ValueError(f"line {lineno}: {len(row)} cells, the header has {len(header)}")
+                raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
             t_raw.append(row[t_at])
-            y_raw.append(_parse_cell(row[y_at], outcome_col, lineno))
-            x_rows.append([_parse_cell(row[i], c, lineno) for i, c in x_at])
+            y_raw.append(_parse_cell(row[y_at], where, outcome_col))
+            x_rows.append([_parse_cell(row[i], where, c) for i, c in x_at])
     if not x_rows:
         raise ValueError(f"{path}: no data rows")
     return Dataset.from_arrays(x_rows, t_raw, y_raw, columns=tuple(covariate_cols))
 
 
-def _parse_cell(text, col, lineno):
+def _parse_cell(value, where, col=None):
+    """`value` as a finite float.  A value that does not parse as one raises
+    ValueError naming `where` it stands and its column `col`, if given."""
     try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"line {lineno}: unparseable cell {text!r} in column {col!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"line {lineno}: non-finite cell {text!r} in column {col!r}")
-    return value
+        number = float(value)
+    except (TypeError, ValueError):
+        problem = "unparseable"
+    else:
+        if math.isfinite(number):
+            return number
+        problem = "non-finite"
+    within = "" if col is None else f" in column {col!r}"
+    raise ValueError(f"{where}: {problem} cell {value!r}{within}")
 
 
 def load_json(path):
     """Read a JSON dataset whose schema mirrors the Dataset fields:
 
     ``{"columns": [...], "X": [[...], ...], "T": [...], "Y": [...]}``
-    with an optional ``"outcome_kind"`` override.
+    with an optional ``"outcome_kind"`` override.  Each of the four keys
+    must hold a list.  A value of "X" or "Y" that does not parse as a finite
+    number is rejected with its key and row (from 1), and so is an "X" row
+    whose cell count differs from the number of columns.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     for key in ("columns", "X", "T", "Y"):
         if key not in obj:
             raise ValueError(f"{path}: missing key {key!r}")
-    return Dataset.from_arrays(
-        np.asarray(obj["X"], dtype=float),
-        obj["T"],
-        np.asarray(obj["Y"], dtype=float),
-        columns=tuple(obj["columns"]),
-        outcome_kind=obj.get("outcome_kind"),
-    )
+        if not isinstance(obj[key], list):
+            raise ValueError(f"{path}: key {key!r} must hold a list")
+    columns = tuple(obj["columns"])
+    X = []
+    for i, row in enumerate(obj["X"], start=1):
+        where = f"{path}: key 'X' row {i}"
+        if not isinstance(row, list):
+            raise ValueError(f"{where}: {row!r} is not a list of cells")
+        if len(row) != len(columns):
+            raise ValueError(f"{where}: {len(row)} cells, 'columns' names {len(columns)}")
+        X.append([_parse_cell(v, where, c) for v, c in zip(row, columns)])
+    y = [_parse_cell(v, f"{path}: key 'Y' row {i}") for i, v in enumerate(obj["Y"], start=1)]
+    return Dataset.from_arrays(X, obj["T"], y, columns=columns, outcome_kind=obj.get("outcome_kind"))
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +583,8 @@ class BoundDesign:
         data (a Dataset's X, say), so that no view can change it, the memo
         keeps X and its read-only design with all-zero dummies, and the
         matrix is a copy of that design for as long as the same array
-        object comes back still read-only; so a fit and its predictions on
-        the same rows expand them once.  Any other X is expanded afresh and
+        object comes back still read-only; so a fit without `out` and its
+        predictions on the same rows expand them once.  Any other X is expanded afresh and
         empties the memo, so an array flagged writeable in between is
         expanded anew.  (An array flagged writeable, changed and flagged
         read-only again with no call in between would go unnoticed; a
@@ -585,6 +607,15 @@ class BoundDesign:
             object.__setattr__(self, "_memo", None)
             design = self._design(X, np.empty((n, self.n_columns)))
         return self._set_dummies(design, t)
+
+
+def _most_columns(spec: DesignSpec, k):
+    """The most columns that a binding of `spec` at k treatment levels can
+    have: every spline and curvature term carrying its knots (a spline
+    term without them binds as one main column)."""
+    widths = {"spline": _SPLINE_KNOTS + 1, "curvature": _SPLINE_KNOTS}
+    dummies = k - 1 if spec.includes_treatment_dummies else 0
+    return sum(widths.get(term[0], 1) for term in spec.terms) + dummies
 
 
 def bind_design(data: Dataset, spec: DesignSpec, sorted_columns=None) -> BoundDesign:

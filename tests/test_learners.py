@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,6 +476,70 @@ def test_super_learner_equals_reference_on_low_cardinality_columns(make):
     np.testing.assert_array_equal(cv_risks, want_risks)
     for (_, _, fit), coef in zip(components, coefficients):
         np.testing.assert_array_equal(fit.coefficients, coef)
+
+
+def wide_fold_data(n=400, seed=3):
+    """A continuous column next to one whose lowest value fills just over a
+    quarter of the rows: the full data's two lowest knots of that column
+    coincide, but a training fold that drops enough of those rows separates
+    them and carries its spline."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.normal(size=n), rng.uniform(1.0, 2.0, n)
+    z[:101] = 0.0
+    t = rng.integers(1, 4, n)
+    y = x + z + t + rng.normal(size=n)
+    return Dataset.from_arrays(np.column_stack([x, z]), t, y, columns=("x", "z"))
+
+
+def test_super_learner_equals_reference_when_a_fold_binds_wider_than_the_full_data():
+    data = wide_fold_data()
+    spec = DesignSpec((intercept(), spline("x"), spline("z")), True)
+    fold_of = _cv_folds(data, 10, 5)
+    widths = [bind_design(data.take(np.flatnonzero(fold_of != f)), spec).n_columns for f in range(10)]
+    assert max(widths) > bind_design(data, spec).n_columns
+    candidates = ml_candidates(data)[:2] + (spec,)
+    components, cv_risks = fit_super_learner(data, candidates, seed=5)
+    want_weights, want_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
+    np.testing.assert_array_equal([w for w, _, _ in components], want_weights)
+    np.testing.assert_array_equal(cv_risks, want_risks)
+    for (_, _, fit), coef in zip(components, coefficients):
+        np.testing.assert_array_equal(fit.coefficients, coef)
+
+
+def memory_data(n=2000, seed=11):
+    """The shape of an `mlte estimate` input: three continuous covariates,
+    two binary ones and four arms."""
+    rng = np.random.default_rng(seed)
+    x1, x3 = rng.normal(size=n), rng.uniform(-1.0, 1.0, n)
+    x2 = rng.normal(0.5 * x1, 1.0)
+    b1, b2 = (rng.random(n) < 0.4).astype(float), (rng.random(n) < 0.6).astype(float)
+    t = rng.integers(1, 5, n)
+    y = x1 + np.sin(x2) + x3 * b1 + b2 + 0.5 * t + rng.normal(size=n)
+    return Dataset.from_arrays(np.column_stack([x1, x2, x3, b1, b2]), t, y)
+
+
+def design_bytes(data):
+    """Bytes of the full-data designs of the three ml candidates."""
+    return data.n * 8 * sum(bind_design(data, spec).n_columns for spec in ml_candidates(data))
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_super_learner_memory_is_bounded_by_three_design_copies():
+    # every design of a fit lives in one buffer the fit owns: the knot-free
+    # full-data designs, a workspace for the spline candidate and one fold's
+    # gathered rows; no design is held twice
+    data = memory_data()
+    candidates = ml_candidates(data)
+    assert traced_peak(lambda: fit_super_learner(data, candidates, seed=3)) < 3 * design_bytes(data)
 
 
 @pytest.mark.parametrize("regime", ("correct", "ml"))

@@ -17,6 +17,7 @@ from mlte.outcome_methods import (
 )
 from mlte.simengine import ScenarioConfig, simulate_dataset, truth_outcome_spec
 from mlte.tabular import BoundDesign, Dataset
+from test_learners import design_bytes, memory_data, traced_peak
 
 
 def linear_outcome_fit(data):
@@ -197,6 +198,15 @@ def test_stan_expands_each_design_once_per_fit(pairs, monkeypatch):
     out = fit_outcome(data, "correct", truth_spec=truth_outcome_spec())
     stan_estimates(data, out, pairs, bootstrap_reps=5, seed=1)
     assert len(calls) == 1 + 5
+
+
+def test_ml_bootstrap_memory_holds_one_refit_at_a_time():
+    # each resample and its refit, with the designs its predictions keep,
+    # are freed before the next resample is drawn and fitted
+    data = memory_data()
+    out = fit_outcome(data, "ml", seed=1)
+    peak = traced_peak(lambda: stan_bootstrap(data, out, [(2, 1), (3, 1)], bootstrap_reps=4, seed=5))
+    assert peak < 3 * design_bytes(data)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -608,6 +609,32 @@ def test_load_json_roundtrip(tmp_path):
     assert d.outcome_kind == "binary"
     assert d.columns == ("a", "b")
     assert d.k == 3
+
+
+@pytest.mark.parametrize("change, message", (
+    ({"Y": [0.5, "a", 2.5, 3.5]}, r"key 'Y' row 2: unparseable cell 'a'$"),
+    ({"Y": [0.5, 1.5, None, 3.5]}, r"key 'Y' row 3: unparseable cell None$"),
+    ({"X": [[0.0, 1.0], [1.0, 0.0], [2.0, "b"], [3.0, 1.0]]},
+     r"key 'X' row 3: unparseable cell 'b' in column 'x2'$"),
+    ({"X": [[0.0, 1.0], [1.0, 0.0], [2.0], [3.0, 1.0]]}, r"key 'X' row 3: 1 cells, 'columns' names 2$"),
+    ({"X": [[0.0, 1.0], 1.0, [2.0, 1.0], [3.0, 1.0]]}, r"key 'X' row 2: 1.0 is not a list of cells$"),
+), ids=("text outcome", "null outcome", "text covariate", "short row", "row not a list"))
+def test_load_json_names_the_key_and_row_of_a_bad_value(tmp_path, change, message):
+    payload = {"columns": ["x1", "x2"], "X": [[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]],
+               "T": [1, 2, 1, 2], "Y": [0.5, 1.5, 2.5, 3.5]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({**payload, **change}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
+        load_json(str(path))
+
+
+def test_a_dataset_without_rows_is_rejected_as_having_no_data_rows(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"columns": ["x"], "X": [], "T": [], "Y": []}))
+    with pytest.raises(ValueError, match="^no data rows$"):
+        load_json(str(path))
+    with pytest.raises(ValueError, match="^no data rows$"):
+        Dataset.from_arrays([], [], [])
 
 
 def _missing_label_csv(tmp_path, first="", second="  "):

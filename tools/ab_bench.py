@@ -25,12 +25,17 @@ ties count for neither) and the interquartile range of the base side's own
 runs: a gain counts when the new side wins at least nine pairs in ten and
 its median beats the base's by more than that range.  The ratio's interval
 shows how far the pairs agree: one that excludes 1 is a change this host
-resolves.  The temporary trees are removed afterwards.
+resolves.  Each run also reports `minflt_per_rep_approx`, the minor page
+faults of the run's process and its children (RUSAGE_CHILDREN `ru_minflt`
+before and after) over the replications in the run's result JSON: a work
+counter that host noise barely moves, approximate because it includes
+run.py's own set-up probes.  The temporary trees are removed afterwards.
 """
 
 import argparse
 import json
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,14 +55,22 @@ def export(rev, into):
 
 
 def run(tree, workload, seconds, seed):
+    """The end-to-end metrics of one run, plus its minor page faults per
+    replication (`minflt_per_rep_approx`, set-up probes included)."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {workload} failed\n{proc.stdout}{proc.stderr}")
-    return {k: v["value"] for k, v in json.loads(proc.stdout.splitlines()[-1])["metrics"].items()}
+    metrics = {k: v["value"] for k, v in json.loads(proc.stdout.splitlines()[-1])["metrics"].items()}
+    result = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    reps = sum(study["reps"] for study in json.loads(result.read_text())["detail"]["studies"])
+    metrics["minflt_per_rep_approx"] = faults / reps
+    return metrics
 
 
 def probe(tree, workload, seed, workdir):
