@@ -163,16 +163,21 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _load_dataset(cfg):
-    """The --data file as a Dataset; estimate and diagnose then reject the
-    `correct` regime (plasmode rejects it with its own message)."""
+    """The --data file as a Dataset of at least two treatment levels;
+    estimate and diagnose then reject the `correct` regime (plasmode
+    rejects it with its own message)."""
     if cfg.data is None:
         raise ValueError(f"{cfg.command} requires --data")
-    if cfg.data.endswith(".json"):
+    json_input = cfg.data.endswith(".json")
+    if json_input:
         data = load_json(cfg.data)
     elif cfg.treatment is None or cfg.outcome is None or not cfg.covariates:
         raise ValueError("csv input requires --treatment, --outcome and --covariates")
     else:
         data = load_csv(cfg.data, cfg.treatment, cfg.outcome, list(cfg.covariates))
+    if data.k < 2:
+        where = "key 'T'" if json_input else f"column {cfg.treatment!r}"
+        raise ValueError(f"treatment {where} has a single level; at least 2 levels are needed")
     if cfg.regime == "correct" and cfg.command in ("estimate", "diagnose"):
         raise ValueError("the 'correct' regime only exists inside the simulation engine")
     return data

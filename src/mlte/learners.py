@@ -18,18 +18,18 @@ pairwise interactions and squares; additive natural cubic splines) with
 non-negative-least-squares weights on 10-fold cross-validated predictions;
 the non-negative least squares is Lawson and Hanson's active-set method,
 written in numpy (`_nnls`).
-Every design of one fit is expanded into one float buffer that the fit
-owns.  A candidate without spline knots is expanded there once on the full
-data, and each fold's training and held-out rows are gathered from that
-expansion into the same buffer, bit for bit what expanding each fold gives.
-The spline candidate is bound on each training fold, because its quantile
-knots depend on the fold, but each spline column is sorted once per fit:
-every fold's knots come from that one order, and each fold's design is
-expanded once, on all rows, into a workspace in the buffer, from which its
-rows are gathered; its full-data design is expanded there after the folds,
-for its final fit only.  The fit keeps none of these designs: a bound
-design's memo (see `tabular`) comes from the first prediction on the same
-rows.  Folds keep every treatment level in every training fold.
+A fit works one candidate at a time, as the plain fold loop does: bind on
+the full data, cross-validate, fit on the full data.  Its designs share one
+float buffer the fit owns: a design region as wide as any binding of any
+candidate, and a rows region for one fold's gathered training and held-out
+rows, bit for bit what expanding each fold gives.  The spec decides the
+path: a candidate without spline or curvature terms is expanded once, on
+the full data; any other is bound on each training fold, since its quantile
+knots depend on the fold, with every fold's knots read from one sort per
+spline column per fit, and its full-data design is expanded after the
+folds.  The fit keeps none of these designs: a bound design's memo (see
+`tabular`) comes from the first prediction on the same rows.  Folds keep
+every treatment level in every training fold.
 The ml treatment model searches a natural-spline basis (spline mains for
 continuous covariates, mains for binary ones, and spline-by-binary
 interactions) by forward stepwise group selection under BIC, in the spirit
@@ -326,20 +326,19 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     cross-validated risk.  Squared-error loss is used for both outcome kinds
     (binary outcomes are stacked on the probability scale).
 
-    Every design is expanded, through `matrix(..., out=)`, into one float
-    buffer that the fit allocates and owns.  The buffer holds the full-data
-    design of each candidate that binds without spline knots, expanded
-    once; a workspace for a knotted candidate's expansion; and the current
-    fold's training and held-out rows of one candidate, gathered from its
-    design.  Expansion is row by row, so a gathered row is exactly the
-    per-fold expansion.  A knotted candidate is bound on each training
-    fold, with one sort per spline column per fit: the full data's and
-    every fold's knots come from that order (`_column_orders`,
-    `_sorted_outside`, once per fold), and each fold's design is expanded
-    on all n rows into the workspace.  Its full-data design is expanded
-    into the workspace after the folds, for its final fit only.  No bound
-    design keeps a memo of the fit's designs: the first `predict` on the
-    same rows expands them again.
+    Candidates are taken one at a time, in the plain fold loop's order:
+    bound on the full data, cross-validated, fitted on the full data.  Every
+    design is expanded, through `matrix(..., out=)`, into one buffer the fit
+    owns, of 2 * n * w floats for the widest binding w of any candidate
+    (`tabular._most_columns`): a design region for the current candidate's
+    design and a rows region for one fold's training and held-out rows,
+    gathered from it (row-by-row expansion makes them exactly the per-fold
+    expansion).  The spec, not its full-data binding, decides the path: a
+    spec without spline or curvature terms is expanded once on the full
+    data; any other is bound and expanded on all n rows per training fold,
+    its knots read from one sort per spline column per fit
+    (`_column_orders`, `_sorted_outside`), and expanded on the full data
+    after its folds.  No bound design keeps a memo of these designs.
 
     The non-negative least squares is `_nnls`, Lawson and Hanson's
     active-set method in numpy.
@@ -355,34 +354,34 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
         raise ValueError("need at least one candidate")
     fold_of = _cv_folds(data, folds, seed)
     ordered = _column_orders(data, candidates, fold_of)
-    bounds = [bind_design(data, spec, _sorted_outside(ordered, -1)) for spec in candidates]
+    tests = [np.flatnonzero(fold_of == f) for f in range(folds)]
 
-    # the knot-free designs, a workspace as wide as any binding of a knotted
-    # candidate (a fold may bind one wider than the full data does), and
-    # one fold's gathered rows of the widest design
-    fixed = [b.n_columns for b in bounds if not b.knots]
-    spare = max((_most_columns(spec, data.k) for spec, b in zip(candidates, bounds) if b.knots), default=0)
-    buffer = np.empty(n * (sum(fixed) + spare + max(fixed + [spare])))
-    designs, at = [], 0
-    for bound in bounds:
-        if bound.knots:
-            designs.append(None)
-        else:
-            designs.append(bound.matrix(data.X, data.t, out=buffer[at:]))
-            at += n * bound.n_columns
-    workspace, rows = buffer[at: at + n * spare], buffer[at + n * spare:]
+    # a design region as wide as any binding of any candidate (a fold may
+    # bind a spline that the full data binds as a main term), and a rows
+    # region for one fold's gathered training and held-out rows
+    width = max(_most_columns(spec, data.k) for spec in candidates)
+    buffer = np.empty(2 * n * width)
+    design, rows = buffer[: n * width], buffer[n * width:]
 
     cv_pred = np.zeros((n, len(candidates)))
-    for f in range(folds):
-        train, test = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
-        outside = _sorted_outside(ordered, f)
-        for c, (spec, D) in enumerate(zip(candidates, designs)):
+    bounds, fits = [], []
+    for c, spec in enumerate(candidates):
+        bound = bind_design(data, spec, _sorted_outside(ordered, -1))
+        per_fold = any(term[0] in ("spline", "curvature") for term in spec.terms)
+        if not per_fold:
+            D = bound.matrix(data.X, data.t, out=design)
+        for f, test in enumerate(tests):
+            train = np.flatnonzero(fold_of != f)
             sub = data.take(train)
-            if D is None:
-                D = bind_design(sub, spec, outside).matrix(data.X, data.t, out=workspace)
+            if per_fold:
+                D = bind_design(sub, spec, _sorted_outside(ordered, f)).matrix(data.X, data.t, out=design)
             D_train = _gather(D, train, rows)
             D_test = _gather(D, test, rows[D_train.size:])
             cv_pred[test, c] = _fit_glm(D_train, sub).predict(D_test)
+        if per_fold:
+            D = bound.matrix(data.X, data.t, out=design)
+        bounds.append(bound)
+        fits.append(_fit_glm(D, data))
 
     weights = _nnls(cv_pred, data.y)
     cv_risks = ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
@@ -390,13 +389,7 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
         weights = np.zeros(len(candidates))
         weights[int(np.argmin(cv_risks))] = 1.0
     weights = weights / weights.sum()
-
-    components = []
-    for w, bound, D in zip(weights, bounds, designs):
-        if D is None:
-            D = bound.matrix(data.X, data.t, out=workspace)
-        components.append((float(w), bound, _fit_glm(D, data)))
-    return tuple(components), cv_risks
+    return tuple((float(w), bound, fit) for w, bound, fit in zip(weights, bounds, fits)), cv_risks
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ counterfactual predictions on the same rows then expand the covariates
 once, and each later call copies the kept design and sets its dummies.  A
 writeable matrix or a view is expanded on every call, and so is a matrix
 expanded into a caller's buffer (``out=``), which leaves the kept design as
-it is: a super-learner fit expands its designs into one buffer it owns and
-gathers each fold's rows there, so its bound designs keep the design of
-their first prediction, not of the fit.  The kept design is reused only
+it is: a super-learner fit works one candidate at a time in one buffer it
+owns, expanding the candidate's design into its design region and
+gathering each fold's rows into its rows region, so its bound designs keep
+the design of their first prediction, not of the fit.  The kept design is reused only
 for the identical array object, so results are bit-identical to expanding
 afresh.
 """

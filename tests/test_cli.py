@@ -287,6 +287,26 @@ def test_diagnose_on_unconfounded_assignment(tmp_path, capsys):
         assert row["arm_min"] >= row["min"]
 
 
+@pytest.mark.parametrize("command", ("estimate", "diagnose", "plasmode"))
+def test_a_single_treatment_level_is_rejected(command, tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    csv_path = tmp_path / "one.csv"
+    rows = (f"a,{int(rng.random() < 0.5)},{rng.normal()!r}\n" for _ in range(60))
+    csv_path.write_text("arm,y,x\n" + "".join(rows))
+    json_path = tmp_path / "one.json"
+    json_path.write_text(json.dumps({"columns": ["x"], "X": rng.normal(size=(30, 1)).tolist(),
+                                     "T": [1] * 30, "Y": [int(v) for v in rng.integers(0, 2, 30)]}))
+    for argv, where in (
+        (["--data", str(csv_path), "--treatment", "arm", "--outcome", "y", "--covariates", "x"],
+         "column 'arm'"),
+        (["--data", str(json_path)], "key 'T'"),
+    ):
+        assert run_cli([command, *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: treatment {where} has a single level; at least 2 levels are needed\n"
+        )
+
+
 # ---------------------------------------------------------------------------
 # flag table and environment fallback
 

@@ -206,7 +206,7 @@ def test_ml_bootstrap_memory_holds_one_refit_at_a_time():
     data = memory_data()
     out = fit_outcome(data, "ml", seed=1)
     peak = traced_peak(lambda: stan_bootstrap(data, out, [(2, 1), (3, 1)], bootstrap_reps=4, seed=5))
-    assert peak < 3 * design_bytes(data)
+    assert peak < 2 * design_bytes(data)
 
 
 # ---------------------------------------------------------------------------

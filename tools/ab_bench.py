@@ -25,15 +25,20 @@ ties count for neither) and the interquartile range of the base side's own
 runs: a gain counts when the new side wins at least nine pairs in ten and
 its median beats the base's by more than that range.  The ratio's interval
 shows how far the pairs agree: one that excludes 1 is a change this host
-resolves.  Each run also reports `minflt_per_rep_approx`, the minor page
-faults of the run's process and its children (RUSAGE_CHILDREN `ru_minflt`
-before and after) over the replications in the run's result JSON: a work
-counter that host noise barely moves, approximate because it includes
-run.py's own set-up probes.  The temporary trees are removed afterwards.
+resolves.  Each metric that BENCHMARK.json bounds gets a second line with
+two verdicts (see `verdicts`): whether that claim rule is met, and whether
+the median change is within the metric's bound, beyond it, or unresolved
+because the base runs spread wider than the bound.  Each run also
+reports `minflt_per_rep_approx`, the minor page faults of the run's
+process and its children (RUSAGE_CHILDREN `ru_minflt` before and after)
+over the replications in the run's result JSON: a work counter that host
+noise barely moves, approximate because it includes run.py's own set-up
+probes.  The temporary trees are removed afterwards.
 """
 
 import argparse
 import json
+import math
 import random
 import resource
 import statistics
@@ -46,6 +51,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in CONTRACT["workloads"]]
 BETTER = {m["name"]: m["better"] for m in CONTRACT["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in CONTRACT["end_to_end"]}
 
 
 def export(rev, into):
@@ -94,10 +100,48 @@ def ratio_interval(ratios, resamples=2000, seed=0):
     return statistics.median(ratios), cuts[0], cuts[-1]
 
 
+def base_iqr(base):
+    """The interquartile range of the base side's runs; infinite for fewer
+    than two runs, whose spread is unknown."""
+    if len(base) < 2:
+        return math.inf
+    q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    return q3 - q1
+
+
+def verdicts(base, new, better, bound):
+    """The two verdicts on one metric's paired runs `base` and `new`, where
+    `better` is "higher" or "lower" and `bound` the relative worsening the
+    benchmark allows.
+
+    The claim rule is met when the new side reads better in at least nine
+    pairs in ten (ties count for neither), over at least ten pairs, and its
+    median beats the base median by more than the base runs' interquartile
+    range.  The bound check compares the median change, as a fraction of
+    the base median and counted positive when worse, with `bound`: "within
+    bound" or "beyond bound", but "unresolved" when the base runs' own
+    interquartile range, as a fraction of their median, is wider than the
+    bound and not every new run reads better than every base run."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
+    gain = sign * (statistics.median(new) - statistics.median(base))
+    iqr = base_iqr(base)
+    met = len(base) >= 10 and wins >= 0.9 * len(base) and gain > iqr
+    claim = "claim rule met" if met else "claim rule not met"
+    scale = abs(statistics.median(base))
+    every_new_better = min(sign * v for v in new) > max(sign * v for v in base)
+    if not every_new_better and (scale == 0 or iqr > bound * scale):
+        check = "unresolved"
+    else:
+        check = "within bound" if -gain <= bound * scale else "beyond bound"
+    return claim, check
+
+
 def summary(workload, runs, probes):
     """Per metric: the medians, the median per-pair ratio with its interval,
-    the pairs the new side won and the base side's interquartile range;
-    `setup_s` also gets the probes' medians."""
+    the pairs the new side won and the base side's interquartile range,
+    then the claim-rule and bound verdicts of `verdicts` for the metrics
+    BENCHMARK.json bounds; `setup_s` also gets the probes' medians."""
     lines = []
     for m in runs["base"][0]:
         base, new = [r[m] for r in runs["base"]], [r[m] for r in runs["new"]]
@@ -113,9 +157,10 @@ def summary(workload, runs, probes):
             wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
             line += f", new better in {wins}/{len(base)} pairs"
         if len(base) > 1:
-            q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
-            line += f", base IQR {q3 - q1:.4g}"
+            line += f", base IQR {base_iqr(base):.4g}"
         lines.append(line)
+        if m in BOUND:
+            lines.append(f"{workload} {m}: " + ", ".join(verdicts(base, new, BETTER[m], BOUND[m])))
     return "\n".join(lines)
 
 
