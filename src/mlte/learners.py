@@ -17,19 +17,22 @@ The ml outcome ensemble stacks three candidates (main terms; mains plus all
 pairwise interactions and squares; additive natural cubic splines) with
 non-negative-least-squares weights on 10-fold cross-validated predictions;
 the non-negative least squares is Lawson and Hanson's active-set method,
-written in numpy (`_nnls`).
-A fit works one candidate at a time, as the plain fold loop does: bind on
-the full data, cross-validate, fit on the full data.  Its designs share one
-float buffer the fit owns: a design region as wide as any binding of any
-candidate, and a rows region for one fold's gathered training and held-out
-rows, bit for bit what expanding each fold gives.  The spec decides the
-path: a candidate without spline or curvature terms is expanded once, on
-the full data; any other is bound on each training fold, since its quantile
-knots depend on the fold, with every fold's knots read from one sort per
-spline column per fit, and its full-data design is expanded after the
-folds.  The fit keeps none of these designs: a bound design's memo (see
-`tabular`) comes from the first prediction on the same rows.  Folds keep
-every treatment level in every training fold.
+written in numpy (`_nnls`), and where it fails the least-risk candidate
+takes all the weight.  The library is fixed: `fit_super_learner` builds
+the three candidates itself (`_ml_candidates`) from one argsort per
+covariate, whose order also gives every training fold's knots.
+A fit binds the three on the full data and then works one candidate at a
+time, as the plain fold loop does: cross-validate, fit on the full data.
+Its designs share one float buffer the fit owns: a design region as wide
+as the widest full-data binding, and a rows region for one fold's gathered
+training and held-out rows, bit for bit what expanding each fold gives.
+The full-data binding decides the path: a candidate without knots is
+expanded once, on the full data; the spline candidate is bound on each
+training fold, since its quantile knots depend on the fold, and its
+full-data design is expanded after the folds.  The fit keeps none of these
+designs: a bound design's memo (see `tabular`) comes from the first
+prediction on the same rows.  Folds keep every treatment level in every
+training fold.
 The ml treatment model searches a natural-spline basis (spline mains for
 continuous covariates, mains for binary ones, and spline-by-binary
 interactions) by forward stepwise group selection under BIC, in the spirit
@@ -58,7 +61,6 @@ from .tabular import (
     Dataset,
     DesignSpec,
     _knots_of_sorted,
-    _most_columns,
     bind_design,
     curvature,
     intercept,
@@ -161,7 +163,8 @@ class PropensityFit:
 def _sorted_columns(data: Dataset):
     """Each covariate of `data` sorted ascending, one sort per column: the
     ml designs read from these which covariates are binary and which can
-    carry a spline, and bind their knots from them."""
+    carry a spline, and bind their knots from them.  The super learner
+    sorts by argsort instead, whose orders it also needs."""
     return [np.sort(x) for x in data.X.T]
 
 
@@ -257,7 +260,9 @@ def _nnls(A, b):
     one, a leaving column goes to the front), and the first largest
     gradient entry enters; so exactly equal columns get the weight in the
     same column as ``scipy.optimize.nnls``.  Columns off the active set
-    have weight exactly 0.
+    have weight exactly 0.  Exactly or nearly equal columns can keep the
+    method from converging or make an active set's A'A singular; either
+    raises RuntimeError.
     """
     AtA, Atb = A.T @ A, A.T @ b
     n = len(Atb)
@@ -273,7 +278,10 @@ def _nnls(A, b):
         del free[0]
         while True:
             s = np.zeros(n)
-            s[active] = np.linalg.solve(AtA[np.ix_(active, active)], Atb[active])
+            try:
+                s[active] = np.linalg.solve(AtA[np.ix_(active, active)], Atb[active])
+            except np.linalg.LinAlgError as err:
+                raise RuntimeError("non-negative least squares met a singular active set") from err
             if s[active].min() > 0:
                 break
             # step from x towards s until the first active weight reaches 0
@@ -288,23 +296,22 @@ def _nnls(A, b):
     raise RuntimeError("non-negative least squares did not converge")
 
 
-def _column_orders(data: Dataset, candidates, fold_of):
-    """One sort per column that a candidate splines: {column index: (its
-    values in ascending order, the fold of each of those rows)}."""
-    splined = {data.column_index(term[1]) for spec in candidates for term in spec.terms
-               if term[0] in ("spline", "curvature")}
-    ordered = {}
-    for j in sorted(splined):
-        order = np.argsort(data.X[:, j])
-        ordered[j] = (data.X[order, j], fold_of[order])
-    return ordered
+def _ml_candidates(data: Dataset, sorted_columns):
+    """The three candidates of an ml outcome fit, read from each covariate
+    sorted ascending (as `_sorted_columns` gives them): main terms, the rich
+    parametric design and the additive spline design, each with treatment
+    dummies."""
+    return (
+        _mainterms_spec(data, with_dummies=True),
+        _rich_parametric_spec(data, True, sorted_columns),
+        _additive_spline_spec(data, True, sorted_columns),
+    )
 
 
 def _sorted_outside(ordered, f):
     """The `sorted_columns` mapping of `bind_design` for the rows outside
-    fold f (all rows for f = -1): each column's ordered values with fold
-    f's removed, still ascending, so every fold binds its knots without a
-    sort."""
+    fold f: each column's ordered values with fold f's removed, still
+    ascending, so every fold binds its knots without a sort."""
     return {j: values[fold != f] for j, (values, fold) in ordered.items()}
 
 
@@ -315,33 +322,35 @@ def _gather(D, rows, into):
     return np.take(D, rows, axis=0, out=into[: len(rows) * D.shape[1]].reshape(len(rows), -1), mode="clip")
 
 
-def fit_super_learner(data: Dataset, candidates, seed=0):
-    """Stack candidate outcome designs by `_SL_FOLDS`-fold cross-validation.
+def fit_super_learner(data: Dataset, seed=0):
+    """Stack the three ml candidates (`_ml_candidates`) by
+    `_SL_FOLDS`-fold cross-validation.
 
-    Each candidate is a DesignSpec; fold membership comes from a seeded
-    permutation (see _cv_folds).  Candidate predictions on held-out folds
-    are combined by non-negative least squares against the observed outcome
-    and the solution is normalized to the simplex.  An all-zero NNLS
-    solution falls back to the single candidate with the smallest
-    cross-validated risk.  Squared-error loss is used for both outcome kinds
-    (binary outcomes are stacked on the probability scale).
+    Fold membership comes from a seeded permutation (see _cv_folds).
+    Candidate predictions on held-out folds are combined by non-negative
+    least squares against the observed outcome and the solution is
+    normalized to the simplex.  An all-zero solution, or one that `_nnls`
+    cannot find, falls back to the single candidate with the smallest
+    cross-validated risk.  Squared-error loss is used for both outcome
+    kinds (binary outcomes are stacked on the probability scale).
+
+    Each covariate is sorted once, by one argsort: the sorted columns give
+    the candidates' binary and spline questions and the full-data knots,
+    and the same orders, with each row's fold, give every training fold's
+    knots (`_sorted_outside`) for the columns that carry them.
 
     Candidates are taken one at a time, in the plain fold loop's order:
-    bound on the full data, cross-validated, fitted on the full data.  Every
-    design is expanded, through `matrix(..., out=)`, into one buffer the fit
-    owns, of 2 * n * w floats for the widest binding w of any candidate
-    (`tabular._most_columns`): a design region for the current candidate's
-    design and a rows region for one fold's training and held-out rows,
-    gathered from it (row-by-row expansion makes them exactly the per-fold
-    expansion).  The spec, not its full-data binding, decides the path: a
-    spec without spline or curvature terms is expanded once on the full
-    data; any other is bound and expanded on all n rows per training fold,
-    its knots read from one sort per spline column per fit
-    (`_column_orders`, `_sorted_outside`), and expanded on the full data
-    after its folds.  No bound design keeps a memo of these designs.
-
-    The non-negative least squares is `_nnls`, Lawson and Hanson's
-    active-set method in numpy.
+    cross-validated, then fitted on the full data.  Every design is
+    expanded, through `matrix(..., out=)`, into one buffer the fit owns, of
+    2 * n * w floats for the widest full-data binding w: a design region
+    for the current candidate's design and a rows region for one fold's
+    training and held-out rows, gathered from it (row-by-row expansion
+    makes them exactly the per-fold expansion).  No fold binds wider than
+    the full data, since the spline candidate splines only the columns
+    whose full-data knots exist.  A candidate whose full-data binding has
+    no knots is expanded once, on the full data; any other is bound and
+    expanded on all n rows per training fold, and expanded on the full
+    data after its folds.  No bound design keeps a memo of these designs.
 
     Returns (components, cv_risks): one (weight, bound design, full-data
     fit) triple per candidate, in candidate order, with the weights on the
@@ -350,44 +359,45 @@ def fit_super_learner(data: Dataset, candidates, seed=0):
     n, folds = data.n, _SL_FOLDS
     if n < folds:
         raise ValueError(f"need at least {folds} rows for {folds}-fold stacking")
-    if not candidates:
-        raise ValueError("need at least one candidate")
     fold_of = _cv_folds(data, folds, seed)
-    ordered = _column_orders(data, candidates, fold_of)
+    orders = [np.argsort(x) for x in data.X.T]
+    columns = [x[order] for x, order in zip(data.X.T, orders)]
+    bounds = [bind_design(data, spec, columns) for spec in _ml_candidates(data, columns)]
+    knotted = {bound.column_index[bound.spec.terms[pos][1]] for bound in bounds for pos in bound.knots}
+    ordered = {j: (columns[j], fold_of[orders[j]]) for j in knotted}
+    del orders  # the fold loop needs only the knotted columns' folds
     tests = [np.flatnonzero(fold_of == f) for f in range(folds)]
 
-    # a design region as wide as any binding of any candidate (a fold may
-    # bind a spline that the full data binds as a main term), and a rows
-    # region for one fold's gathered training and held-out rows
-    width = max(_most_columns(spec, data.k) for spec in candidates)
+    # a design region as wide as the widest binding, and a rows region for
+    # one fold's gathered training and held-out rows
+    width = max(bound.n_columns for bound in bounds)
     buffer = np.empty(2 * n * width)
     design, rows = buffer[: n * width], buffer[n * width:]
 
-    cv_pred = np.zeros((n, len(candidates)))
-    bounds, fits = [], []
-    for c, spec in enumerate(candidates):
-        bound = bind_design(data, spec, _sorted_outside(ordered, -1))
-        per_fold = any(term[0] in ("spline", "curvature") for term in spec.terms)
-        if not per_fold:
+    cv_pred = np.zeros((n, len(bounds)))
+    fits = []
+    for c, bound in enumerate(bounds):
+        if not bound.knots:
             D = bound.matrix(data.X, data.t, out=design)
         for f, test in enumerate(tests):
             train = np.flatnonzero(fold_of != f)
             sub = data.take(train)
-            if per_fold:
-                D = bind_design(sub, spec, _sorted_outside(ordered, f)).matrix(data.X, data.t, out=design)
+            if bound.knots:
+                D = bind_design(sub, bound.spec, _sorted_outside(ordered, f)).matrix(data.X, data.t, out=design)
             D_train = _gather(D, train, rows)
             D_test = _gather(D, test, rows[D_train.size:])
             cv_pred[test, c] = _fit_glm(D_train, sub).predict(D_test)
-        if per_fold:
+        if bound.knots:
             D = bound.matrix(data.X, data.t, out=design)
-        bounds.append(bound)
         fits.append(_fit_glm(D, data))
 
-    weights = _nnls(cv_pred, data.y)
     cv_risks = ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
+    try:
+        weights = _nnls(cv_pred, data.y)
+    except RuntimeError:
+        weights = np.zeros(len(bounds))
     if weights.sum() <= 0:
-        weights = np.zeros(len(candidates))
-        weights[int(np.argmin(cv_risks))] = 1.0
+        weights = (np.arange(len(bounds)) == np.argmin(cv_risks)).astype(float)
     weights = weights / weights.sum()
     return tuple((float(w), bound, fit) for w, bound, fit in zip(weights, bounds, fits)), cv_risks
 
@@ -408,15 +418,9 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "ml":
-        columns = _sorted_columns(data)
-        candidates = (
-            _mainterms_spec(data, with_dummies=True),
-            _rich_parametric_spec(data, True, columns),
-            _additive_spline_spec(data, True, columns),
-        )
-        components, cv_risks = fit_super_learner(data, candidates, seed=seed)
+        components, cv_risks = fit_super_learner(data, seed=seed)
         wtxt = "/".join(f"{w:.2f}" for w, _, _ in components)
-        desc = f"super learner ({len(candidates)} candidates, {_SL_FOLDS}-fold cv, weights {wtxt})"
+        desc = f"super learner ({len(components)} candidates, {_SL_FOLDS}-fold cv, weights {wtxt})"
         return OutcomeFit("ml", data.outcome_kind, data.k, desc, components, cv_risks=cv_risks)
 
     bound = bind_design(data, _parametric_spec(data, regime, truth_spec, with_dummies=True))

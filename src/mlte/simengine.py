@@ -268,10 +268,11 @@ def _apply_methods(
 
     Returns ({(method, pair): EffectEstimate}, {method: error message}).
     A model-fit failure fails all methods depending on that model; an
-    estimator failure fails only its own method.  Only the numeric and data
-    errors the fits and estimators raise (ValueError, which includes
-    LinAlgError, and RuntimeError) count as failures; anything else
-    propagates.
+    estimator failure fails only its own method, on every pair: a method
+    gives estimates only when it gives one for every pair.  Only the
+    numeric and data errors the fits and estimators raise (ValueError,
+    which includes LinAlgError, and RuntimeError) count as failures;
+    anything else propagates.
     """
     learner_seed = np.random.SeedSequence(seed, spawn_key=(_TAG_LEARNER, rep))
     bootstrap_seed = (seed, _TAG_BOOTSTRAP, rep)
@@ -313,13 +314,13 @@ def _apply_methods(
         args = [inputs[name] for name in row.inputs]
         try:
             if row.batched:
-                for pair, est in entry(data, *args, pairs, bootstrap_reps, bootstrap_seed).items():
-                    results[(meth, pair)] = est
+                estimates = entry(data, *args, pairs, bootstrap_reps, bootstrap_seed)
             else:
-                for pair in pairs:
-                    results[(meth, pair)] = entry(data, *args, pair)
+                estimates = {pair: entry(data, *args, pair) for pair in pairs}
         except (ValueError, RuntimeError) as err:
             failures[meth] = str(err)
+            continue
+        results.update(((meth, pair), est) for pair, est in estimates.items())
     return results, failures
 
 

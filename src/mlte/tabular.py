@@ -24,12 +24,12 @@ counterfactual predictions on the same rows then expand the covariates
 once, and each later call copies the kept design and sets its dummies.  A
 writeable matrix or a view is expanded on every call, and so is a matrix
 expanded into a caller's buffer (``out=``), which leaves the kept design as
-it is: a super-learner fit works one candidate at a time in one buffer it
-owns, expanding the candidate's design into its design region and
-gathering each fold's rows into its rows region, so its bound designs keep
-the design of their first prediction, not of the fit.  The kept design is reused only
-for the identical array object, so results are bit-identical to expanding
-afresh.
+it is: a super-learner fit works one of its three candidates at a time in
+one buffer it owns, as wide as the widest full-data binding, expanding the
+candidate's design into its design region and gathering each fold's rows
+into its rows region, so its bound designs keep the design of their first
+prediction, not of the fit.  The kept design is reused only for the
+identical array object, so results are bit-identical to expanding afresh.
 """
 
 from __future__ import annotations
@@ -608,15 +608,6 @@ class BoundDesign:
             object.__setattr__(self, "_memo", None)
             design = self._design(X, np.empty((n, self.n_columns)))
         return self._set_dummies(design, t)
-
-
-def _most_columns(spec: DesignSpec, k):
-    """The most columns that a binding of `spec` at k treatment levels can
-    have: every spline and curvature term carrying its knots (a spline
-    term without them binds as one main column)."""
-    widths = {"spline": _SPLINE_KNOTS + 1, "curvature": _SPLINE_KNOTS}
-    dummies = k - 1 if spec.includes_treatment_dummies else 0
-    return sum(widths.get(term[0], 1) for term in spec.terms) + dummies
 
 
 def bind_design(data: Dataset, spec: DesignSpec, sorted_columns=None) -> BoundDesign:

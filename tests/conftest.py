@@ -1,19 +1,25 @@
 """Shared fixtures: replication studies for the acceptance tests, and the
-environment of a command-line subprocess in an ASCII locale.
+environment of a command-line subprocess in an ASCII locale; and the one
+Hypothesis profile of the suite.
 
 Each study fixture runs one full replication study once per session, on a
 process pool of one worker per core; the acceptance tests read several
 gated quantities from the same report.  Everything is deterministic given
 the pinned seeds, and reports are identical across worker counts, so the
-asserted numbers are stable run to run.
+asserted numbers are stable run to run.  So are the `@given` tests: one
+profile derandomizes them, with no example database and no deadline.
 """
 
 import os
 
 import pytest
+from hypothesis import settings
 
 import mlte
 from mlte.simengine import ScenarioConfig, run_scenario
+
+settings.register_profile("mlte", derandomize=True, database=None, deadline=None)
+settings.load_profile("mlte")
 
 
 def scenario_report(scenario, seed, regime, methods=None, n=1000, reps=500, bootstrap_reps=0):

@@ -11,13 +11,13 @@ slow way, for the differential tests that pin the fast path to it.
 - `reference_folds`: `learners._cv_folds`, pinned by test_learners.py's
   test_cv_folds_keep_the_permutation_when_every_training_fold_has_every_level
   and test_cv_folds_put_every_level_in_every_training_fold.
-- `reference_super_learner`: `learners.fit_super_learner`, which works one
+- `reference_super_learner`: `learners.fit_super_learner`, which builds
+  the three ml candidates from one argsort per covariate and works one
   candidate at a time in one buffer with a design region and a rows
-  region, its path decided by the spec; pinned by test_learners.py's
+  region; pinned on those candidates by test_learners.py's
   test_super_learner_equals_reference_fold_loop,
-  test_super_learner_equals_reference_on_low_cardinality_columns,
-  test_super_learner_equals_reference_when_a_fold_binds_wider_than_the_full_data
-  and, on drawn datasets and specs,
+  test_super_learner_equals_reference_on_low_cardinality_columns (one of
+  whose datasets makes `_nnls` fail) and, on drawn datasets,
   test_super_learner_equals_reference_on_drawn_inputs.
 - `reference_matches`: the chunked search of `matching.build_matches`,
   pinned by test_matching.py's test_match_sets_equal_full_matrix_reference
@@ -95,7 +95,7 @@ def reference_folds(n, folds, seed):
 def reference_super_learner(data, candidates, folds, seed):
     """Cross-validated predictions by binding and expanding every candidate
     on every training fold, then the same stacking (the candidate with the
-    least cross-validated risk when every weight is 0)."""
+    least cross-validated risk when every weight is 0 or `_nnls` fails)."""
     fold_of = reference_folds(data.n, folds, seed)
     cv_pred = np.zeros((data.n, len(candidates)))
     for c, spec in enumerate(candidates):
@@ -105,7 +105,11 @@ def reference_super_learner(data, candidates, folds, seed):
             bound = bind_design(sub, spec)
             fit = fit_ols(bound.matrix(sub.X, sub.t), sub.y)
             cv_pred[test, c] = fit.predict(bound.matrix(data.X[test], data.t[test]))
-    weights, risks = _nnls(cv_pred, data.y), ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
+    risks = ((cv_pred - data.y[:, None]) ** 2).mean(axis=0)
+    try:
+        weights = _nnls(cv_pred, data.y)
+    except RuntimeError:
+        weights = np.zeros(len(candidates))
     if weights.sum() <= 0:
         weights = (np.arange(len(candidates)) == np.argmin(risks)).astype(float)
     coefficients = [

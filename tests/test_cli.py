@@ -16,7 +16,7 @@ from mlte.outcome_methods import estimate_crude
 from mlte.simengine import PlasmodeConfig, ScenarioConfig
 from mlte.tabular import Dataset, load_csv
 from test_golden import GOLDEN
-from test_learners import rare_value_data
+from test_learners import binary_and_constant_data, rare_value_data
 
 DEMO_CSV, BINARY_CSV = str(GOLDEN / "continuous.csv"), str(GOLDEN / "binary.csv")
 DEMO_ARGS = ["--treatment", "trt", "--outcome", "resp", "--covariates", "x1,x2,x3"]
@@ -179,6 +179,20 @@ def test_estimate_ml_regime_with_rare_covariate_values(tmp_path, capsys):
     path = write_csv(tmp_path / "rare.csv", rare_value_data())
     rc = run_cli(["estimate", "--data", path, "--treatment", "t", "--outcome", "y",
                   "--covariates", "x,g", "--regime", "ml", "--bootstrap", "5", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == {}
+    assert len(payload["tables"]) == 8
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_estimate_ml_regime_with_only_binary_and_constant_covariates(tmp_path, capsys, seed):
+    # the super learner's cross-validated columns are nearly equal, where
+    # its non-negative least squares can fail; every method still reports
+    path = write_csv(tmp_path / "flat.csv", binary_and_constant_data())
+    rc = run_cli(["estimate", "--data", path, "--treatment", "t", "--outcome", "y",
+                  "--covariates", "b,c", "--regime", "ml", "--bootstrap", "20",
+                  "--seed", str(seed), "--format", "json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["failures"] == {}

@@ -2,7 +2,6 @@
 
 import dataclasses
 import pickle
-import re
 import sys
 import tracemalloc
 
@@ -12,18 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlte.learners import (
-    _column_orders,
     _is_binary_sorted,
     _cv_folds,
+    _ml_candidates,
     _nnls,
     _sorted_columns,
-    _sorted_outside,
     _stepwise_groups,
     fit_outcome,
     fit_propensity,
     fit_super_learner,
     _additive_spline_spec,
-    _mainterms_spec,
     _rich_parametric_spec,
 )
 from mlte.simengine import (
@@ -40,9 +37,7 @@ from mlte.tabular import (
     DesignSpec,
     _knots_of_sorted,
     bind_design,
-    curvature,
     intercept,
-    interaction,
     main,
     spline,
     square,
@@ -57,13 +52,8 @@ def scenario_data(scenario="t-y-", n=800, seed=0, rep=0, regime="correct"):
 
 
 def ml_candidates(data):
-    """The three candidates of an ml outcome fit, as `fit_outcome` builds them."""
-    columns = _sorted_columns(data)
-    return (
-        _mainterms_spec(data, with_dummies=True),
-        _rich_parametric_spec(data, True, columns),
-        _additive_spline_spec(data, True, columns),
-    )
+    """The three candidates of an ml outcome fit."""
+    return _ml_candidates(data, _sorted_columns(data))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +159,7 @@ def test_super_learner_prefers_correct_candidate_family():
     X = rng.normal(size=(n, 2))
     t = np.tile([1, 2, 3], n // 3)
     y = 1.0 + 0.8 * X[:, 0] - 0.5 * X[:, 1] + 0.7 * (t == 2) + 1.1 * (t == 3) + 0.05 * rng.normal(size=n)
-    data = Dataset.from_arrays(X, t, y)
-    candidates = ml_candidates(data)
-    components, _ = fit_super_learner(data, candidates, seed=3)
+    components, _ = fit_super_learner(Dataset.from_arrays(X, t, y), seed=3)
     assert np.argmax([weight for weight, _, _ in components]) == 0
 
 
@@ -428,15 +416,19 @@ def test_sliced_fold_designs_equal_per_fold_expansion():
             np.testing.assert_array_equal(D[test], bound.matrix(data.X[test], data.t[test]))
 
 
-def test_super_learner_equals_reference_fold_loop():
-    data = ordinal_data(n=400, seed=21)
-    candidates = ml_candidates(data)
-    components, cv_risks = fit_super_learner(data, candidates, seed=5)
-    want_weights, want_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
+def assert_super_learner_equals_reference(data, seed=5):
+    """`fit_super_learner` against `reference_super_learner` on the ml
+    candidates: weights, cv risks and coefficients, bit for bit."""
+    components, cv_risks = fit_super_learner(data, seed=seed)
+    want_weights, want_risks, coefficients = reference_super_learner(data, ml_candidates(data), 10, seed)
     np.testing.assert_array_equal([w for w, _, _ in components], want_weights)
     np.testing.assert_array_equal(cv_risks, want_risks)
     for (_, _, fit), coef in zip(components, coefficients):
         np.testing.assert_array_equal(fit.coefficients, coef)
+
+
+def test_super_learner_equals_reference_fold_loop():
+    assert_super_learner_equals_reference(ordinal_data(n=400, seed=21))
 
 
 def tied_column_data(n=400, seed=4):
@@ -450,68 +442,42 @@ def tied_column_data(n=400, seed=4):
 
 
 @pytest.mark.parametrize("make", (ordinal_data, rare_top_value_data, tied_column_data))
-def test_one_sort_fold_knots_equal_binding_each_fold(make):
+def test_one_sort_fold_knots_equal_binding_each_fold(make, monkeypatch):
+    # every binding a fit makes, on the full data and on each training fold,
+    # against binding the same rows by sorting each column
     data = make()
-    specs = (ml_candidates(data)[2], DesignSpec((intercept(), main("x"), curvature("x")), True))
-    fold_of = _cv_folds(data, 10, 3)
-    ordered = _column_orders(data, specs, fold_of)
-    fallbacks = 0
-    for f in range(-1, 10):  # -1: the full data
-        sub = data.take(np.flatnonzero(fold_of != f))
-        for spec in specs:
-            got, want = bind_design(sub, spec, _sorted_outside(ordered, f)), bind_design(sub, spec)
-            assert got == want
-            assert all(got.knots[pos].tobytes() == want.knots[pos].tobytes() for pos in want.knots)
-            fallbacks += got.spec != spec
+    bindings = []
+
+    def checked(sub, spec, sorted_columns):
+        bindings.append((spec, bind_design(sub, spec, sorted_columns), bind_design(sub, spec)))
+        return bindings[-1][1]
+
+    monkeypatch.setattr(mlte.learners, "bind_design", checked)
+    fit_super_learner(data, seed=3)
+    assert len(bindings) == 3 + 10  # each candidate once, the spline one per fold
+    for _, got, want in bindings:
+        assert got == want
+        assert all(got.knots[pos].tobytes() == want.knots[pos].tobytes() for pos in want.knots)
     # the fold without the single 5 binds that column as a main term
-    assert fallbacks == (1 if make is rare_top_value_data else 0)
+    assert sum(got.spec != spec for spec, got, _ in bindings) == (make is rare_top_value_data)
 
 
-@pytest.mark.parametrize("make", (ordinal_data, rare_top_value_data))
+def binary_and_constant_data(n=60):
+    """Arms 1, 2, 3 in turn, a binary covariate and a constant one: the
+    three candidates' cross-validated predictions are (nearly) equal, where
+    `_nnls` fails and the least-risk candidate takes all the weight."""
+    rng = np.random.default_rng(0)
+    t = np.tile([1, 2, 3], n // 3)
+    b = (rng.random(n) < 0.5).astype(float)
+    y = b + t + rng.normal(size=n)
+    return Dataset.from_arrays(np.column_stack([b, np.ones(n)]), t, y, columns=("b", "c"))
+
+
+@pytest.mark.parametrize("make", (ordinal_data, rare_top_value_data, binary_and_constant_data))
 def test_super_learner_equals_reference_on_low_cardinality_columns(make):
     data = make()
-    candidates = ml_candidates(data)
     np.testing.assert_array_equal(_cv_folds(data, 10, 5), reference_folds(data.n, 10, 5))
-    components, cv_risks = fit_super_learner(data, candidates, seed=5)
-    want_weights, want_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
-    np.testing.assert_array_equal([w for w, _, _ in components], want_weights)
-    np.testing.assert_array_equal(cv_risks, want_risks)
-    for (_, _, fit), coef in zip(components, coefficients):
-        np.testing.assert_array_equal(fit.coefficients, coef)
-
-
-def wide_fold_data(n=400, seed=3):
-    """A continuous column next to one whose lowest value fills just over a
-    quarter of the rows: the full data's two lowest knots of that column
-    coincide, but a training fold that drops enough of those rows separates
-    them and carries its spline."""
-    rng = np.random.default_rng(seed)
-    x, z = rng.normal(size=n), rng.uniform(1.0, 2.0, n)
-    z[:101] = 0.0
-    t = rng.integers(1, 4, n)
-    y = x + z + t + rng.normal(size=n)
-    return Dataset.from_arrays(np.column_stack([x, z]), t, y, columns=("x", "z"))
-
-
-def test_super_learner_equals_reference_when_a_fold_binds_wider_than_the_full_data():
-    data = wide_fold_data()
-    fold_of = _cv_folds(data, 10, 5)
-    for others, spec in (
-        (2, DesignSpec((intercept(), spline("x"), spline("z")), True)),
-        # alone, and the full data binds it without knots: the spec, not
-        # the full-data binding, sends it through the per-fold path
-        (0, DesignSpec((intercept(), main("x"), spline("z")), True)),
-    ):
-        widths = [bind_design(data.take(np.flatnonzero(fold_of != f)), spec).n_columns for f in range(10)]
-        assert max(widths) > bind_design(data, spec).n_columns
-        assert others or not bind_design(data, spec).knots
-        candidates = ml_candidates(data)[:others] + (spec,)
-        components, cv_risks = fit_super_learner(data, candidates, seed=5)
-        want_weights, want_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
-        np.testing.assert_array_equal([w for w, _, _ in components], want_weights)
-        np.testing.assert_array_equal(cv_risks, want_risks)
-        for (_, _, fit), coef in zip(components, coefficients):
-            np.testing.assert_array_equal(fit.coefficients, coef)
+    assert_super_learner_equals_reference(data)
 
 
 def drawn_column(kind, rng, n):
@@ -534,7 +500,7 @@ def drawn_column(kind, rng, n):
 @st.composite
 def super_learner_inputs(draw):
     """A dataset of 40-200 rows and 3-4 arms of at least 2 rows each, the
-    last arm's size drawn, and the ml candidates plus one drawn spec."""
+    last arm's size drawn."""
     n, k = draw(st.integers(40, 200)), draw(st.integers(3, 4))
     last = draw(st.integers(2, n // k))
     kinds = draw(st.lists(st.sampled_from(("continuous", "one decimal", "ordinal", "rare value",
@@ -543,32 +509,14 @@ def super_learner_inputs(draw):
     others = np.append(np.repeat(np.arange(1, k), 2), rng.integers(1, k, n - last - 2 * (k - 1)))
     t = rng.permutation(np.append(others, np.full(last, k)))
     X = np.column_stack([drawn_column(kind, rng, n) for kind in kinds])
-    data = Dataset.from_arrays(X, t, X.sum(axis=1) + t + rng.normal(size=n))
-    column = st.sampled_from(data.columns)
-    terms = draw(st.lists(st.one_of(column.map(main), column.map(square), column.map(spline),
-                                    st.tuples(column, column).map(lambda ab: interaction(*ab))),
-                          max_size=4))
-    return data, ml_candidates(data) + (DesignSpec((intercept(), *terms), True),)
+    return Dataset.from_arrays(X, t, X.sum(axis=1) + t + rng.normal(size=n))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(super_learner_inputs())
-def test_super_learner_equals_reference_on_drawn_inputs(inputs):
-    data, candidates = inputs
+def test_super_learner_equals_reference_on_drawn_inputs(data):
     assume(np.array_equal(_cv_folds(data, 10, 5), reference_folds(data.n, 10, 5)))
-    try:
-        want_weights, want_risks, coefficients = reference_super_learner(data, candidates, 10, 5)
-    except (RuntimeError, np.linalg.LinAlgError) as error:
-        # `_nnls` fails to converge on some nearly equal cross-validated
-        # columns; the fit must hand it the same ones
-        with pytest.raises(type(error), match=re.escape(str(error))):
-            fit_super_learner(data, candidates, seed=5)
-        return
-    components, cv_risks = fit_super_learner(data, candidates, seed=5)
-    np.testing.assert_array_equal([w for w, _, _ in components], want_weights)
-    np.testing.assert_array_equal(cv_risks, want_risks)
-    for (_, _, fit), coef in zip(components, coefficients):
-        np.testing.assert_array_equal(fit.coefficients, coef)
+    assert_super_learner_equals_reference(data)
 
 
 def memory_data(n=2000, seed=11):
@@ -603,8 +551,7 @@ def test_super_learner_memory_is_bounded_by_two_design_copies():
     # candidate's design and one fold's gathered rows of it; no other
     # candidate's design is alive meanwhile
     data = memory_data()
-    candidates = ml_candidates(data)
-    assert traced_peak(lambda: fit_super_learner(data, candidates, seed=3)) < 2 * design_bytes(data)
+    assert traced_peak(lambda: fit_super_learner(data, seed=3)) < 2 * design_bytes(data)
 
 
 @pytest.mark.parametrize("regime", ("correct", "ml"))
@@ -692,7 +639,7 @@ KINDS = ("ties", "signed zeros", "constant", "two values", "ordinal", "coinciden
          "rare top value", "continuous")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 2**16)), min_size=1, max_size=4))
 def test_sorted_column_answers_equal_unique_and_sorting_each_column(kinds):
     X = np.column_stack([covariate_column(kind, seed) for kind, seed in kinds])
@@ -751,6 +698,7 @@ def test_ml_fits_sort_each_covariate_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np, "sort", counting("sort", np.sort))
+    monkeypatch.setattr(np, "argsort", counting("sort", np.argsort))
     monkeypatch.setattr(np, "unique", counting("unique", np.unique))
     for fit in (lambda: fit_outcome(data, "ml", seed=2), lambda: fit_propensity(data, "ml")):
         calls.clear()

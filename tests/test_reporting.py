@@ -46,7 +46,7 @@ def test_holm_rejects_bad_input():
         holm_adjust([-0.1])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
     st.randoms(use_true_random=False),

@@ -264,6 +264,23 @@ def test_outcome_fit_failure_fails_only_outcome_methods():
             assert np.isfinite(results[(meth, pair)].tau_hat)
 
 
+def test_a_method_failing_on_one_pair_reports_none_of_its_pairs(monkeypatch):
+    # the outcome fit predicts levels 1 and 2 but not 3: bcm estimates
+    # (2, 1) and then fails on (3, 1) in every replication
+    def predict(level, X):
+        if level == 3:
+            raise ValueError("no prediction at level 3")
+        return X[:, 0]
+
+    stub = StubOutcomeFit("mainterms", "continuous", 3, "stub", predict)
+    monkeypatch.setattr(mlte.simengine, "fit_outcome", lambda *args, **kwargs: stub)
+    cfg = ScenarioConfig.named("t-y-", n=200, reps=2, seed=1, regime="mainterms")
+    report = run_scenario(cfg, methods=["bcm"])
+    assert report.method_failures["bcm"] == {"count": 2, "example": "no prediction at level 3"}
+    rows = [row for row in report.rows if row["method"] == "bcm"]
+    assert [(row["reps_used"], row["failures"]) for row in rows] == [(0, 2)] * len(rows)
+
+
 def test_programming_errors_in_estimators_propagate(monkeypatch):
     def broken(data, prop, pair):
         raise TypeError("a bug, not a method failure")

@@ -293,7 +293,7 @@ def test_no_bound_spline_basis_is_rank_deficient_on_coincident_knot_column():
         assert np.linalg.matrix_rank(D) == D.shape[1]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60),
     st.integers(min_value=1, max_value=6),
@@ -512,7 +512,7 @@ def test_natural_cubic_basis_column_count():
     assert spline_basis(x, knots).shape[1] == 4
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=11))
 def test_design_rows_independent(row):
     # expanding then slicing equals slicing then expanding
