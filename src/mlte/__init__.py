@@ -26,7 +26,6 @@ from .simengine import (
     ScenarioConfig,
     ScenarioReport,
     compute_metrics,
-    make_plasmode_generators,
     run_plasmode,
     run_scenario,
     simulate_dataset,
@@ -62,7 +61,6 @@ __all__ = [
     "holm_adjust",
     "load_csv",
     "load_json",
-    "make_plasmode_generators",
     "render_contrasts",
     "render_report",
     "run_plasmode",

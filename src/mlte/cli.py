@@ -39,9 +39,6 @@ from .simengine import (
     SCENARIO_NAMES,
     ScenarioConfig,
     _apply_methods,
-    _check_plasmode_outcome,
-    _check_plasmode_regime,
-    make_plasmode_generators,
     run_plasmode,
     run_scenario,
 )
@@ -278,15 +275,8 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_plasmode(cfg) -> int:
-    source = _load_dataset(cfg)
-    # before the generator fits, which take seconds
-    _check_plasmode_regime(cfg.regime)
-    _check_plasmode_outcome(source.outcome_kind)
-    gen_out, gen_trt = make_plasmode_generators(source, seed=cfg.seed)
     pcfg = PlasmodeConfig(
-        source=source,
-        generator_outcome=gen_out,
-        generator_treatment=gen_trt,
+        source=_load_dataset(cfg),
         resample_size=cfg.n,
         reps=cfg.reps,
         seed=cfg.seed,

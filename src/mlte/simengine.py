@@ -9,10 +9,11 @@ three-level treatment follows a no-intercept multinomial logit in
 Because the treatment enters additively, every pairwise estimand equals
 the same effect for the population and the overlap population alike.
 
-The plasmode harness resamples rows of a real dataset, regenerates the
-treatment from a fitted assignment model and a binary outcome from a
-fitted outcome model, so the true effects are known functionals of the
-generator fits.  Scenario truths are exact because the treatment enters
+The plasmode harness fits an `ml` assignment model and an `ml` outcome
+model on a real dataset, then resamples its rows and regenerates the
+treatment and a binary outcome from those generators, so the true effects
+are known functionals of the generator fits.  A plan is checked in full
+before the fits.  Scenario truths are exact because the treatment enters
 additively.  Scenario and plasmode data share one treatment-level draw.
 
 Replications draw from per-replication RNG substreams spawned off the
@@ -43,6 +44,7 @@ from .outcome_methods import estimate_crude, estimate_tmle, stan_estimates
 from .tabular import (
     Dataset,
     DesignSpec,
+    _check_levels_present,
     all_pairs,
     intercept,
     interaction,
@@ -66,7 +68,6 @@ __all__ = [
     "truth_propensity_spec",
     "run_scenario",
     "run_plasmode",
-    "make_plasmode_generators",
     "compute_metrics",
 ]
 
@@ -221,10 +222,12 @@ def _draw_levels(rng, probs) -> np.ndarray:
 
 
 def simulate_dataset(cfg: ScenarioConfig, rep_index: int) -> Dataset:
-    """Generate one replication's dataset from its own RNG substream."""
+    """Generate one replication's dataset from its own RNG substream; a
+    draw that misses a treatment level raises ValueError naming it."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_DATA, rep_index)))
     X = _draw_covariates(rng, cfg.n)
     t = _draw_levels(rng, treatment_probabilities(cfg.beta, X))
+    _check_levels_present(t, 3)
     y = rng.normal(outcome_mean(cfg.gamma, cfg.lam, X, t), 1.0)
     return Dataset.from_arrays(
         X, t, y, columns=("x1", "x2", "x3"), outcome_kind="continuous"
@@ -338,7 +341,10 @@ def _normalize_methods(methods):
 
 def _scenario_rep(args):
     cfg, methods, pairs, rep = args
-    data = simulate_dataset(cfg, rep)
+    try:
+        data = simulate_dataset(cfg, rep)
+    except ValueError as err:
+        return rep, {}, {meth: f"simulated data: {err}" for meth in methods}
     results, failures = _apply_methods(
         data, cfg.regime, methods, pairs, cfg.seed, rep, cfg.bootstrap_reps, cfg.m
     )
@@ -475,12 +481,11 @@ def run_scenario(cfg: ScenarioConfig, methods=None, workers: int = 1) -> Scenari
 @dataclass(frozen=True)
 class PlasmodeConfig:
     """Plasmode replication plan: resample a source dataset's rows, then
-    regenerate treatment and a binary outcome from models fitted on the
-    source, so the truth is a known functional of those generators."""
+    regenerate treatment and a binary outcome from the `ml` models that
+    `run_plasmode` fits on the source, so the truth is a known functional
+    of those generators.  A plan that cannot run is rejected here."""
 
     source: Dataset
-    generator_outcome: OutcomeFit
-    generator_treatment: PropensityFit
     resample_size: int
     reps: int
     seed: int
@@ -489,43 +494,20 @@ class PlasmodeConfig:
     m: int = 1
 
     def __post_init__(self):
-        _check_plasmode_outcome(self.generator_outcome.outcome_kind)
-        if self.generator_outcome.k != self.source.k or self.generator_treatment.k != self.source.k:
-            raise ValueError("generator treatment-level count does not match the source")
+        # `correct` needs a known truth design, which a source does not have
+        if self.regime not in ("mainterms", "ml"):
+            raise ValueError("plasmode regime must be 'mainterms' or 'ml' (no known truth spec)")
+        if self.source.outcome_kind != "binary":
+            raise ValueError("plasmode outcome generator must be binary")
         if not 1 <= self.resample_size <= 10 * self.source.n:
             raise ValueError("resample_size must be in [1, 10 * source n]")
-        _check_plasmode_regime(self.regime)
         if self.reps < 1:
             raise ValueError("reps must be positive")
 
 
-def _check_plasmode_outcome(outcome_kind):
-    """Reject a non-binary outcome: plasmode regenerates a binary outcome
-    from a generator fitted on the source, so the source's must be binary."""
-    if outcome_kind != "binary":
-        raise ValueError("plasmode outcome generator must be binary")
-
-
-def _check_plasmode_regime(regime):
-    """Reject a regime plasmode cannot run: `correct` needs a known truth
-    design, which a plasmode source does not have."""
-    if regime not in ("mainterms", "ml"):
-        raise ValueError("plasmode regime must be 'mainterms' or 'ml' (no known truth spec)")
-
-
-def make_plasmode_generators(source: Dataset, seed: int = 0):
-    """Fit the flexible generator pair (outcome, treatment) on the source."""
-    gen_out = fit_outcome(source, "ml", seed=seed)
-    gen_trt = fit_propensity(source, "ml")
-    return gen_out, gen_trt
-
-
-def _plasmode_truths(cfg: PlasmodeConfig, pairs):
-    mu = {
-        lev: cfg.generator_outcome.predict(lev, cfg.source.X)
-        for lev in range(1, cfg.source.k + 1)
-    }
-    h = _overlap_tilt(cfg.generator_treatment.probs)
+def _plasmode_truths(source: Dataset, gen_out: OutcomeFit, gen_trt: PropensityFit, pairs):
+    mu = {lev: gen_out.predict(lev, source.X) for lev in range(1, source.k + 1)}
+    h = _overlap_tilt(gen_trt.probs)
     truths = {}
     for pair in pairs:
         t1, t0 = pair
@@ -536,7 +518,7 @@ def _plasmode_truths(cfg: PlasmodeConfig, pairs):
 
 
 def _plasmode_rep(args):
-    cfg, methods, pairs, rep = args
+    cfg, gen_out, gen_trt, methods, pairs, rep = args
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_PLASMODE, rep))
     )
@@ -545,10 +527,10 @@ def _plasmode_rep(args):
     for _ in range(10):
         rows = rng.integers(0, cfg.source.n, size)
         X = cfg.source.X[rows]
-        t = _draw_levels(rng, cfg.generator_treatment.predict_matrix(X))
+        t = _draw_levels(rng, gen_trt.predict_matrix(X))
         if not np.bincount(t, minlength=cfg.source.k + 1)[1:].all():
             continue
-        mu_all = cfg.generator_outcome.predict_matrix(X)
+        mu_all = gen_out.predict_matrix(X)
         p_y = mu_all[np.arange(size), t - 1]
         y = (rng.random(size) < p_y).astype(float)
         if y.min() == y.max():
@@ -568,15 +550,20 @@ def _plasmode_rep(args):
 def run_plasmode(cfg: PlasmodeConfig, methods=None, workers: int = 1) -> ScenarioReport:
     """Plasmode replication loop over every pair of treatment levels.
 
-    Replications run like those of `run_scenario`: serially, or with
-    workers > 1 on a process pool that receives the generator fits as
-    plain data (workers=0 means one per core).  Every replication owns its
-    seed-derived RNG substreams, so the report does not depend on `workers`.
+    The generators are the `ml` fits on the source, the outcome learner
+    seeded by the plan's seed.  Replications run like those of
+    `run_scenario`: serially, or with workers > 1 on a process pool whose
+    jobs carry the generator fits as plain data (workers=0 means one per
+    core).  Every replication owns its seed-derived RNG substreams, so the
+    report does not depend on `workers`.
     """
     methods = _normalize_methods(methods)
+    gen_out = fit_outcome(cfg.source, "ml", seed=cfg.seed)
+    gen_trt = fit_propensity(cfg.source, "ml")
     pairs = all_pairs(cfg.source.k)
-    truths = _plasmode_truths(cfg, pairs)
-    per_rep = _run_replications(_plasmode_rep, [(cfg, methods, pairs, rep) for rep in range(cfg.reps)], workers)
+    truths = _plasmode_truths(cfg.source, gen_out, gen_trt, pairs)
+    jobs = [(cfg, gen_out, gen_trt, methods, pairs, rep) for rep in range(cfg.reps)]
+    per_rep = _run_replications(_plasmode_rep, jobs, workers)
     cfg_echo = {
         "kind": "plasmode",
         "source_n": cfg.source.n,
@@ -588,7 +575,7 @@ def run_plasmode(cfg: PlasmodeConfig, methods=None, workers: int = 1) -> Scenari
         "bootstrap_reps": cfg.bootstrap_reps,
         "m": cfg.m,
         "metric": _MATCH_METRIC,
-        "generator_outcome": cfg.generator_outcome.description,
-        "generator_treatment": cfg.generator_treatment.description,
+        "generator_outcome": gen_out.description,
+        "generator_treatment": gen_trt.description,
     }
     return _collect_report("plasmode", cfg, cfg_echo, methods, pairs, per_rep, truths)

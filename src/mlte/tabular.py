@@ -284,7 +284,9 @@ def recode_treatment(values):
     matter the row order; numeric-looking labels sort numerically.  A
     missing label (None, a float NaN, or a string that is blank, `NA`, or
     parses as a float NaN such as `NaN`) raises ValueError naming the first
-    such data row, counted from 1, and the number of such rows.
+    such data row, counted from 1, and the number of such rows.  Two
+    labels that read as the same number (`1` and `1.0`) raise ValueError
+    naming both, in repr order rather than the order of the string hash.
     Returns (codes array, tuple of original labels indexed by code-1).
     """
     raw = list(values)
@@ -294,7 +296,10 @@ def recode_treatment(values):
         raise ValueError(
             f"missing treatment label in {len(missing)} row(s), first in data row {missing[0] + 1}"
         )
-    uniq = sorted(distinct, key=_label_sort_key)
+    uniq = sorted(distinct, key=lambda lab: (_label_sort_key(lab), repr(lab)))
+    for a, b in zip(uniq, uniq[1:]):
+        if _label_sort_key(a) == _label_sort_key(b):
+            raise ValueError(f"treatment labels {a!r} and {b!r} read as the same number")
     code_of = {lab: i + 1 for i, lab in enumerate(uniq)}
     codes = np.array([code_of[v] for v in raw], dtype=int)
     return codes, tuple(uniq)
@@ -394,7 +399,8 @@ def load_json(path):
     with an optional ``"outcome_kind"`` override.  Each of the four keys
     must hold a list.  A value of "X" or "Y" that does not parse as a finite
     number is rejected with its key and row (from 1), and so is an "X" row
-    whose cell count differs from the number of columns.
+    whose cell count differs from the number of columns, and an entry of
+    "columns" or "T" that is an array or an object.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -403,6 +409,10 @@ def load_json(path):
             raise ValueError(f"{path}: missing key {key!r}")
         if not isinstance(obj[key], list):
             raise ValueError(f"{path}: key {key!r} must hold a list")
+    for key, place, what in (("columns", "entry", "column name"), ("T", "row", "treatment label")):
+        for i, v in enumerate(obj[key], start=1):
+            if isinstance(v, (list, dict)):
+                raise ValueError(f"{path}: key {key!r} {place} {i}: {v!r} is not a {what}")
     columns = tuple(obj["columns"])
     X = []
     for i, row in enumerate(obj["X"], start=1):

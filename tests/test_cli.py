@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import mlte
-import mlte.learners
 import mlte.simengine
 from mlte.cli import _provenance_keys, main
 from mlte.outcome_methods import estimate_crude
@@ -148,6 +147,24 @@ def test_column_names_are_utf8_in_an_ascii_locale(tmp_path, capsys, ascii_locale
     assert proc.stdout == capsys.readouterr().out.encode("utf-8")
 
 
+def test_labels_that_read_as_one_number_fail_alike_under_every_hash_seed(tmp_path, ascii_locale_env):
+    # the arms `1` and `1.0` sort equal, so their order followed the string hash
+    rng = np.random.default_rng(3)
+    rows = "".join(f"{arm},{rng.normal()!r},{rng.normal()!r}\n" for arm in ("1", "1.0", "2") * 10)
+    path = tmp_path / "same.csv"
+    path.write_text("trt,y,x\n" + rows)
+    argv = ["estimate", "--data", str(path), "--treatment", "trt", "--outcome", "y",
+            "--covariates", "x", "--methods", "crude", "--format", "csv"]
+    first, second = (
+        subprocess.run([sys.executable, "-m", "mlte.cli", *argv], capture_output=True,
+                       env=dict(ascii_locale_env, PYTHONHASHSEED=seed))
+        for seed in ("0", "3")
+    )
+    assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
+    assert first.returncode == second.returncode == 1
+    assert first.stderr == b"error: treatment labels '1' and '1.0' read as the same number\n"
+
+
 def test_estimate_warns_when_estimands_mixed(capsys):
     rc = run_cli(
         ["estimate", "--data", DEMO_CSV, *DEMO_ARGS, "--methods", "crude,ow", "--format", "csv"]
@@ -251,29 +268,22 @@ def test_plasmode_runs_from_csv_source(tmp_path, capsys):
     assert {r["parameter"] for r in payload["rows"]} == {"tau21", "tau31", "tau32"}
 
 
-def test_plasmode_rejects_correct_regime_before_fitting(capsys, monkeypatch):
-    # the ml generator pair takes seconds to fit; a bad regime must not wait for it
+@pytest.mark.parametrize("data, flags, message", (
+    (BINARY_CSV, ["--regime", "correct"],
+     "plasmode regime must be 'mainterms' or 'ml' (no known truth spec)"),
+    (DEMO_CSV, ["--regime", "ml"], "plasmode outcome generator must be binary"),
+    (BINARY_CSV, ["--n", "5000"], "resample_size must be in [1, 10 * source n]"),
+), ids=("correct-regime", "continuous-source", "resample-size"))
+def test_plasmode_rejects_a_bad_plan_before_fitting(capsys, monkeypatch, data, flags, message):
+    # the ml generator pair takes seconds to fit; a bad plan must not wait for it
     def no_fit(*args, **kwargs):
-        raise AssertionError("fit_outcome called for a rejected regime")
+        raise AssertionError("a generator was fitted for a rejected plan")
 
-    monkeypatch.setattr(mlte.learners, "fit_outcome", no_fit)
     monkeypatch.setattr(mlte.simengine, "fit_outcome", no_fit)
-    rc = run_cli(["plasmode", "--data", BINARY_CSV, *DEMO_ARGS, "--regime", "correct"])
+    monkeypatch.setattr(mlte.simengine, "fit_propensity", no_fit)
+    rc = run_cli(["plasmode", "--data", data, *DEMO_ARGS, *flags])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        "error: plasmode regime must be 'mainterms' or 'ml' (no known truth spec)\n"
-    )
-
-
-def test_plasmode_rejects_continuous_source_before_fitting(capsys, monkeypatch):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("fit_outcome called for a continuous source")
-
-    monkeypatch.setattr(mlte.learners, "fit_outcome", no_fit)
-    monkeypatch.setattr(mlte.simengine, "fit_outcome", no_fit)
-    rc = run_cli(["plasmode", "--data", DEMO_CSV, *DEMO_ARGS, "--regime", "ml"])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: plasmode outcome generator must be binary\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +379,13 @@ def test_every_study_setting_comes_from_a_flag(monkeypatch):
     assert {f.name for f in dataclasses.fields(ScenarioConfig) if f.init} == set(by_flag)
     assert {name: getattr(scen, name) for name in by_flag} == by_flag
 
-    made, real = [], mlte.cli.make_plasmode_generators
-
-    def generators(source, seed):
-        made.append((source, seed, real(source, seed=seed)))
-        return made[-1][2]
-
-    monkeypatch.setattr(mlte.cli, "make_plasmode_generators", generators)
     plas = _study_config(["plasmode", "--data", BINARY_CSV, *DEMO_ARGS, *flags], monkeypatch,
                          "run_plasmode")
     by_flag = dict(common, resample_size=150)
-    derived = {"source", "generator_outcome", "generator_treatment"}  # from --data and --seed
+    derived = {"source"}  # from --data
     assert {f.name for f in dataclasses.fields(PlasmodeConfig) if f.init} == set(by_flag) | derived
     assert {name: getattr(plas, name) for name in by_flag} == by_flag
-    (source, seed, (gen_out, gen_trt)), = made
-    assert seed == 5 and plas.source is source
-    assert plas.generator_outcome is gen_out and plas.generator_treatment is gen_trt
-    np.testing.assert_array_equal(source.X, load_csv(BINARY_CSV, "trt", "resp", ["x1", "x2", "x3"]).X)
+    np.testing.assert_array_equal(plas.source.X, load_csv(BINARY_CSV, "trt", "resp", ["x1", "x2", "x3"]).X)
 
 
 @pytest.mark.parametrize("flag,value", [("regime", "bogus"), ("format", "xml"), ("m", "two")])

@@ -1,6 +1,8 @@
 """Scenario configs, the synthetic generating process, replication metrics,
 and the plasmode loop."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -18,7 +20,6 @@ from mlte.simengine import (
     _apply_methods,
     _plasmode_truths,
     compute_metrics,
-    make_plasmode_generators,
     outcome_mean,
     run_plasmode,
     run_scenario,
@@ -350,6 +351,20 @@ def test_worker_count_does_not_change_results():
     assert serial.method_failures == parallel.method_failures
 
 
+def test_a_replication_that_draws_no_row_of_a_level_names_the_level():
+    # this draw holds levels 1 and 3 only; recoding it would make level 3
+    # the second level of a two-level dataset
+    cfg = ScenarioConfig.named("t+y+", n=4, reps=1, seed=0, regime="mainterms")
+    with pytest.raises(ValueError, match=re.escape("treatment level(s) [2] have zero rows")):
+        simulate_dataset(cfg, 0)
+    report = run_scenario(cfg)
+    assert report.method_failures == {
+        meth: {"count": 1, "example": "simulated data: treatment level(s) [2] have zero rows"}
+        for meth in METHODS
+    }
+    assert all(row["reps_used"] == 0 for row in report.rows)
+
+
 # ---------------------------------------------------------------------------
 # plasmode
 
@@ -383,15 +398,7 @@ def test_plasmode_truths_match_generator_functionals():
     source = binary_source()
     shift = (-0.5, 0.3, 1.1)
     gen_out, gen_trt = stub_generators(source, shift)
-    cfg = PlasmodeConfig(
-        source=source,
-        generator_outcome=gen_out,
-        generator_treatment=gen_trt,
-        resample_size=200,
-        reps=1,
-        seed=0,
-    )
-    truths = _plasmode_truths(cfg, [(2, 1), (3, 2)])
+    truths = _plasmode_truths(source, gen_out, gen_trt, [(2, 1), (3, 2)])
     x1 = source.X[:, 0]
     want21 = (expit(0.3 + 0.5 * x1) - expit(-0.5 + 0.5 * x1)).mean()
     assert truths[((2, 1), "population")] == pytest.approx(want21, abs=1e-12)
@@ -401,18 +408,23 @@ def test_plasmode_truths_match_generator_functionals():
     assert truths[((3, 2), "overlap")] == pytest.approx(float((h * eff32).sum() / h.sum()), abs=1e-12)
 
 
-def test_plasmode_null_generator_has_zero_truth():
+def test_plasmode_null_generator_has_zero_truth(monkeypatch):
     source = binary_source()
     gen_out, gen_trt = stub_generators(source, (0.7, 0.7, 0.7))
-    cfg = PlasmodeConfig(
-        source=source,
-        generator_outcome=gen_out,
-        generator_treatment=gen_trt,
-        resample_size=150,
-        reps=2,
-        seed=3,
-    )
+    fitted = []
+
+    def fit_generator(gen):
+        def fit(data, regime, seed=None):
+            assert data is source
+            fitted.append((regime, seed))
+            return gen
+        return fit
+
+    monkeypatch.setattr(mlte.simengine, "fit_outcome", fit_generator(gen_out))
+    monkeypatch.setattr(mlte.simengine, "fit_propensity", fit_generator(gen_trt))
+    cfg = PlasmodeConfig(source=source, resample_size=150, reps=2, seed=3)
     report = run_plasmode(cfg, methods=["crude"])
+    assert fitted == [("ml", 3), ("ml", None)]
     assert report.kind == "plasmode"
     for label in ("tau21", "tau31", "tau32"):
         assert report.truths[label]["population"] == 0.0
@@ -423,33 +435,25 @@ def test_plasmode_null_generator_has_zero_truth():
 
 def test_plasmode_config_validation():
     source = binary_source()
-    gen_out, gen_trt = stub_generators(source, (0.0, 0.0, 0.0))
-    ok = dict(
-        source=source,
-        generator_outcome=gen_out,
-        generator_treatment=gen_trt,
-        resample_size=100,
-        reps=1,
-        seed=0,
-    )
+    ok = dict(source=source, resample_size=100, reps=1, seed=0)
     PlasmodeConfig(**ok)
-    continuous = StubOutcomeFit("mainterms", "continuous", 3, "stub", gen_out._predict, lambda d, s: None)
-    with pytest.raises(ValueError):
-        PlasmodeConfig(**{**ok, "generator_outcome": continuous})
-    with pytest.raises(ValueError):
-        PlasmodeConfig(**{**ok, "resample_size": 10 * source.n + 1})
-    with pytest.raises(ValueError):
-        PlasmodeConfig(**{**ok, "regime": "correct"})
-    with pytest.raises(ValueError):
-        PlasmodeConfig(**{**ok, "reps": 0})
+    continuous = Dataset.from_arrays(source.X, source.t, np.linspace(0.0, 1.0, source.n))
+    regime = "plasmode regime must be 'mainterms' or 'ml'"
+    for change, message in (
+        ({"source": continuous}, "plasmode outcome generator must be binary"),
+        ({"resample_size": 10 * source.n + 1}, "resample_size must be in"),
+        ({"regime": "correct"}, regime),
+        ({"regime": "correct", "source": continuous}, regime),  # the regime is checked first
+        ({"reps": 0}, "reps must be positive"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlasmodeConfig(**{**ok, **change})
 
 
 def test_plasmode_worker_count_does_not_change_report():
     source = binary_source(n=300, seed=4)
-    gen_out, gen_trt = make_plasmode_generators(source, seed=2)
     cfg = PlasmodeConfig(
-        source=source, generator_outcome=gen_out, generator_treatment=gen_trt,
-        resample_size=150, reps=4, seed=6, regime="mainterms", bootstrap_reps=3,
+        source=source, resample_size=150, reps=4, seed=6, regime="mainterms", bootstrap_reps=3,
     )
     serial = run_plasmode(cfg, workers=1)
     parallel = run_plasmode(cfg, workers=2)

@@ -55,6 +55,17 @@ def test_recode_string_labels_sort_lexically():
     assert codes.tolist() == [2, 1, 3, 1]
 
 
+@pytest.mark.parametrize("values, named", (
+    (["1", "1.0", "2", "1"], "'1' and '1.0'"),
+    ([1, "1", 2, 2], "'1' and 1"),
+    (["2", "01", "1", "1.0"], "'01' and '1'"),
+))
+def test_recode_rejects_two_labels_that_read_as_one_number(values, named):
+    # their order would follow the string hash, not the sort
+    with pytest.raises(ValueError, match=f"^treatment labels {re.escape(named)} read as the same number$"):
+        recode_treatment(values)
+
+
 def test_recode_is_row_order_invariant():
     values = ["x", "y", "z", "y", "x", "z"]
     _, labels = recode_treatment(values)
@@ -618,7 +629,11 @@ def test_load_json_roundtrip(tmp_path):
      r"key 'X' row 3: unparseable cell 'b' in column 'x2'$"),
     ({"X": [[0.0, 1.0], [1.0, 0.0], [2.0], [3.0, 1.0]]}, r"key 'X' row 3: 1 cells, 'columns' names 2$"),
     ({"X": [[0.0, 1.0], 1.0, [2.0, 1.0], [3.0, 1.0]]}, r"key 'X' row 2: 1.0 is not a list of cells$"),
-), ids=("text outcome", "null outcome", "text covariate", "short row", "row not a list"))
+    ({"T": [1, [1], 1, 2]}, r"key 'T' row 2: \[1\] is not a treatment label$"),
+    ({"T": [1, 2, {"a": 2}, 2]}, r"key 'T' row 3: \{'a': 2\} is not a treatment label$"),
+    ({"columns": ["x1", ["a"]]}, r"key 'columns' entry 2: \['a'\] is not a column name$"),
+), ids=("text outcome", "null outcome", "text covariate", "short row", "row not a list",
+        "array label", "object label", "array column name"))
 def test_load_json_names_the_key_and_row_of_a_bad_value(tmp_path, change, message):
     payload = {"columns": ["x1", "x2"], "X": [[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]],
                "T": [1, 2, 1, 2], "Y": [0.5, 1.5, 2.5, 3.5]}

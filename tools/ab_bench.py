@@ -28,19 +28,14 @@ shows how far the pairs agree: one that excludes 1 is a change this host
 resolves.  Each metric that BENCHMARK.json bounds gets a second line with
 two verdicts (see `verdicts`): whether that claim rule is met, and whether
 the median change is within the metric's bound, beyond it, or unresolved
-because the base runs spread wider than the bound.  Each run also
-reports `minflt_per_rep_approx`, the minor page faults of the run's
-process and its children (RUSAGE_CHILDREN `ru_minflt` before and after)
-over the replications in the run's result JSON: a work counter that host
-noise barely moves, approximate because it includes run.py's own set-up
-probes.  The temporary trees are removed afterwards.
+because the base runs spread wider than the bound.  The temporary trees
+are removed afterwards.
 """
 
 import argparse
 import json
 import math
 import random
-import resource
 import statistics
 import subprocess
 import sys
@@ -61,22 +56,15 @@ def export(rev, into):
 
 
 def run(tree, workload, seconds, seed):
-    """The end-to-end metrics of one run, plus its minor page faults per
-    replication (`minflt_per_rep_approx`, set-up probes included)."""
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    """The end-to-end metrics of one run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {workload} failed\n{proc.stdout}{proc.stderr}")
-    metrics = {k: v["value"] for k, v in json.loads(proc.stdout.splitlines()[-1])["metrics"].items()}
-    result = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
-    reps = sum(study["reps"] for study in json.loads(result.read_text())["detail"]["studies"])
-    metrics["minflt_per_rep_approx"] = faults / reps
-    return metrics
+    return {k: v["value"] for k, v in json.loads(proc.stdout.splitlines()[-1])["metrics"].items()}
 
 
 def probe(tree, workload, seed, workdir):
