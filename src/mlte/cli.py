@@ -230,11 +230,8 @@ def cmd_estimate(cfg) -> int:
         data, cfg.regime, methods, pairs, cfg.seed, 0, cfg.bootstrap, cfg.m
     )
     labels = {code + 1: lab for code, lab in enumerate(data.treatment_labels)}
-    tables = []
-    for meth in methods:
-        ests = [results[(meth, p)] for p in pairs if (meth, p) in results]
-        if len(ests) == len(pairs):
-            tables.append(all_pairs_table(ests, labels=labels))
+    tables = [all_pairs_table([results[(meth, p)] for p in pairs], labels=labels)
+              for meth in methods if meth not in failures]
     estimands = {t["estimand"] for t in tables}
     if len(estimands) > 1:
         _warn(

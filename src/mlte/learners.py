@@ -14,8 +14,9 @@ Both fits are plain data: bound designs and GLM coefficients, no closures,
 so they pickle and can be shipped to worker processes.
 
 The ml outcome ensemble stacks three candidates (main terms; mains plus all
-pairwise interactions and squares; additive natural cubic splines) with
-non-negative-least-squares weights on 10-fold cross-validated predictions;
+pairwise interactions and squares; additive natural cubic splines, each a
+covariate's main and curvature terms) with non-negative-least-squares
+weights on 10-fold cross-validated predictions;
 the non-negative least squares is Lawson and Hanson's active-set method,
 written in numpy (`_nnls`), and where it fails the least-risk candidate
 takes all the weight.  The library is fixed: `fit_super_learner` builds
@@ -28,7 +29,8 @@ as the widest full-data binding, and a rows region for one fold's gathered
 training and held-out rows, bit for bit what expanding each fold gives.
 The full-data binding decides the path: a candidate without knots is
 expanded once, on the full data; the spline candidate is bound on each
-training fold, since its quantile knots depend on the fold, and its
+training fold, since its quantile knots depend on the fold (a fold that
+cannot carry a covariate's spline keeps only its main term), and its
 full-data design is expanded after the folds.  The fit keeps none of these
 designs: a bound design's memo (see `tabular`) comes from the first
 prediction on the same rows.  Folds keep every treatment level in every
@@ -194,11 +196,11 @@ def _rich_parametric_spec(data: Dataset, with_dummies, sorted_columns):
 
 
 def _additive_spline_spec(data: Dataset, with_dummies, sorted_columns):
-    """A spline of every covariate that can carry one (read from
-    `_sorted_columns`), a main term of every other."""
+    """A spline (main and curvature terms) of every covariate that can
+    carry one (read from `_sorted_columns`), a main term of every other."""
     terms = [intercept()]
     for c, s in zip(data.columns, sorted_columns):
-        terms.append(spline(c) if _knots_of_sorted(s) is not None else main(c))
+        terms.extend(spline(c) if _knots_of_sorted(s) is not None else [main(c)])
     return DesignSpec(tuple(terms), includes_treatment_dummies=with_dummies)
 
 
@@ -474,7 +476,9 @@ def _stepwise_multinomial(data: Dataset, sorted_columns):
     is (k-1) per design column.  Weak treatment-covariate signal therefore
     yields a deliberately sparse model, mirroring how adaptive spline
     classifiers behave under light confounding.  Each group's columns are
-    expanded once.  Returns the candidate groups (see _stepwise_groups), the
+    expanded once; names pair with `blocks()` by position, as no curvature
+    group leaves a binding on the rows and sorted columns that made it
+    eligible.  Returns the candidate groups (see _stepwise_groups), the
     chosen group names in selection order, and the multinomial fit and the
     fitted probabilities of the chosen design.
     """

@@ -4,10 +4,11 @@ Everything downstream (model fitters, estimators, the simulation engine)
 consumes the small immutable containers defined here: ``Dataset`` for the
 observed table and ``DesignSpec`` for a symbolic regression design;
 ``all_pairs`` lists the treatment pairs that an all-pairs comparison
-estimates.  Design expansion supports intercept, main effects, two-way
-interactions, squares, natural cubic spline bases with quantile knots, and
-the nonlinear (curvature) part of such a basis, optionally multiplied by a
-binary column.
+estimates.  A design term is one of four kinds: the intercept, a main
+effect, a two-way interaction (`square` is a column's interaction with
+itself), and the curvature part of a natural cubic spline basis with
+quantile knots, optionally multiplied by a binary column; `spline` is a
+column's main term followed by its curvature term.
 
 Expansion is row by row: every term and treatment dummy of row i depends on
 row i alone (and on knots frozen at binding), so expanding rows and then
@@ -75,25 +76,27 @@ def interaction(col_a, col_b):
 
 
 def square(column):
-    return ("square", column)
+    """`column`'s interaction with itself (x * x is np.square(x), bit for bit)."""
+    return interaction(column, column)
 
 
 _SPLINE_KNOTS = 3
 
 
 def spline(column):
-    """Natural cubic spline term with three interior knots at equally spaced
-    quantiles (`_SPLINE_KNOTS`)."""
-    return ("spline", column)
+    """A natural cubic spline with three interior knots at equally spaced
+    quantiles (`_SPLINE_KNOTS`) as two terms to splice into a spec
+    (``*spline(c)``): the column's main term and its curvature term."""
+    return main(column), curvature(column)
 
 
 def curvature(column, by=None):
-    """The nonlinear columns of `spline(column)`, i.e. the basis without
-    its linear column, multiplied by column `by` if given."""
+    """The natural cubic basis of `column` without its linear column,
+    multiplied by column `by` if given."""
     return ("curvature", column, by)
 
 
-_TERM_KINDS = {"intercept", "main", "interaction", "square", "spline", "curvature"}
+_TERM_KINDS = {"intercept", "main", "interaction", "curvature"}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +112,7 @@ class Dataset:
 
     Attributes
     ----------
-    X : (n, p) float array of covariates.
+    X : (n, p) float array of covariates, p >= 1.
     columns : distinct covariate column names, length p.
     t : (n,) int array with values in {1..k}; every level occurs.
     y : (n,) float outcome vector.
@@ -136,6 +139,8 @@ class Dataset:
         n = X.shape[0]
         if n == 0:
             raise ValueError("no data rows")
+        if X.shape[1] == 0:
+            raise ValueError("no covariate columns")
         if t.shape != (n,) or y.shape != (n,):
             raise ValueError("X, t, y must have matching row counts")
         if len(self.columns) != X.shape[1]:
@@ -340,12 +345,14 @@ def load_csv(path, treatment_col, outcome_col, covariate_cols):
     Treatment labels are recoded to 1..k in sorted order and the original
     labels retained.  Binary outcomes are detected from the values.  A cell
     that parses to a non-finite value is rejected with its line and column,
-    a covariate that repeats by the Dataset checks, and a covariate that
-    names the treatment or outcome column before the file is read.  A
-    requested column that the header names more than once, and a row whose
-    cell count differs from the header's, are rejected too; blank lines are
-    skipped.
+    a covariate that repeats by the Dataset checks, and a treatment column
+    that is the outcome column, or a covariate that names either, before
+    the file is read.  A requested column that the header names more than
+    once, and a row whose cell count differs from the header's, are
+    rejected too; blank lines are skipped.
     """
+    if treatment_col == outcome_col:
+        raise ValueError(f"column {treatment_col!r} is both the treatment and the outcome column")
     roles = {treatment_col: "treatment", outcome_col: "outcome"}
     for col in covariate_cols:
         if col in roles:
@@ -497,10 +504,8 @@ class BoundDesign:
     k: int = 2
 
     def __post_init__(self):
-        widths = tuple(
-            len(self.knots[pos]) - (1 if term[0] == "spline" else 2) if pos in self.knots else 1
-            for pos, term in enumerate(self.spec.terms)
-        )
+        n_terms = len(self.spec.terms)
+        widths = tuple(len(self.knots[pos]) - 2 if pos in self.knots else 1 for pos in range(n_terms))
         dummies = self.k - 1 if self.spec.includes_treatment_dummies else 0
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_n_terms", sum(widths))
@@ -536,14 +541,6 @@ class BoundDesign:
                 rows[0] = X[:, self.column_index[term[1]]]
             elif kind == "interaction":
                 np.multiply(X[:, self.column_index[term[1]]], X[:, self.column_index[term[2]]], out=rows[0])
-            elif kind == "square":
-                np.square(X[:, self.column_index[term[1]]], out=rows[0])
-            elif kind == "spline":
-                # the natural cubic basis (linear tails) on K knots: the
-                # column itself, then its K-2 curvature columns
-                column = X[:, self.column_index[term[1]]]
-                rows[0] = column
-                _curvature_rows(column, self.knots[pos], rows[1:])
             else:
                 _curvature_rows(X[:, self.column_index[term[1]]], self.knots[pos], rows)
                 if term[2] is not None:
@@ -621,38 +618,33 @@ class BoundDesign:
 
 
 def bind_design(data: Dataset, spec: DesignSpec, sorted_columns=None) -> BoundDesign:
-    """Resolve columns and compute spline knots on `data`.
+    """Resolve columns and compute each curvature term's knots on `data`.
 
-    A spline term on a column that cannot carry it in `data` (coinciding
-    knots, or fewer distinct values than knots) binds as that column's main
-    term, so a design chosen on the full data still binds on a
-    cross-validation fold or bootstrap resample that lacks a rare value.
-    A curvature term on such a column is an error.
+    A curvature term on a column that cannot carry the spline in `data`
+    (coinciding knots, or fewer distinct values than knots) leaves the
+    bound spec, and the column's main term stays; so a spline chosen on the
+    full data still binds on a cross-validation fold or bootstrap resample
+    that lacks a rare value, as a main term.
 
     `sorted_columns`, if given, maps the index j of every column that a
-    spline or curvature term names to column j of `data` sorted ascending,
-    so that a caller holding those values already (the ml learners sort
-    each covariate once per fit, and the super learner derives every
-    fold's from one argsort per column) binds without sorting again; by
-    default each column is sorted here."""
+    curvature term names to column j of `data` sorted ascending, so that a
+    caller holding those values already (the ml learners sort each
+    covariate once per fit, and the super learner derives every fold's
+    from one argsort per column) binds without sorting again; by default
+    each column is sorted here."""
     index = {name: j for j, name in enumerate(data.columns)}
     for name in spec.referenced_columns():
         if name not in index:
             raise KeyError(f"unknown covariate column {name!r}")
-    terms, knots = list(spec.terms), {}
-    for pos, term in enumerate(spec.terms):
-        if term[0] in ("spline", "curvature"):
+    terms, knots = [], {}
+    for term in spec.terms:
+        if term[0] == "curvature":
             j = index[term[1]]
             found = _knots_of_sorted(np.sort(data.X[:, j]) if sorted_columns is None else sorted_columns[j])
-            if found is not None:
-                knots[pos] = found
-            elif term[0] == "spline":
-                terms[pos] = main(term[1])
-            else:
-                raise ValueError(
-                    f"column {term[1]!r} cannot carry a spline: its {_SPLINE_KNOTS + 2} knots "
-                    "coincide or it has fewer distinct values than knots"
-                )
-    if tuple(terms) != spec.terms:
+            if found is None:
+                continue
+            knots[len(terms)] = found
+        terms.append(term)
+    if len(terms) < len(spec.terms):
         spec = DesignSpec(tuple(terms), spec.includes_treatment_dummies)
     return BoundDesign(spec=spec, column_index=index, knots=knots, k=data.k)

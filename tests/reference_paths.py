@@ -7,7 +7,8 @@ slow way, for the differential tests that pin the fast path to it.
   test_tabular.py's test_spline_knots_equal_numpy_quantiles.
 - `reference_natural_cubic_basis`: the spline columns of
   `BoundDesign.matrix`, pinned by test_tabular.py's
-  test_natural_cubic_basis_matches_power_formula.
+  test_natural_cubic_basis_matches_power_formula and, on drawn columns,
+  test_bound_spline_is_its_column_then_its_natural_cubic_basis.
 - `reference_folds`: `learners._cv_folds`, pinned by test_learners.py's
   test_cv_folds_keep_the_permutation_when_every_training_fold_has_every_level
   and test_cv_folds_put_every_level_in_every_training_fold.
@@ -20,8 +21,9 @@ slow way, for the differential tests that pin the fast path to it.
   whose datasets makes `_nnls` fail) and, on drawn datasets,
   test_super_learner_equals_reference_on_drawn_inputs.
 - `reference_matches`: the chunked search of `matching.build_matches`,
-  pinned by test_matching.py's test_match_sets_equal_full_matrix_reference
-  and test_m_nearest_selection_equals_stable_argsort_on_ties.
+  pinned by test_matching.py's test_match_sets_equal_full_matrix_reference,
+  test_m_nearest_selection_equals_stable_argsort_on_ties and, on drawn
+  datasets, test_match_sets_equal_full_matrix_reference_on_drawn_inputs.
 - `brute_force_matches`: `matching.build_matches` with its whitening,
   pinned by test_matching.py's test_match_sets_agree_with_brute_force and
   by test_acceptance.py's test_criterion_7_exact_identities.

@@ -121,6 +121,26 @@ def test_estimate_rejects_a_covariate_that_repeats_or_names_another_role(
     assert captured.err == f"error: {message}\n"
 
 
+def test_estimate_rejects_one_column_as_treatment_and_outcome(capsys):
+    rc = run_cli(["estimate", "--data", BINARY_CSV, "--treatment", "resp", "--outcome", "resp",
+                  "--covariates", "x1,x2,x3", "--methods", "crude,ipw,aow", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: column 'resp' is both the treatment and the outcome column\n"
+
+
+def test_estimate_rejects_a_dataset_without_covariates(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"columns": [], "X": [[]] * 30, "T": [1, 2, 3] * 10,
+                                "Y": np.linspace(0.0, 1.0, 30).tolist()}))
+    rc = run_cli(["estimate", "--data", str(path), "--methods", "crude,match"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: no covariate columns\n"
+
+
 def test_out_file_is_utf8_in_an_ascii_locale(tmp_path, ascii_locale_env):
     out = tmp_path / "out.csv"
     argv = ["estimate", "--data", str(GOLDEN / "labels.csv"), "--treatment", "arm", "--outcome",

@@ -37,11 +37,13 @@ from mlte.tabular import (
     DesignSpec,
     _knots_of_sorted,
     bind_design,
+    curvature,
     intercept,
     main,
     spline,
     square,
 )
+from drawn_inputs import super_learner_inputs
 from reference_paths import reference_folds, reference_super_learner
 from test_tabular import coincident_knot_column
 
@@ -311,7 +313,7 @@ def test_ml_regime_enters_low_cardinality_columns_as_main_terms(levels):
     out = fit_outcome(data, "ml", seed=2)
     assert np.all(np.isfinite(out.predict_matrix(data.X)))
     spline_spec = out.components[2][1].spec
-    assert main("o") in spline_spec.terms and spline("x") in spline_spec.terms
+    assert main("o") in spline_spec.terms and curvature("x") in spline_spec.terms
     prop = fit_propensity(data, "ml")
     np.testing.assert_allclose(prop.probs.sum(axis=1), 1.0, atol=1e-10)
     chosen = prop.description.split("groups: ")[1].rstrip(")").split(", ")
@@ -359,7 +361,7 @@ def rare_top_value_data(n=300, seed=0):
 def test_ml_outcome_fits_spline_column_whose_folds_cannot_carry_it(seed):
     data = rare_top_value_data()
     out = fit_outcome(data, "ml", seed=seed)
-    assert spline("g") in out.components[2][1].spec.terms
+    assert curvature("g") in out.components[2][1].spec.terms
     assert np.all(np.isfinite(out.predict_matrix(data.X)))
 
 
@@ -478,38 +480,6 @@ def test_super_learner_equals_reference_on_low_cardinality_columns(make):
     data = make()
     np.testing.assert_array_equal(_cv_folds(data, 10, 5), reference_folds(data.n, 10, 5))
     assert_super_learner_equals_reference(data)
-
-
-def drawn_column(kind, rng, n):
-    """A covariate of one of the kinds that steer a super-learner fit's
-    paths: ties, few values, a value some folds lose, too few values for
-    a spline."""
-    if kind == "continuous":
-        return rng.normal(size=n)
-    if kind == "one decimal":
-        return np.round(rng.normal(size=n), 1)
-    if kind == "ordinal":
-        return rng.integers(0, 3, n).astype(float)
-    if kind == "rare value":
-        return rng.permutation(np.append(rng.integers(1, 5, n - 1), 5)).astype(float)
-    if kind == "binary":
-        return (rng.random(n) < 0.5).astype(float)
-    return np.full(n, rng.normal())
-
-
-@st.composite
-def super_learner_inputs(draw):
-    """A dataset of 40-200 rows and 3-4 arms of at least 2 rows each, the
-    last arm's size drawn."""
-    n, k = draw(st.integers(40, 200)), draw(st.integers(3, 4))
-    last = draw(st.integers(2, n // k))
-    kinds = draw(st.lists(st.sampled_from(("continuous", "one decimal", "ordinal", "rare value",
-                                            "binary", "constant")), min_size=1, max_size=4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    others = np.append(np.repeat(np.arange(1, k), 2), rng.integers(1, k, n - last - 2 * (k - 1)))
-    t = rng.permutation(np.append(others, np.full(last, k)))
-    X = np.column_stack([drawn_column(kind, rng, n) for kind in kinds])
-    return Dataset.from_arrays(X, t, X.sum(axis=1) + t + rng.normal(size=n))
 
 
 @settings(max_examples=60)
@@ -658,9 +628,9 @@ def test_sorted_column_answers_equal_unique_and_sorting_each_column(kinds):
         eligible.append(want is not None)
     names = data.columns
     assert _additive_spline_spec(data, True, columns).terms == (intercept(),) + tuple(
-        spline(c) if ok else main(c) for c, ok in zip(names, eligible))
+        term for c, ok in zip(names, eligible) for term in (spline(c) if ok else [main(c)]))
     rich = _rich_parametric_spec(data, True, columns).terms
-    assert [term for term in rich if term[0] == "square"] == [
+    assert [term for term in rich if term[0] == "interaction" and term[1] == term[2]] == [
         square(c) for c, b in zip(names, binary) if not b]
     splined = [c for c, ok in zip(names, eligible) if ok]
     binaries = [c for c, ok, b in zip(names, eligible, binary) if b and not ok]

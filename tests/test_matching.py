@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drawn_inputs import super_learner_inputs
 from fitstubs import StubOutcomeFit
 from mlte import matching
 from mlte.matching import METRICS, build_matches, estimate_bcm, estimate_match
@@ -74,6 +77,16 @@ def test_match_sets_equal_full_matrix_reference(metric, m):
         match_indices, nn_same = reference_matches(data, m, metric)
         np.testing.assert_array_equal(ms.match_indices, match_indices)
         np.testing.assert_array_equal(ms.nn_same, nn_same)
+
+
+@settings(max_examples=60)
+@given(super_learner_inputs(), st.sampled_from((1, 2)), st.sampled_from(METRICS))
+def test_match_sets_equal_full_matrix_reference_on_drawn_inputs(data, m, metric):
+    # constant, rare-valued and tied columns, whose distances tie often
+    ms = build_matches(data, m=m, metric=metric)
+    match_indices, nn_same = reference_matches(data, m, metric)
+    np.testing.assert_array_equal(ms.match_indices, match_indices)
+    np.testing.assert_array_equal(ms.nn_same, nn_same)
 
 
 def discrete_k3(n=1500, seed=0):

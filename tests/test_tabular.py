@@ -28,6 +28,7 @@ from mlte.tabular import (
     square,
     _knots_of_sorted,
 )
+from drawn_inputs import DRAWN_KINDS, drawn_column
 from reference_paths import reference_natural_cubic_basis, reference_spline_knots
 
 
@@ -217,11 +218,11 @@ def test_bound_design_freezes_spline_knots():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(200, 1))
     d = Dataset.from_arrays(X, np.tile([1, 2], 100), rng.normal(size=200))
-    bound = bind_design(d, DesignSpec(terms=(intercept(), spline("X1"))))
+    bound = bind_design(d, DesignSpec(terms=(intercept(), *spline("X1"))))
     shifted = X + 50.0
     D_new = bound.matrix(shifted)
     D_refit = bind_design(
-        Dataset.from_arrays(shifted, d.t, d.y), DesignSpec(terms=(intercept(), spline("X1")))
+        Dataset.from_arrays(shifted, d.t, d.y), DesignSpec(terms=(intercept(), *spline("X1")))
     ).matrix(shifted)
     assert not np.allclose(D_new, D_refit)
 
@@ -230,7 +231,7 @@ def test_bound_designs_compare_by_their_knots():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(200, 1))
     d = Dataset.from_arrays(X, np.tile([1, 2], 100), rng.normal(size=200))
-    spec = DesignSpec(terms=(intercept(), spline("X1")))
+    spec = DesignSpec(terms=(intercept(), *spline("X1")))
     bound = bind_design(d, spec)
     assert bound == bind_design(d, spec)
     other = bind_design(Dataset.from_arrays(X + 1.0, d.t, d.y), spec)
@@ -244,13 +245,14 @@ def test_curvature_term_is_spline_without_its_linear_column():
     X = np.column_stack([rng.normal(size=60), (rng.random(60) < 0.5).astype(float)])
     d = Dataset.from_arrays(X, np.tile([1, 2, 3], 20), rng.normal(size=60), columns=("c", "b"))
     bound = bind_design(
-        d, DesignSpec(terms=(spline("c"), curvature("c"), curvature("c", by="b")))
+        d, DesignSpec(terms=(*spline("c"), curvature("c"), curvature("c", by="b")))
     )
     D = bound.matrix(d.X)
-    assert D.shape[1] == bound.n_columns == 4 + 3 + 3
+    assert D.shape[1] == bound.n_columns == 1 + 3 + 3 + 3
+    np.testing.assert_array_equal(D[:, 0], X[:, 0])
     np.testing.assert_array_equal(D[:, 4:7], D[:, 1:4])
     np.testing.assert_array_equal(D[:, 7:], D[:, 1:4] * X[:, 1:])
-    assert [b.shape[1] for b in bound.blocks(d.X)] == [4, 3, 3]
+    assert [b.shape[1] for b in bound.blocks(d.X)] == [1, 3, 3, 3]
     assert DesignSpec(terms=(curvature("c", by="b"),)).referenced_columns() == ["c", "b"]
 
 
@@ -260,12 +262,12 @@ def test_spline_on_too_few_values_binds_as_main_term():
         np.column_stack([rng.normal(size=40), rng.integers(0, 4, 40)]), rng.integers(1, 3, 40),
         rng.normal(size=40), columns=("c", "o"),
     )
-    spec = DesignSpec(terms=(intercept(), spline("c"), spline("o")))
+    spec = DesignSpec(terms=(intercept(), *spline("c"), *spline("o")))
     bound = bind_design(d, spec)
-    assert bound.spec.terms == (intercept(), spline("c"), main("o"))
-    assert set(bound.knots) == {1}
+    assert bound.spec.terms == (intercept(), *spline("c"), main("o"))
+    assert set(bound.knots) == {2}
     np.testing.assert_array_equal(bound.matrix(d.X)[:, -1], d.X[:, 1])
-    eligible = DesignSpec(terms=(intercept(), spline("c")))
+    eligible = DesignSpec(terms=(intercept(), *spline("c")))
     assert bind_design(d, eligible).spec is eligible
 
 
@@ -273,8 +275,9 @@ def test_spline_needs_enough_distinct_values():
     x = np.array([1.0, 1.0, 2.0, 2.0])
     assert _knots_of_sorted(np.sort(x), 3) is None
     d = Dataset.from_arrays(x[:, None], [1, 2, 1, 2], np.zeros(4), columns=("c",))
-    with pytest.raises(ValueError, match="cannot carry a spline"):
-        bind_design(d, DesignSpec(terms=(curvature("c"),)))
+    bound = bind_design(d, DesignSpec(terms=(intercept(), curvature("c"))))
+    assert bound.spec.terms == (intercept(),) and bound.knots == {}
+    np.testing.assert_array_equal(bound.matrix(d.X), np.ones((4, 1)))
 
 
 def coincident_knot_column():
@@ -289,7 +292,7 @@ def test_coincident_knots_make_a_column_spline_ineligible():
     assert len(np.unique(x)) == 5
     assert _knots_of_sorted(np.sort(x)) is None
     d = Dataset.from_arrays(x[:, None], np.tile([1, 2], 150), np.zeros(300), columns=("g",))
-    bound = bind_design(d, DesignSpec(terms=(intercept(), spline("g"))))
+    bound = bind_design(d, DesignSpec(terms=(intercept(), *spline("g"))))
     assert bound.spec.terms == (intercept(), main("g")) and bound.knots == {}
 
 
@@ -297,7 +300,7 @@ def test_no_bound_spline_basis_is_rank_deficient_on_coincident_knot_column():
     # the column and resamples of it, as folds and bootstrap draws see it
     x = coincident_knot_column()
     rng = np.random.default_rng(1)
-    spec = DesignSpec(terms=(intercept(), spline("g")))
+    spec = DesignSpec(terms=(intercept(), *spline("g")))
     for rows in [np.arange(300)] + [rng.integers(0, 300, 300) for _ in range(20)]:
         d = Dataset.from_arrays(x[rows, None], np.tile([1, 2], 150), np.zeros(300), columns=("g",))
         D = bind_design(d, spec).matrix(d.X)
@@ -334,8 +337,8 @@ def test_distinct_knots_need_as_many_distinct_values():
 
 def spline_basis(x, knots):
     """The natural cubic basis of column x on `knots`, as a bound design
-    with those knots expands its spline term."""
-    bound = BoundDesign(DesignSpec((spline("x"),)), {"x": 0}, {0: knots})
+    with those knots expands its spline terms."""
+    bound = BoundDesign(DesignSpec(spline("x")), {"x": 0}, {1: knots})
     return bound.matrix(np.asarray(x, dtype=float)[:, None])
 
 
@@ -362,12 +365,27 @@ def test_natural_cubic_basis_matches_power_formula(n_interior):
     )
 
 
+@settings(max_examples=100)
+@given(st.sampled_from(DRAWN_KINDS), st.integers(10, 200), st.integers(0, 2**16))
+def test_bound_spline_is_its_column_then_its_natural_cubic_basis(kind, n, seed):
+    # a column that cannot carry the spline binds as its main term alone
+    x = drawn_column(kind, np.random.default_rng(seed), n)
+    d = Dataset.from_arrays(x[:, None], np.arange(n) % 2, np.zeros(n), columns=("c",))
+    D = bind_design(d, DesignSpec((intercept(), *spline("c")))).matrix(d.X)
+    assert D[:, 1].tobytes() == x.tobytes()
+    knots, distinct = reference_spline_knots(x, 3)
+    if np.all(np.diff(knots) > 0) and distinct >= 5:
+        np.testing.assert_allclose(D[:, 1:], reference_natural_cubic_basis(x, knots), rtol=1e-12, atol=0)
+    else:
+        assert D.shape[1] == 2
+
+
 def test_design_matrix_equals_stacked_blocks_and_dummies():
     rng = np.random.default_rng(8)
     X = np.column_stack([rng.normal(size=90), rng.gamma(2.0, size=90), (rng.random(90) < 0.5) * 1.0])
     d = Dataset.from_arrays(X, np.tile([1, 2, 3], 30), rng.normal(size=90), columns=("a", "c", "b"))
     spec = DesignSpec(
-        terms=(intercept(), main("a"), interaction("a", "c"), square("c"), spline("a"),
+        terms=(intercept(), main("a"), interaction("a", "c"), square("c"), *spline("a"),
                curvature("c"), curvature("c", by="b")),
         includes_treatment_dummies=True,
     )
@@ -383,7 +401,7 @@ def test_design_matrix_equals_stacked_blocks_and_dummies():
 
 def memo_design(d):
     spec = DesignSpec(
-        terms=(intercept(), main("X1"), interaction("X1", "X2"), square("X3"), spline("X2"),
+        terms=(intercept(), main("X1"), interaction("X1", "X2"), square("X3"), *spline("X2"),
                curvature("X3", by="X1")),
         includes_treatment_dummies=True,
     )
@@ -650,6 +668,11 @@ def test_a_dataset_without_rows_is_rejected_as_having_no_data_rows(tmp_path):
         load_json(str(path))
     with pytest.raises(ValueError, match="^no data rows$"):
         Dataset.from_arrays([], [], [])
+
+
+def test_a_dataset_without_covariate_columns_is_rejected():
+    with pytest.raises(ValueError, match="^no covariate columns$"):
+        Dataset.from_arrays(np.empty((4, 0)), [1, 2, 1, 2], np.zeros(4))
 
 
 def _missing_label_csv(tmp_path, first="", second="  "):
