@@ -44,7 +44,7 @@ from .simengine import (
 )
 from .tabular import _quantiles_of_sorted, all_pairs, load_csv, load_json
 
-__all__ = ["main", "cmd_estimate", "cmd_simulate", "cmd_plasmode", "cmd_diagnose"]
+__all__ = ["main"]
 
 
 def _comma_list(text):
@@ -162,11 +162,15 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 def _load_dataset(cfg):
     """The --data file as a Dataset of at least two treatment levels;
     estimate and diagnose then reject the `correct` regime (plasmode
-    rejects it with its own message)."""
+    rejects it with its own message).  A .json file names its own
+    columns, so it rejects the csv column flags."""
     if cfg.data is None:
         raise ValueError(f"{cfg.command} requires --data")
     json_input = cfg.data.endswith(".json")
     if json_input:
+        given = [f"--{f}" for f in ("treatment", "outcome", "covariates") if getattr(cfg, f) is not None]
+        if given:
+            raise ValueError(f"only csv input takes {', '.join(given)}; a .json dataset names its own columns")
         data = load_json(cfg.data)
     elif cfg.treatment is None or cfg.outcome is None or not cfg.covariates:
         raise ValueError("csv input requires --treatment, --outcome and --covariates")

@@ -102,7 +102,6 @@ class OutcomeFit:
     """
 
     regime: str
-    outcome_kind: str
     k: int
     description: str
     components: tuple
@@ -132,10 +131,9 @@ class OutcomeFit:
 @dataclass(frozen=True)
 class PropensityFit:
     """Fitted treatment probabilities P̂(T = t | X): a multinomial GLM on a
-    bound design, with its probabilities on the training rows."""
+    bound design, with its (n, k) probabilities on the training rows."""
 
     regime: str
-    k: int
     probs: np.ndarray
     description: str
     bound: BoundDesign
@@ -423,13 +421,13 @@ def fit_outcome(data: Dataset, regime, truth_spec: Optional[DesignSpec] = None, 
         components, cv_risks = fit_super_learner(data, seed=seed)
         wtxt = "/".join(f"{w:.2f}" for w, _, _ in components)
         desc = f"super learner ({len(components)} candidates, {_SL_FOLDS}-fold cv, weights {wtxt})"
-        return OutcomeFit("ml", data.outcome_kind, data.k, desc, components, cv_risks=cv_risks)
+        return OutcomeFit("ml", data.k, desc, components, cv_risks=cv_risks)
 
     bound = bind_design(data, _parametric_spec(data, regime, truth_spec, with_dummies=True))
     glm = "logistic" if data.outcome_kind == "binary" else "ols"
     desc = f"{glm} regression, {regime} design ({bound.n_columns} columns)"
     components = ((1.0, bound, _fit_glm(bound.matrix(data.X, data.t), data)),)
-    return OutcomeFit(regime, data.outcome_kind, data.k, desc, components, truth_spec)
+    return OutcomeFit(regime, data.k, desc, components, truth_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +530,10 @@ def fit_propensity(data: Dataset, regime, truth_spec: Optional[DesignSpec] = Non
         spec = DesignSpec((intercept(),) + tuple(groups[name][0] for name in chosen))
         bound = bind_design(data, spec, columns)
         desc = f"stepwise spline multinomial (BIC, {len(chosen)} groups: {', '.join(chosen) or 'intercept only'})"
-        return PropensityFit("ml", data.k, probs, desc, bound, mfit)
+        return PropensityFit("ml", probs, desc, bound, mfit)
     bound = bind_design(data, _parametric_spec(data, regime, truth_spec, with_dummies=False))
     D = bound.matrix(data.X)
     mfit = fit_multinomial(D, data.t, data.k)
     design = "supplied design" if regime == "correct" else "main terms"
     desc = f"multinomial GLM, {design} ({bound.n_columns} columns)"
-    return PropensityFit(regime, data.k, mfit.predict(D), desc, bound, mfit)
+    return PropensityFit(regime, mfit.predict(D), desc, bound, mfit)

@@ -17,9 +17,9 @@ bias-corrected variant shifts each donor outcome by the difference in
 outcome-model predictions between the matched unit and the donor.
 
 Variances follow the usage-count form of Abadie & Imbens (2006): the
-variance of the imputed contrasts plus a term driven by how often each unit
-is reused as a donor, with the unit-level outcome variance estimated from
-the nearest same-arm neighbor, found by the same search.
+variance of the imputed contrasts plus a term driven by how often each row
+is a donor to other arms (one count per row), with the unit-level outcome
+variance from the nearest same-arm neighbor, found by the same search.
 """
 
 from __future__ import annotations
@@ -44,17 +44,15 @@ _COV_RIDGE = 1e-8
 class MatchSets:
     """Match structure for one dataset.
 
-    match_indices[i, j, :] holds the m donor row indices matched to row i
-    for treatment level j+1; rows already at level j+1 store their own index.
-    usage_counts[i, j] counts how often row i served as a donor for level
-    j+1 queries.  nn_same[i] is the nearest neighbor of i within its own
-    arm, used for the unit-level variance estimate.
+    match_indices[i, j, :] holds the m donor rows matched to row i for level
+    j+1 (row i itself at its own level); usage_counts[i] counts how often
+    row i is a donor to other arms, K_M(i); nn_same[i] is the nearest
+    neighbor of i within its own arm, for the unit-level variance.
     """
 
     match_indices: np.ndarray
     usage_counts: np.ndarray
     nn_same: np.ndarray
-    m: int
 
     def __post_init__(self):
         self.match_indices.setflags(write=False)
@@ -154,8 +152,8 @@ def build_matches(data: Dataset, m: int = 1, metric: str = "euclidean-standardiz
         if have < need:
             raise ValueError(f"treatment level {lev} has {have} rows; need at least {need}")
     match_indices = np.empty((n, k, m), dtype=np.intp)
-    usage_counts = np.zeros((n, k), dtype=np.intp)
     nn_same = np.empty(n, dtype=np.intp)
+    donors = []
     for lev in range(1, k + 1):
         didx = np.flatnonzero(data.t == lev)
         qidx = np.flatnonzero(data.t != lev)
@@ -163,17 +161,18 @@ def build_matches(data: Dataset, m: int = 1, metric: str = "euclidean-standardiz
         sel = didx[_nearest(Z[qidx], Zd, m)]
         match_indices[qidx, lev - 1, :] = sel
         match_indices[didx, lev - 1, :] = didx[:, None]
-        np.add.at(usage_counts[:, lev - 1], sel.ravel(), 1)
+        donors.append(sel.ravel())
         nn_same[didx] = didx[_nearest(Zd, Zd, 1, exclude_self=True)[:, 0]]
-    return MatchSets(match_indices=match_indices, usage_counts=usage_counts, nn_same=nn_same, m=m)
+    usage_counts = np.bincount(np.concatenate(donors), minlength=n)
+    return MatchSets(match_indices=match_indices, usage_counts=usage_counts, nn_same=nn_same)
 
 
 def _match_variance(data: Dataset, ms: MatchSets, pair, diff: np.ndarray, tau: float) -> float:
     t1, t0 = pair
-    n, m = data.n, ms.m
+    n, m = data.n, ms.match_indices.shape[2]
     sigma2 = (data.y - data.y[ms.nn_same]) ** 2 / 2.0
     rel = (data.t == t1) | (data.t == t0)
-    K = ms.usage_counts[np.arange(n), data.t - 1].astype(float)
+    K = ms.usage_counts.astype(float)
     reuse = ((K / m) ** 2 + (2.0 * m - 1.0) / m**2 * K) * sigma2
     return float(((diff - tau) ** 2).sum() / n**2 + reuse[rel].sum() / n**2)
 

@@ -134,15 +134,13 @@ def stan_estimates(data: Dataset, out: OutcomeFit, pairs, bootstrap_reps=200, se
 
 @dataclass(frozen=True)
 class TmleFluctuation:
-    """Targeting-step record for one treatment level: the fluctuation
-    intercept, the updated predictions on the working [0, 1] scale, and the
-    outcome bounds (a, b) that define that scale: (0, 1) for binary
-    outcomes, the observed range for continuous ones."""
+    """Targeting-step record for one treatment level, its key in
+    `tmle_fluctuations`: the fluctuation intercept and the updated
+    predictions on the working [0, 1] scale of `_outcome_bounds` (a, b):
+    (0, 1) for binary outcomes, the observed range for continuous ones."""
 
-    level: int
     epsilon: float
     q1: np.ndarray
-    scale: tuple
 
 
 def _outcome_bounds(data: Dataset):
@@ -175,7 +173,7 @@ def tmle_fluctuations(data: Dataset, out: OutcomeFit, prop: PropensityFit, level
         fl = fit_logistic(ones, ystar, weights=wj, offset=offset)
         eps = float(fl.coefficients[0])
         q1 = expit(offset + eps)
-        result[j] = TmleFluctuation(level=j, epsilon=eps, q1=q1, scale=(a, b))
+        result[j] = TmleFluctuation(epsilon=eps, q1=q1)
     return result
 
 
@@ -188,7 +186,7 @@ def estimate_tmle(data: Dataset, out: OutcomeFit, prop: PropensityFit, pair) -> 
     """
     t1, t0 = _check_pair(pair, data.k)
     fl = tmle_fluctuations(data, out, prop, (t1, t0))
-    a, b = fl[t1].scale
+    a, b = _outcome_bounds(data)
     span = b - a
     ystar = (data.y - a) / span
     q1_1, q1_0 = fl[t1].q1, fl[t0].q1

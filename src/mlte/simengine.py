@@ -171,6 +171,8 @@ class ScenarioConfig:
             )
         if self.n < 1 or self.reps < 1:
             raise ValueError("n and reps must be positive")
+        if self.m < 1 or self.bootstrap_reps < 0:
+            raise ValueError("m must be positive and bootstrap_reps non-negative")
         object.__setattr__(self, "beta", _BETA[self.treatment_strength])
         object.__setattr__(self, "gamma", _GAMMA[self.outcome_strength])
         object.__setattr__(self, "lam", _LAM)
@@ -503,6 +505,8 @@ class PlasmodeConfig:
             raise ValueError("resample_size must be in [1, 10 * source n]")
         if self.reps < 1:
             raise ValueError("reps must be positive")
+        if self.m < 1 or self.bootstrap_reps < 0:
+            raise ValueError("m must be positive and bootstrap_reps non-negative")
 
 
 def _plasmode_truths(source: Dataset, gen_out: OutcomeFit, gen_trt: PropensityFit, pairs):

@@ -180,12 +180,6 @@ class Dataset:
     def n(self):
         return self.X.shape[0]
 
-    def column_index(self, name):
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise KeyError(f"unknown covariate column {name!r}") from None
-
     def label_of(self, code):
         """Original treatment label for internal code `code` (1-based)."""
         return self.treatment_labels[code - 1]

@@ -1,6 +1,7 @@
-"""Hypothesis inputs shared by the drawn-input differential tests: covariate
-columns of the kinds that steer the fast paths (ties, few values, a value
-some folds lose, too few values for a spline), and datasets built from them.
+"""Hypothesis inputs shared by the drawn-input tests: covariate columns of
+the kinds that steer the fast paths (ties, few values, a value some folds
+lose, too few values for a spline), datasets built from them, and datasets
+whose one categorical covariate enters as stratum dummies.
 """
 
 import numpy as np
@@ -38,3 +39,26 @@ def super_learner_inputs(draw):
     t = rng.permutation(np.append(others, np.full(last, k)))
     X = np.column_stack([drawn_column(kind, rng, n) for kind in kinds])
     return Dataset.from_arrays(X, t, X.sum(axis=1) + t + rng.normal(size=n))
+
+
+@st.composite
+def strata_inputs(draw):
+    """A dataset of 100-600 rows whose covariates are the dummies of one
+    categorical covariate of 2-5 strata (the first stratum the reference),
+    with 2-4 arms and at least 2 rows in every stratum x arm cell; returned
+    with each row's stratum 0..S-1.  Each stratum draws its arm shares from
+    Dirichlet(3, ..., 3).  Cell means are 3 per arm level plus a stratum-by-
+    arm term, so every contrast is far from 0 and no main-terms outcome
+    model is correct."""
+    S, k, n = draw(st.integers(2, 5)), draw(st.integers(2, 4)), draw(st.integers(100, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    strata = rng.integers(0, S, n)
+    t = np.empty(n, dtype=int)
+    for s, p in enumerate(rng.dirichlet(np.full(k, 3.0), S)):
+        t[strata == s] = rng.choice(np.arange(1, k + 1), int((strata == s).sum()), p=p)
+    filled = 2 * S * k
+    strata[:filled], t[:filled] = np.repeat(np.arange(S), 2 * k), np.tile(np.arange(1, k + 1), 2 * S)
+    cell_means = 3.0 * np.arange(1, k + 1) + 0.3 * rng.normal(size=(S, k))
+    y = cell_means[strata, t - 1] + 0.5 * rng.normal(size=n)
+    X = (strata[:, None] == np.arange(1, S)).astype(float)
+    return Dataset.from_arrays(X, t, y), strata

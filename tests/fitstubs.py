@@ -17,7 +17,6 @@ class StubOutcomeFit:
     `refit(data, seed)` calls `_refit`."""
 
     regime: str
-    outcome_kind: str
     k: int
     description: str
     _predict: Callable
@@ -41,7 +40,6 @@ class StubPropensityFit:
     probabilities from `_predict(X)`."""
 
     regime: str
-    k: int
     probs: np.ndarray
     description: str
     converged: bool

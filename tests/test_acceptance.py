@@ -14,7 +14,7 @@ from reference_paths import brute_force_matches, reference_oracle_truth
 from test_golden import GOLDEN
 from mlte.learners import fit_outcome, fit_propensity
 from mlte.matching import build_matches, estimate_bcm, estimate_match
-from mlte.outcome_methods import tmle_fluctuations
+from mlte.outcome_methods import _outcome_bounds, tmle_fluctuations
 from mlte.simengine import (
     ScenarioConfig,
     simulate_dataset,
@@ -63,7 +63,6 @@ def arm_mean_outcome(data):
 
     return StubOutcomeFit(
         regime="mainterms",
-        outcome_kind=data.outcome_kind,
         k=data.k,
         description="arm means",
         _predict=predict,
@@ -235,13 +234,13 @@ def test_criterion_7_exact_identities(capsys):
     data = Dataset.from_arrays(X, t, y)
     raw = rng.uniform(0.1, 1.0, (n, 3))
     probs = raw / raw.sum(axis=1, keepdims=True)
-    prop = StubPropensityFit("correct", 3, probs, "fixed", True, lambda Z: probs)
+    prop = StubPropensityFit("correct", probs, "fixed", True, lambda Z: probs)
     ow = compute_overlap_weights(prop, data.t)
 
     def const_fit(values):
         vals = np.asarray(values, dtype=float)
         return StubOutcomeFit(
-            "mainterms", "continuous", 3, "const",
+            "mainterms", 3, "const",
             lambda level, Z: np.full(Z.shape[0], vals[level - 1]),
             lambda d, s: None,
         )
@@ -268,7 +267,7 @@ def test_criterion_7_exact_identities(capsys):
     data2 = Dataset.from_arrays(X, t2, y)
     p1 = rng.uniform(0.05, 0.95, n)
     prop2 = StubPropensityFit(
-        "correct", 2, np.column_stack([p1, 1 - p1]), "fixed", True, lambda Z: None
+        "correct", np.column_stack([p1, 1 - p1]), "fixed", True, lambda Z: None
     )
     ow2 = compute_overlap_weights(prop2, data2.t)
     opposite = np.where(data2.t == 1, 1 - p1, p1)
@@ -280,7 +279,7 @@ def test_criterion_7_exact_identities(capsys):
     sout = fit_outcome(sdata, "mainterms")
     sprop = fit_propensity(sdata, "mainterms")
     fl = tmle_fluctuations(sdata, sout, sprop, (1, 2, 3))
-    a, b = fl[1].scale
+    a, b = _outcome_bounds(sdata)
     ystar = (sdata.y - a) / (b - a)
     for j in (1, 2, 3):
         wj = (sdata.t == j) / sprop.probs[:, j - 1]
@@ -293,7 +292,7 @@ def test_criterion_7_exact_identities(capsys):
     tb = np.repeat([1, 2, 3], 100)
     bdata = Dataset.from_arrays(rng.normal(size=(300, 2)), tb, rng.normal(size=300))
     uprobs = np.full((300, 3), 1.0 / 3.0)
-    uprop = StubPropensityFit("correct", 3, uprobs, "uniform", True, lambda Z: uprobs)
+    uprop = StubPropensityFit("correct", uprobs, "uniform", True, lambda Z: uprobs)
     uow = compute_overlap_weights(uprop, bdata.t)
     uout = arm_mean_outcome(bdata)
     for pair in ((2, 1), (3, 1)):

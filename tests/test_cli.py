@@ -212,6 +212,20 @@ def test_estimate_json_dataset_input(tmp_path, capsys):
     assert len(payload["tables"][0]["rows"]) == 1  # two levels, one pair
 
 
+@pytest.mark.parametrize("command", ("estimate", "diagnose", "plasmode"))
+def test_json_input_rejects_the_csv_column_flags(command, tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"columns": ["a", "b"], "X": rng.normal(size=(40, 2)).tolist(),
+                                "T": [1, 2] * 20, "Y": [int(v) for v in rng.integers(0, 2, 40)]}))
+    tail = "; a .json dataset names its own columns\n"
+    assert run_cli([command, "--data", str(path), "--covariates", "zzz", "--treatment", "nope"]) == 1
+    assert capsys.readouterr().err == f"error: only csv input takes --treatment, --covariates{tail}"
+    monkeypatch.setenv("MLTE_OUTCOME", "y")  # a value from the environment counts alike
+    assert run_cli([command, "--data", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: only csv input takes --outcome{tail}"
+
+
 def test_estimate_ml_regime_with_rare_covariate_values(tmp_path, capsys):
     path = write_csv(tmp_path / "rare.csv", rare_value_data())
     rc = run_cli(["estimate", "--data", path, "--treatment", "t", "--outcome", "y",

@@ -16,7 +16,7 @@ from reference_paths import brute_force_matches, reference_matches
 
 
 def outcome_stub(data, fn):
-    return StubOutcomeFit("correct", data.outcome_kind, data.k, "stub", fn, lambda d, s: None)
+    return StubOutcomeFit("correct", data.k, "stub", fn, lambda d, s: None)
 
 
 def random_k3(n=60, p=3, seed=0):
@@ -38,8 +38,7 @@ def test_two_cluster_hand_example():
     ms = build_matches(data)
     np.testing.assert_array_equal(ms.match_indices[:, 0, 0], [0, 0, 2, 2])
     np.testing.assert_array_equal(ms.match_indices[:, 1, 0], [1, 1, 3, 3])
-    np.testing.assert_array_equal(ms.usage_counts[:, 0], [1, 0, 1, 0])
-    np.testing.assert_array_equal(ms.usage_counts[:, 1], [0, 1, 0, 1])
+    np.testing.assert_array_equal(ms.usage_counts, [1, 1, 1, 1])
     np.testing.assert_array_equal(ms.nn_same, [2, 3, 0, 1])
     est = estimate_match(data, ms, (2, 1))
     assert est.tau_hat == pytest.approx(1.0)
@@ -175,11 +174,12 @@ def test_usage_counts_total_m_per_query():
     data = random_k3(seed=3)
     for m in (1, 2):
         ms = build_matches(data, m=m)
-        for lev in (1, 2, 3):
-            queries = int((data.t != lev).sum())
-            assert ms.usage_counts[:, lev - 1].sum() == m * queries
-            # only rows at the level serve as donors for it
-            assert ms.usage_counts[data.t != lev, lev - 1].sum() == 0
+        match_indices, _ = brute_force_matches(data, m)
+        # each row's appearances as a donor to rows of other arms
+        other_arm = data.t[:, None] != np.arange(1, data.k + 1)
+        want = np.bincount(match_indices[other_arm].ravel(), minlength=data.n)
+        np.testing.assert_array_equal(ms.usage_counts, want)
+        assert ms.usage_counts.sum() == m * (data.k - 1) * data.n
 
 
 def test_estimates_invariant_to_row_permutation():
@@ -262,4 +262,4 @@ def test_match_sets_are_read_only():
     data = random_k3(seed=17)
     ms = build_matches(data)
     with pytest.raises(ValueError):
-        ms.usage_counts[0, 0] = 5
+        ms.usage_counts[0] = 5

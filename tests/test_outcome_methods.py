@@ -8,6 +8,7 @@ from mlte import learners
 from mlte.learners import fit_outcome, fit_propensity
 from mlte.outcome_methods import (
     _bootstrap_resample,
+    _outcome_bounds,
     _resample_need,
     estimate_crude,
     estimate_tmle,
@@ -26,7 +27,7 @@ def linear_outcome_fit(data):
     def predict(level, X):
         return level * X[:, 0]
 
-    return StubOutcomeFit("correct", data.outcome_kind, data.k, "stub", predict, lambda d, s: None)
+    return StubOutcomeFit("correct", data.k, "stub", predict, lambda d, s: None)
 
 
 def scenario_data(n=300, seed=0):
@@ -223,7 +224,7 @@ def tmle_inputs(n=400, seed=2):
 def test_tmle_fluctuation_solves_weighted_score():
     data, out, prop = tmle_inputs()
     fl = tmle_fluctuations(data, out, prop, (1, 2, 3))
-    a, b = fl[1].scale
+    a, b = _outcome_bounds(data)
     ystar = (data.y - a) / (b - a)
     for j in (1, 2, 3):
         wj = (data.t == j) / prop.probs[:, j - 1]
@@ -232,9 +233,8 @@ def test_tmle_fluctuation_solves_weighted_score():
 
 
 def test_tmle_continuous_bounds_are_empirical_range():
-    data, out, prop = tmle_inputs()
-    fl = tmle_fluctuations(data, out, prop, (1,))
-    assert fl[1].scale == (data.y.min(), data.y.max())
+    data, _, _ = tmle_inputs()
+    assert _outcome_bounds(data) == (data.y.min(), data.y.max())
 
 
 def test_tmle_binary_outcome_uses_unit_bounds():
@@ -246,8 +246,7 @@ def test_tmle_binary_outcome_uses_unit_bounds():
     data = Dataset.from_arrays(X, t, y)
     out = fit_outcome(data, "mainterms")
     prop = fit_propensity(data, "mainterms")
-    fl = tmle_fluctuations(data, out, prop, (2,))
-    assert fl[2].scale == (0.0, 1.0)
+    assert _outcome_bounds(data) == (0.0, 1.0)
     est = estimate_tmle(data, out, prop, (2, 1))
     assert np.isfinite(est.tau_hat) and est.variance > 0
 
@@ -268,6 +267,6 @@ def test_tmle_influence_centered():
     # step forces the augmentation scores to zero, so the plug-in part must
     # match tau up to solver tolerance
     fl = tmle_fluctuations(data, out, prop, (3, 1))
-    a, b = fl[3].scale
+    a, b = _outcome_bounds(data)
     plugin = float(((fl[3].q1 - fl[1].q1) * (b - a)).mean())
     assert est.tau_hat == pytest.approx(plugin, abs=1e-12)

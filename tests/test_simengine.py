@@ -65,6 +65,10 @@ def test_config_validation():
         ScenarioConfig.named("t-y-", n=100, reps=1, seed=0, regime="oracle")
     with pytest.raises(ValueError):
         ScenarioConfig.named("t-y-", n=0, reps=1, seed=0, regime="mainterms")
+    # the CLI's count flags reject these; a library plan does too
+    for knob in ({"m": 0}, {"bootstrap_reps": -5}):
+        with pytest.raises(ValueError, match="m must be positive and bootstrap_reps non-negative"):
+            ScenarioConfig.named("t-y-", n=200, reps=2, seed=1, regime="mainterms", **knob)
     # the scenario determines these; none can be set
     for derived in ("beta", "gamma", "lam", "metric"):
         with pytest.raises(TypeError, match=derived):
@@ -273,7 +277,7 @@ def test_a_method_failing_on_one_pair_reports_none_of_its_pairs(monkeypatch):
             raise ValueError("no prediction at level 3")
         return X[:, 0]
 
-    stub = StubOutcomeFit("mainterms", "continuous", 3, "stub", predict)
+    stub = StubOutcomeFit("mainterms", 3, "stub", predict)
     monkeypatch.setattr(mlte.simengine, "fit_outcome", lambda *args, **kwargs: stub)
     cfg = ScenarioConfig.named("t-y-", n=200, reps=2, seed=1, regime="mainterms")
     report = run_scenario(cfg, methods=["bcm"])
@@ -382,7 +386,7 @@ def stub_generators(source, level_shift):
     def predict(level, X):
         return expit(level_shift[level - 1] + 0.5 * X[:, 0])
 
-    gen_out = StubOutcomeFit("mainterms", "binary", source.k, "stub", predict, lambda d, s: None)
+    gen_out = StubOutcomeFit("mainterms", source.k, "stub", predict, lambda d, s: None)
     raw = np.random.default_rng(1).uniform(0.2, 1.0, (source.n, source.k))
     probs = raw / raw.sum(axis=1, keepdims=True)
 
@@ -390,7 +394,7 @@ def stub_generators(source, level_shift):
         m = np.full((X.shape[0], source.k), 1.0 / source.k)
         return m
 
-    gen_trt = StubPropensityFit("mainterms", source.k, probs, "stub", True, uniform_probs)
+    gen_trt = StubPropensityFit("mainterms", probs, "stub", True, uniform_probs)
     return gen_out, gen_trt
 
 
@@ -445,6 +449,8 @@ def test_plasmode_config_validation():
         ({"regime": "correct"}, regime),
         ({"regime": "correct", "source": continuous}, regime),  # the regime is checked first
         ({"reps": 0}, "reps must be positive"),
+        ({"m": 0}, "m must be positive and bootstrap_reps non-negative"),
+        ({"bootstrap_reps": -5}, "m must be positive and bootstrap_reps non-negative"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             PlasmodeConfig(**{**ok, **change})

@@ -130,12 +130,6 @@ def test_dataset_take_preserves_metadata():
     np.testing.assert_array_equal(sub.X, d.X[:6])
 
 
-def test_dataset_column_index_unknown_name():
-    d = toy_dataset()
-    with pytest.raises(KeyError):
-        d.column_index("nope")
-
-
 def test_dataset_rejects_a_repeated_column_name(tmp_path):
     with pytest.raises(ValueError, match="column 'a' is named more than once"):
         Dataset.from_arrays(np.zeros((4, 3)), [1, 2, 1, 2], np.arange(4.0), columns=("a", "b", "a"))

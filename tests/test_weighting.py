@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from drawn_inputs import strata_inputs
 from fitstubs import StubOutcomeFit, StubPropensityFit
-from mlte.tabular import Dataset
+from mlte.simengine import METHOD_TABLE, _apply_methods
+from mlte.tabular import Dataset, all_pairs
 from mlte.weighting import (
     EffectEstimate,
     aow_influence,
@@ -18,7 +21,7 @@ from mlte.weighting import (
 
 def propensity_from_probs(probs, regime="correct"):
     probs = np.asarray(probs, dtype=float)
-    return StubPropensityFit(regime, probs.shape[1], probs, "fixed probs", True, lambda X: probs)
+    return StubPropensityFit(regime, probs, "fixed probs", True, lambda X: probs)
 
 
 def constant_outcome_fit(data, per_level):
@@ -28,7 +31,7 @@ def constant_outcome_fit(data, per_level):
     def predict(level, X):
         return np.full(X.shape[0], per_level[level - 1])
 
-    return StubOutcomeFit("correct", data.outcome_kind, data.k, "constant", predict, lambda d, s: None)
+    return StubOutcomeFit("correct", data.k, "constant", predict, lambda d, s: None)
 
 
 def tiny_k2():
@@ -52,13 +55,6 @@ def test_ipw_hand_computed():
     assert est.variance == pytest.approx(436.75 / 16)
     assert est.method == "ipw"
     assert est.estimand == "population"
-
-
-def test_ipw_uniform_probs_balanced_equals_mean_difference():
-    data = tiny_k2()
-    prop = propensity_from_probs(np.full((4, 2), 0.5))
-    est = estimate_ipw(data, prop, (2, 1))
-    assert est.tau_hat == pytest.approx(3.5 - 1.5)
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (0, 2), (3, 1)])
@@ -100,15 +96,6 @@ def test_overlap_weights_row_mismatch():
         compute_overlap_weights(prop, np.array([1, 2]))
 
 
-def test_ow_uniform_probs_equals_mean_difference():
-    data = tiny_k2()
-    prop = propensity_from_probs(np.full((4, 2), 0.5))
-    ow = compute_overlap_weights(prop, data.t)
-    est = estimate_ow(data, ow, (2, 1))
-    assert est.tau_hat == pytest.approx(2.0)
-    assert est.estimand == "overlap"
-
-
 def test_ow_influence_sums_to_zero():
     rng = np.random.default_rng(3)
     n = 200
@@ -147,6 +134,44 @@ def test_aow_reduces_to_ow_for_constant_predictions():
         assert aug.method == "aow"
         tau, D = aow_influence(data, ow, out, prop, pair)
         assert aug.variance == pytest.approx(float((D**2).sum()) / n**2)
+
+
+# ---------------------------------------------------------------------------
+# closed forms on saturated strata
+
+
+def stratified_contrast(data, strata, pair, estimand):
+    """Sum_s w_s (ybar_{a,s} - ybar_{b,s}) / Sum_s w_s over strata s, with
+    w_s = n_s for the post-stratified (population) contrast and
+    w_s = n_s h_s, h_s = 1 / Sum_l (1 / p_{l,s}) from the stratum's arm
+    shares p_{l,s}, for the overlap-stratified one."""
+    in_cell = [[(strata == s) & (data.t == lev) for lev in range(1, data.k + 1)]
+               for s in range(strata.max() + 1)]
+    size = np.array([[cell.sum() for cell in row] for row in in_cell], dtype=float)
+    n_s = size.sum(axis=1)
+    w = n_s if estimand == "population" else n_s / (n_s[:, None] / size).sum(axis=1)
+    mean = [[data.y[cell].mean() for cell in row] for row in in_cell]
+    gap = np.array([row[pair[0] - 1] - row[pair[1] - 1] for row in mean])
+    return float((w * gap).sum() / w.sum())
+
+
+@settings(max_examples=25)
+@given(strata_inputs())
+@pytest.mark.parametrize("method", ("ipw", "tmle", "ow", "aow"))
+def test_estimators_equal_the_stratified_contrast_on_saturated_strata(method, drawn):
+    # the mainterms multinomial on stratum dummies is saturated, so its
+    # probabilities are each stratum's arm shares (to the Newton tolerance,
+    # which sets rtol); stan's outcome design has no treatment-by-stratum
+    # terms and is the stated exception
+    data, strata = drawn
+    pairs = all_pairs(data.k)
+    results, failures = _apply_methods(data, "mainterms", [method], pairs, 0, 0, 0, 1)
+    assert failures == {}
+    estimand = METHOD_TABLE[method].estimand
+    for pair in pairs:
+        est = results[(method, pair)]
+        assert est.estimand == estimand
+        assert est.tau_hat == pytest.approx(stratified_contrast(data, strata, pair, estimand), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
